@@ -27,8 +27,8 @@
 //! * **Observability** — a [`TelemetryHub`] (on by default) attaches the
 //!   fleet event bus and serves `GET /metrics` (JSON or Prometheus text),
 //!   `GET /analytics/{interference,hot-pairs,latency}` and a live
-//!   `GET /events/stream` NDJSON tail; fleet snapshots carry the
-//!   aggregates as a versioned envelope so restarts restore warm.
+//!   `GET /events/stream` NDJSON tail. Counters are exact when a request
+//!   returns and reset when the process restarts.
 //!
 //! See [`routes`] for the endpoint table and [`ApiServer`] to run one.
 //!
@@ -67,6 +67,6 @@ pub use wire::ApiError;
 // service crate separately.
 pub use hg_service::Fleet;
 
-// Re-exported so clients can drive the hub (sync for exact scrapes, the
+// Re-exported so clients can read the hub (the registry for totals, the
 // bus for in-process tails) without naming the telemetry crate.
 pub use hg_telemetry::{MetricsRegistry, TelemetryBus, TelemetryEvent, TelemetryHub};

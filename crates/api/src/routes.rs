@@ -16,7 +16,7 @@
 //! | `POST /fleet/install_many` | token | bulk install via the queue executor |
 //! | `POST /fleet/upgrades` | token | streamed fleet rollout |
 //! | `POST /fleet/uninstall` | token | fleet-wide forced uninstall |
-//! | `GET /snapshot` | token | full fleet snapshot (+ telemetry envelope) |
+//! | `GET /snapshot` | token | full fleet snapshot |
 //! | `POST /restore` | token | revive a fleet from a snapshot |
 //! | `GET /health` | — | liveness: always 200, body says `ok`/`degraded` |
 //! | `GET /ready` | — | readiness: 503 when quarantined or poisoned |
@@ -56,7 +56,7 @@ pub struct AppState {
     exec: RwLock<Arc<FleetExec>>,
     sessions: SessionStore,
     exec_config: ExecConfig,
-    telemetry: Option<Arc<TelemetryHub>>,
+    telemetry: Option<TelemetryHub>,
     journal: Option<Arc<Journal>>,
 }
 
@@ -69,7 +69,7 @@ impl AppState {
         fleet: Arc<Fleet>,
         exec_config: ExecConfig,
         sessions: SessionStore,
-        telemetry: Option<Arc<TelemetryHub>>,
+        telemetry: Option<TelemetryHub>,
     ) -> AppState {
         if let Some(hub) = &telemetry {
             fleet.attach_telemetry(hub.bus().clone());
@@ -104,7 +104,7 @@ impl AppState {
     }
 
     /// The telemetry hub, when observability is enabled.
-    pub fn telemetry(&self) -> Option<&Arc<TelemetryHub>> {
+    pub fn telemetry(&self) -> Option<&TelemetryHub> {
         self.telemetry.as_ref()
     }
 
@@ -203,13 +203,9 @@ pub fn error_response(error: &ApiError) -> Response {
     }
 }
 
-/// How long observability routes wait for the collector to catch up with
-/// everything already published, so rendered totals are exact.
-const SYNC_WINDOW: Duration = Duration::from_secs(2);
-
 /// The telemetry hub, or the 404 every observability route answers when
 /// the server runs with telemetry off.
-fn need_hub(state: &AppState) -> Result<&Arc<TelemetryHub>, ApiError> {
+fn need_hub(state: &AppState) -> Result<&TelemetryHub, ApiError> {
     state.telemetry().ok_or_else(|| {
         ApiError::new(
             404,
@@ -231,9 +227,8 @@ fn query_num(req: &Request, name: &str) -> Result<Option<u64>, ApiError> {
     }
 }
 
-/// `GET /metrics`: samples the pull-style gauges, waits for the collector
-/// to drain the bus, then renders the registry as JSON (default) or
-/// Prometheus text (`?format=prometheus`).
+/// `GET /metrics`: samples the pull-style gauges, then renders the
+/// registry as JSON (default) or Prometheus text (`?format=prometheus`).
 fn metrics_route(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
     let hub = need_hub(state)?;
     let exec = state.exec();
@@ -248,7 +243,6 @@ fn metrics_route(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
     registry.set_gauge("queue_capacity", exec.queue_capacity() as i64);
     registry.set_gauge("bus_dropped_events", hub.bus().dropped_events() as i64);
     registry.set_gauge("fleet_homes", exec.fleet().len() as i64);
-    hub.sync(SYNC_WINDOW);
     match req.query_param("format") {
         Some("prometheus") => Ok(Response {
             status: 200,
@@ -390,7 +384,6 @@ fn dispatch(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
         ("GET", "/metrics") => metrics_route(state, req),
         ("GET", "/analytics/interference") => {
             let hub = need_hub(state)?;
-            hub.sync(SYNC_WINDOW);
             Ok(Response::json(
                 200,
                 &Json::obj([("interference", hub.registry().interference_json())]),
@@ -410,7 +403,6 @@ fn dispatch(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
         }
         ("GET", "/analytics/latency") => {
             let hub = need_hub(state)?;
-            hub.sync(SYNC_WINDOW);
             Ok(Response::json(
                 200,
                 &Json::obj([(
@@ -439,18 +431,11 @@ fn dispatch(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
         }
         ("GET", "/snapshot") => {
             token(state, req)?;
-            let exec = state.exec();
-            let mut snapshot = exec
+            let snapshot = state
+                .exec()
                 .run_on_store(|fleet| fleet.snapshot())
                 .map_err(ApiError::from)?
                 .map_err(ApiError::from)?;
-            if let Some(hub) = state.telemetry() {
-                // Fold in everything published up to the capture, so the
-                // envelope's aggregates match the ground truth they rode
-                // along with.
-                hub.sync(SYNC_WINDOW);
-                snapshot.telemetry = Some(hub.registry().export_state());
-            }
             Ok(Response {
                 status: 200,
                 headers: Vec::new(),
@@ -462,12 +447,7 @@ fn dispatch(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
             token(state, req)?;
             let text = std::str::from_utf8(&req.body)
                 .map_err(|_| ApiError::bad_request("snapshot is not UTF-8"))?;
-            let mut snapshot = FleetSnapshot::from_text(text).map_err(ApiError::from)?;
-            if let (Some(hub), Some(envelope)) = (state.telemetry(), snapshot.telemetry.take()) {
-                hub.registry().absorb_state(&envelope).map_err(|why| {
-                    ApiError::bad_request(format!("telemetry envelope refused: {why}"))
-                })?;
-            }
+            let snapshot = FleetSnapshot::from_text(text).map_err(ApiError::from)?;
             let fleet = Arc::new(Fleet::restore(snapshot).map_err(ApiError::from)?);
             let homes = fleet.len();
             state.swap_fleet(fleet).map_err(ApiError::from)?;

@@ -44,7 +44,7 @@ pub struct ServerConfig {
     /// Per-connection socket read/write timeout — a stalled peer cannot
     /// pin a worker forever.
     pub io_timeout: Duration,
-    /// Whether to run the telemetry hub (event bus + metrics collector)
+    /// Whether to run the telemetry hub (event bus + metrics registry)
     /// and serve the observability routes. Off, those routes answer 404
     /// and the fleet publishes nothing.
     pub telemetry: bool,
@@ -138,7 +138,7 @@ impl ApiServer {
     ) -> std::io::Result<ApiServer> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let telemetry = config.telemetry.then(TelemetryHub::start);
+        let telemetry = config.telemetry.then(TelemetryHub::new);
         let mut state = AppState::new(
             fleet,
             config.exec.clone(),
@@ -273,9 +273,6 @@ impl ApiServer {
             let _ = thread.join();
         }
         self.state.stop();
-        if let Some(hub) = self.state.telemetry() {
-            hub.stop();
-        }
     }
 }
 

@@ -536,7 +536,8 @@ fn metrics_and_analytics_reconcile_exactly_with_observed_traffic() {
         Some(&app_body(ON_APP, "OnApp")),
     );
 
-    // /metrics waits for the collector, so totals are exact, not racy.
+    // The bus folds each event as it is published: totals are exact when
+    // the requests above returned, with no wait.
     let metrics = send(addr, "GET", "/metrics", None, None);
     assert_eq!(metrics.status, 200);
     let body = metrics.json();
@@ -705,7 +706,7 @@ fn event_stream_tails_live_events_and_a_slow_reader_cannot_wedge_a_worker() {
         )
         .unwrap();
     std::thread::sleep(Duration::from_millis(300));
-    // More events than default retention holds (8 rings × 4096), so the
+    // More events than default retention holds (32,768), so the
     // flood must shed history while the reader sits on an unread socket.
     for home in 0..40_000u64 {
         bus.publish(TelemetryEvent::HomeCreated { home });

@@ -79,6 +79,11 @@ pub fn home_from_text(text: &str) -> Result<HomeState, HgError> {
 /// `Fleet::snapshot()`, consumed by `Fleet::restore()`; [`to_text`] /
 /// [`from_text`] are the durable byte form in between.
 ///
+/// A snapshot holds ground truth only, never telemetry: metrics counters
+/// reset when a fleet is restored, as Prometheus counters do on restart.
+/// A document that still carries a `telemetry` key loads as before and
+/// the key is ignored.
+///
 /// [`to_text`]: FleetSnapshot::to_text
 /// [`from_text`]: FleetSnapshot::from_text
 #[derive(Debug, Clone)]
@@ -93,19 +98,12 @@ pub struct FleetSnapshot {
     pub store: StoreState,
     /// Every home's session state, ascending by id.
     pub homes: Vec<(HomeId, HomeState)>,
-    /// Optional telemetry aggregate envelope (the metrics registry's
-    /// exported counters/histograms, `MetricsRegistry::export_state`),
-    /// carried opaquely so counters survive a warm restart. `None` — the
-    /// `Fleet::snapshot` default — serializes to exactly the pre-telemetry
-    /// document: ground-truth snapshot bytes are bit-identical whether or
-    /// not observability is running, and old snapshots read back fine.
-    pub telemetry: Option<Json>,
 }
 
 impl FleetSnapshot {
     /// Serializes the snapshot to its durable text form.
     pub fn to_text(&self) -> String {
-        let mut payload = vec![
+        let payload = Json::obj([
             ("shards", Json::Num(self.shards as i64)),
             ("nextId", Json::Num(self.next_id as i64)),
             ("store", codec::store_state_to_json(&self.store)),
@@ -123,11 +121,8 @@ impl FleetSnapshot {
                         .collect(),
                 ),
             ),
-        ];
-        if let Some(telemetry) = &self.telemetry {
-            payload.push(("telemetry", telemetry.clone()));
-        }
-        envelope("fleet", Json::obj(payload)).to_text()
+        ]);
+        envelope("fleet", payload).to_text()
     }
 
     /// Parses a fleet snapshot back.
@@ -173,7 +168,6 @@ impl FleetSnapshot {
             next_id,
             store,
             homes,
-            telemetry: payload.get("telemetry").cloned(),
         })
     }
 }

@@ -271,12 +271,16 @@ impl<'a> JsonParser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .map_or(self.bytes.len(), |n| self.pos + n);
+                    let text = std::str::from_utf8(&self.bytes[self.pos..run])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("peeked byte exists");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos = run;
                 }
             }
         }
@@ -922,6 +926,22 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("123abc").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn long_mixed_strings_round_trip_in_linear_time() {
+        // Over 256 KiB of ASCII, multibyte characters and every escape the
+        // writer emits, in one string.
+        let unit = "plain ascii, ünïcödé, 漢字, 🏠 \"quoted\" back\\slash\n\t\r\u{1}/ ";
+        let long: String = unit.repeat(256 * 1024 / unit.len() + 1);
+        assert!(long.len() >= 256 * 1024);
+        let doc = Json::obj([("s", Json::str(long.clone()))]);
+        let text = doc.to_text();
+        let started = std::time::Instant::now();
+        let parsed = Json::parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.get("s").and_then(Json::as_str), Some(long.as_str()));
+        assert!(elapsed.as_secs() < 2, "parse took {elapsed:?}");
     }
 
     #[test]

@@ -59,7 +59,6 @@ impl Fleet {
                 .into_iter()
                 .map(|(raw, state)| (HomeId::new(raw), state))
                 .collect(),
-            telemetry: None,
         })?;
         let records = journal.records_from(offset)?;
         let started = Instant::now();

@@ -1331,10 +1331,6 @@ impl Fleet {
             next_id: self.next_id.load(Ordering::Relaxed),
             store: self.store.export_state(),
             homes,
-            // Ground truth only: observability aggregates are injected by
-            // the serving layer (`hg-api`) at persist time, keeping this
-            // document bit-identical with or without a bus attached.
-            telemetry: None,
         };
         if let Some(bus) = self.telemetry.get() {
             bus.publish(TelemetryEvent::SnapshotTaken {

@@ -1,51 +1,61 @@
-//! The bounded, lock-sharded fleet event bus.
+//! The bounded fleet event bus and the registry it folds into.
 //!
 //! [`TelemetryBus`] is the single pipe every instrumented hot path
-//! publishes into, designed around one invariant: **publishing never
-//! blocks detection, mediation or lifecycle work**. Publishers stamp a
-//! global sequence number ([`AtomicU64`]) and push into one of N
-//! mutex-guarded rings chosen by that stamp, so concurrent publishers
-//! mostly touch different locks and each push is a few instructions under
-//! an uncontended mutex. A full ring **drops its oldest event** (counted
-//! in [`TelemetryBus::dropped_events`]) rather than waiting for a
-//! consumer — a slow or absent reader costs history, never throughput.
+//! publishes into. One mutex guards one ring: a publish takes it once per
+//! batch and, for each event, stamps the next sequence number, folds the
+//! event into the bus's [`MetricsRegistry`] and appends it to the ring.
+//! Because stamping, folding and retention share that critical section,
+//! the registry is **exact by construction** — when
+//! [`TelemetryBus::publish_batch`] returns, every counter already
+//! includes the batch — and the ring always holds a gap-free run of
+//! sequence numbers ending at the newest event.
 //!
-//! Consumers are cursor-based: [`TelemetryBus::drain_since`] collects
-//! every retained event with `seq >= cursor` across the shards, in
-//! sequence order. Because retention is bounded, a consumer that falls
-//! behind simply observes a gap in sequence numbers — the drop-oldest
-//! policy made visible. [`TelemetryBus::wait_for_events`] parks a
-//! consumer until something newer than its cursor arrives; publishers
-//! only ring the wake-up bell when a waiter is registered, keeping the
-//! no-consumer publish path free of condvar traffic.
+//! The ring is the lossy part, kept for `/events/stream` readers. A full
+//! ring **drops its oldest event** (counted in
+//! [`TelemetryBus::dropped_events`]) rather than waiting for a reader: a
+//! slow or absent reader costs history, never throughput and never a
+//! counter.
+//!
+//! Readers are cursor-based: [`TelemetryBus::drain_since`] copies every
+//! retained event with `seq >= cursor`, so a reader that fell behind
+//! retention observes a sequence gap. [`TelemetryBus::wait_for_events`]
+//! parks a reader until something newer than its cursor arrives;
+//! publishers only ring the wake-up bell while a reader is parked,
+//! keeping the no-reader publish path free of condvar traffic.
 
 use crate::event::TelemetryEvent;
+use crate::metrics::MetricsRegistry;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
-/// Default ring count (matches the fleet's default shard width).
-const DEFAULT_SHARDS: usize = 8;
-/// Default per-ring retention. Sized so the default bus (8 rings) holds
-/// ~32k events — enough to absorb a full collector tick of fleet-bench
-/// publish bursts without shedding history.
-const DEFAULT_CAPACITY: usize = 4096;
+/// Default ring retention: the newest 32k events.
+const DEFAULT_CAPACITY: usize = 32_768;
 
 /// A retained event: its global sequence stamp plus the payload.
 type Stamped = (u64, TelemetryEvent);
 
+/// The ring and its stamp, guarded together.
+#[derive(Debug, Default)]
+struct Ring {
+    /// Retained events, oldest first, with consecutive stamps ending at
+    /// `next_seq - 1`.
+    events: VecDeque<Stamped>,
+    /// The next event's number: events `0..next_seq` were all published.
+    next_seq: u64,
+    /// Events shed by the drop-oldest overflow policy.
+    dropped: u64,
+}
+
 /// The fleet event bus (see the [module docs](self)).
 #[derive(Debug)]
 pub struct TelemetryBus {
-    rings: Box<[Mutex<VecDeque<Stamped>>]>,
-    /// Per-ring retention bound; overflow drops the ring's oldest event.
+    ring: Mutex<Ring>,
+    /// Retention bound; overflow drops the oldest event.
     capacity: usize,
-    /// The global sequence stamp — the next event's number.
-    seq: AtomicU64,
-    published: AtomicU64,
-    dropped: AtomicU64,
-    /// Registered consumers currently parked (or about to park) in
+    registry: MetricsRegistry,
+    /// Readers currently parked (or about to park) in
     /// [`TelemetryBus::wait_for_events`]. Publishers skip the bell
     /// entirely while this is zero.
     waiters: AtomicUsize,
@@ -60,138 +70,118 @@ impl Default for TelemetryBus {
 }
 
 impl TelemetryBus {
-    /// A bus with default sharding and retention (8 rings × 4096 events).
+    /// A bus with default retention (32,768 events).
     pub fn new() -> TelemetryBus {
-        TelemetryBus::with_config(DEFAULT_SHARDS, DEFAULT_CAPACITY)
+        TelemetryBus::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// A bus with explicit ring count and per-ring retention (both clamped
-    /// to at least 1 — tests size retention down to exercise drop-oldest).
-    pub fn with_config(shards: usize, capacity: usize) -> TelemetryBus {
+    /// A bus retaining the newest `capacity` events (clamped to at least
+    /// 1 — tests size retention down to exercise drop-oldest). Retention
+    /// bounds only the `/events/stream` history; the registry sees every
+    /// event regardless.
+    pub fn with_capacity(capacity: usize) -> TelemetryBus {
         TelemetryBus {
-            rings: (0..shards.max(1))
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
+            ring: Mutex::new(Ring::default()),
             capacity: capacity.max(1),
-            seq: AtomicU64::new(0),
-            published: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            registry: MetricsRegistry::new(),
             waiters: AtomicUsize::new(0),
             gate: Mutex::new(()),
             bell: Condvar::new(),
         }
     }
 
-    /// Publishes one event. Never blocks beyond one uncontended mutex:
-    /// a full ring sheds its oldest event instead of waiting.
+    // Lock recovery: nothing between an event's stamp and its push can
+    // panic, so the ring's run of sequence numbers stays gap-free.
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Publishes one event. Never blocks beyond one short critical
+    /// section: a full ring sheds its oldest event instead of waiting.
     pub fn publish(&self, event: TelemetryEvent) {
         self.publish_batch(std::iter::once(event));
     }
 
-    /// Publishes a group of related events under one sequence reservation,
-    /// **one ring lock** and one bell ring. Hot paths that emit several
-    /// events per operation (an install report plus its per-pair threats)
-    /// use this so each operation costs one lock acquisition instead of
-    /// one per event, a parked stream reader is woken once, and the group
-    /// occupies a contiguous sequence range. The whole batch lands in the
-    /// ring picked by its base stamp — ring choice is lock sharding, not
-    /// ordering; [`TelemetryBus::drain_since`] re-establishes global
-    /// sequence order across rings.
-    pub fn publish_batch<I>(&self, events: I)
-    where
-        I: IntoIterator<Item = TelemetryEvent>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        let events = events.into_iter();
-        let count = events.len() as u64;
-        if count == 0 {
-            return;
-        }
-        let base = self.seq.fetch_add(count, Ordering::Relaxed);
+    /// Publishes a group of related events under **one lock** and one
+    /// bell ring. Hot paths that emit several events per operation (an
+    /// install report plus its per-pair threats) use this so each
+    /// operation costs one lock acquisition instead of one per event, a
+    /// parked stream reader is woken once, and the group occupies a
+    /// contiguous sequence range. Each event is folded into
+    /// [`TelemetryBus::registry`] before this returns.
+    pub fn publish_batch(&self, events: impl IntoIterator<Item = TelemetryEvent>) {
         {
-            let ring = &self.rings[(base % self.rings.len() as u64) as usize];
-            let mut ring = ring.lock().unwrap_or_else(PoisonError::into_inner);
-            for (offset, event) in events.enumerate() {
-                if ring.len() >= self.capacity {
-                    ring.pop_front();
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
+            let mut ring = self.ring();
+            let mut registry = self.registry.lock();
+            for event in events {
+                registry.fold(&event);
+                if ring.events.len() >= self.capacity {
+                    ring.events.pop_front();
+                    ring.dropped += 1;
                 }
-                ring.push_back((base + offset as u64, event));
+                let seq = ring.next_seq;
+                ring.events.push_back((seq, event));
+                ring.next_seq += 1;
             }
         }
-        self.published.fetch_add(count, Ordering::Relaxed);
-        // The ring lock is released before the bell: a parked consumer
-        // woken here re-locks rings without lock-order inversion.
+        // The ring lock is released before the bell: a parked reader
+        // woken here re-locks the ring without lock-order inversion.
         if self.waiters.load(Ordering::Acquire) > 0 {
             let _gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
             self.bell.notify_all();
         }
     }
 
-    /// The next sequence number a publish would be stamped with — i.e.
-    /// events `< next_seq()` have all been published (some possibly
-    /// already dropped).
-    pub fn next_seq(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+    /// The aggregates every published event has been folded into.
+    pub fn registry(&self) -> &MetricsRegistry {
+        &self.registry
     }
 
-    /// Events published over the bus's lifetime.
+    /// Events published over the bus's lifetime — also the sequence
+    /// number the next event will be stamped with.
     pub fn published(&self) -> u64 {
-        self.published.load(Ordering::Relaxed)
+        self.ring().next_seq
     }
 
-    /// Events shed by the drop-oldest overflow policy.
+    /// Events shed from the ring by the drop-oldest overflow policy.
     pub fn dropped_events(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring().dropped
     }
 
     /// Collects every retained event with `seq >= cursor`, in sequence
     /// order, and returns the cursor to resume from (one past the newest
-    /// event seen — `cursor` itself when nothing was newer). A consumer
-    /// that fell behind retention sees a sequence gap, not an error.
-    pub fn drain_since(&self, cursor: u64, out: &mut Vec<(u64, TelemetryEvent)>) -> u64 {
-        let start = out.len();
-        for ring in self.rings.iter() {
-            let ring = ring.lock().unwrap_or_else(PoisonError::into_inner);
-            for (seq, event) in ring.iter() {
-                if *seq >= cursor {
-                    out.push((*seq, event.clone()));
-                }
-            }
-        }
-        out[start..].sort_unstable_by_key(|(seq, _)| *seq);
-        out.last().map_or(cursor, |(seq, _)| seq + 1)
+    /// event — `cursor` itself when nothing was newer). A reader that
+    /// fell behind retention sees a sequence gap, not an error.
+    pub fn drain_since(&self, cursor: u64, out: &mut Vec<Stamped>) -> u64 {
+        let ring = self.ring();
+        let retained = ring.events.len() as u64;
+        let skip = cursor
+            .saturating_sub(ring.next_seq - retained)
+            .min(retained);
+        out.extend(ring.events.range(skip as usize..).cloned());
+        ring.next_seq.max(cursor)
     }
 
-    /// Whether any retained event is at or past `cursor`.
-    fn has_newer(&self, cursor: u64) -> bool {
-        self.rings.iter().any(|ring| {
-            ring.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .back()
-                .is_some_and(|(seq, _)| *seq >= cursor)
-        })
-    }
-
-    /// Parks the caller until an event at or past `cursor` is retained or
+    /// Parks the caller until an event at or past `cursor` is published or
     /// `timeout` elapses; returns whether something newer is available.
     /// Spurious-wakeup safe; publishers pay for the bell only while a
-    /// consumer is parked here.
+    /// reader is parked here.
     pub fn wait_for_events(&self, cursor: u64, timeout: Duration) -> bool {
-        if self.has_newer(cursor) {
+        let has_newer = || self.published() > cursor;
+        if has_newer() {
             return true;
         }
         self.waiters.fetch_add(1, Ordering::AcqRel);
         let mut gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now() + timeout;
         let newer = loop {
             // Checked under the gate: a publish between the check and the
             // wait must take the gate to ring the bell, so it cannot slip
             // past unobserved.
-            if self.has_newer(cursor) {
+            if has_newer() {
                 break true;
             }
-            let Some(remaining) = deadline.checked_duration_since(std::time::Instant::now()) else {
+            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                 break false;
             };
             let (g, wait) = self
@@ -200,7 +190,7 @@ impl TelemetryBus {
                 .unwrap_or_else(PoisonError::into_inner);
             gate = g;
             if wait.timed_out() {
-                break self.has_newer(cursor);
+                break has_newer();
             }
         };
         drop(gate);
@@ -212,7 +202,8 @@ impl TelemetryBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Arc, Barrier};
 
     fn probe(n: u64) -> TelemetryEvent {
         TelemetryEvent::CacheProbe {
@@ -225,7 +216,7 @@ mod tests {
 
     #[test]
     fn drain_returns_events_in_sequence_order() {
-        let bus = TelemetryBus::with_config(4, 64);
+        let bus = TelemetryBus::with_capacity(64);
         for n in 0..20 {
             bus.publish(probe(n));
         }
@@ -241,14 +232,16 @@ mod tests {
         let cursor = bus.drain_since(cursor, &mut next);
         assert_eq!(cursor, 21);
         assert_eq!(next, vec![(20, probe(99))]);
-        // Nothing newer: the cursor holds still.
+        // Nothing newer: the cursor holds still, even one from the future.
         assert_eq!(bus.drain_since(cursor, &mut Vec::new()), cursor);
+        assert_eq!(bus.drain_since(500, &mut next), 500);
+        assert_eq!(next.len(), 1);
     }
 
     #[test]
     fn overflow_drops_oldest_and_counts() {
-        // One ring of 4: publishing 10 retains the newest 4.
-        let bus = TelemetryBus::with_config(1, 4);
+        // A ring of 4: publishing 10 retains the newest 4.
+        let bus = TelemetryBus::with_capacity(4);
         for n in 0..10 {
             bus.publish(probe(n));
         }
@@ -258,11 +251,17 @@ mod tests {
         bus.drain_since(0, &mut out);
         let seqs: Vec<u64> = out.iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9], "drop-oldest keeps the tail");
+        // A cursor inside the retained run skips what it already saw.
+        out.clear();
+        assert_eq!(bus.drain_since(8, &mut out), 10);
+        assert_eq!(out, vec![(8, probe(8)), (9, probe(9))]);
+        // Shed events still reached the registry.
+        assert_eq!(bus.registry().counter("cache_probes_total"), 10);
     }
 
     #[test]
     fn batch_publish_stamps_a_contiguous_range_and_mixes_with_singles() {
-        let bus = TelemetryBus::with_config(4, 64);
+        let bus = TelemetryBus::with_capacity(64);
         bus.publish(probe(0));
         bus.publish_batch((1..=5).map(probe).collect::<Vec<_>>());
         bus.publish_batch(Vec::<TelemetryEvent>::new());
@@ -300,7 +299,7 @@ mod tests {
 
     #[test]
     fn concurrent_publishers_never_lose_sequence_numbers() {
-        let bus = Arc::new(TelemetryBus::with_config(4, 10_000));
+        let bus = Arc::new(TelemetryBus::with_capacity(10_000));
         let mut handles = Vec::new();
         for _ in 0..4 {
             let bus = bus.clone();
@@ -321,5 +320,77 @@ mod tests {
         // Every sequence number exactly once.
         let seqs: Vec<u64> = out.iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, (0..2000).collect::<Vec<_>>());
+    }
+
+    /// Publishers released together on a barrier race a scraper that
+    /// renders the registry throughout. With or without ring overflow,
+    /// the registry must account for every published event, and an
+    /// un-overflowed ring must hold exactly `0..N`.
+    #[test]
+    fn concurrent_publishers_fold_exactly_while_scraped() {
+        const PUBLISHERS: u64 = 4;
+        const BATCHES: u64 = 250;
+        for capacity in [1 << 16, 64] {
+            let bus = Arc::new(TelemetryBus::with_capacity(capacity));
+            let start = Arc::new(Barrier::new(PUBLISHERS as usize + 1));
+            let done = Arc::new(AtomicBool::new(false));
+            let scraper = {
+                let (bus, done) = (bus.clone(), done.clone());
+                std::thread::spawn(move || {
+                    let mut scrapes = 0u64;
+                    while !done.load(Ordering::Acquire) {
+                        let homes = bus.registry().counter("homes_created_total");
+                        assert!(homes <= bus.published(), "a fold never runs ahead");
+                        bus.registry().render_prometheus();
+                        scrapes += 1;
+                    }
+                    scrapes
+                })
+            };
+            let publishers: Vec<_> = (0..PUBLISHERS)
+                .map(|p| {
+                    let (bus, start) = (bus.clone(), start.clone());
+                    std::thread::spawn(move || {
+                        start.wait();
+                        for n in 0..BATCHES {
+                            // A single and a batch of three per round.
+                            bus.publish(TelemetryEvent::HomeCreated { home: p });
+                            bus.publish_batch([probe(n), probe(n + 1), probe(n + 2)]);
+                        }
+                    })
+                })
+                .collect();
+            start.wait();
+            for publisher in publishers {
+                publisher.join().unwrap();
+            }
+            done.store(true, Ordering::Release);
+            assert!(scraper.join().unwrap() > 0, "the scraper ran");
+
+            let total = PUBLISHERS * BATCHES * 4;
+            let registry = bus.registry();
+            assert_eq!(bus.published(), total);
+            assert_eq!(
+                registry.counter("homes_created_total") + registry.counter("cache_probes_total"),
+                bus.published(),
+                "every published event is folded, dropped from the ring or not"
+            );
+            assert_eq!(
+                registry
+                    .histogram("pair_check_micros_uncached")
+                    .unwrap()
+                    .count,
+                PUBLISHERS * BATCHES * 3
+            );
+            let mut out = Vec::new();
+            assert_eq!(bus.drain_since(0, &mut out), total);
+            let seqs: Vec<u64> = out.iter().map(|(s, _)| *s).collect();
+            if bus.dropped_events() == 0 {
+                assert_eq!(seqs, (0..total).collect::<Vec<_>>());
+            } else {
+                assert_eq!(bus.dropped_events() + out.len() as u64, total);
+                assert_eq!(seqs, (total - out.len() as u64..total).collect::<Vec<_>>());
+            }
+        }
     }
 }

@@ -1,131 +1,24 @@
-//! The telemetry hub: one bus, one registry, one collector thread.
+//! The telemetry hub: the handle a server keeps to its observability.
 //!
-//! [`TelemetryHub::start`] wires the three together: publishers get the
-//! bus handle ([`TelemetryHub::bus`]), scrapers read the registry
-//! ([`TelemetryHub::registry`]), and a background collector drains the
-//! bus into the registry so aggregation cost lands on its own thread —
-//! never on a detection or HTTP worker. [`TelemetryHub::sync`] lets a
-//! scraper (or a reconciliation test) wait until everything published so
-//! far has been folded in, which is what makes `GET /metrics` totals
-//! exact rather than eventually-consistent.
+//! A [`TelemetryHub`] owns the bus its fleet publishes into. Publishers
+//! get [`TelemetryHub::bus`]; scrapers read [`TelemetryHub::registry`],
+//! which the bus keeps current on every publish. No thread runs behind
+//! it and there is nothing to start or stop.
 
 use crate::bus::TelemetryBus;
 use crate::metrics::MetricsRegistry;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
-
-/// How long the collector parks between drains when nobody is asking for
-/// exact numbers. The collector never registers as a bus waiter, so
-/// publishers never pay the wake-up bell (or a context switch to this
-/// thread) for it — hot paths just push and move on, and the aggregation
-/// cost lands in one deferred batch per tick. [`TelemetryHub::sync`]
-/// pokes the collector's own condvar for an immediate drain, so scrapes
-/// stay exact without publishers ever touching that condvar. Default bus
-/// retention (8 × 4096) covers a full tick of fleet-bench publish bursts.
-const COLLECT_TICK: Duration = Duration::from_millis(100);
-
-/// The collector's private alarm clock: `park` sleeps out the tick,
-/// `poke` ends the nap early. Only `sync`/`stop` ever poke — publishers
-/// have no handle to this, which is what keeps the publish path free of
-/// condvar traffic no matter how fast events flow.
-#[derive(Debug, Default)]
-struct Nudge {
-    poked: Mutex<bool>,
-    bell: Condvar,
-}
-
-impl Nudge {
-    fn poke(&self) {
-        *self.poked.lock().unwrap_or_else(PoisonError::into_inner) = true;
-        self.bell.notify_all();
-    }
-
-    /// Parks for up to `timeout`, returning early if poked (before or
-    /// during the nap). Consumes the pending poke either way.
-    fn park(&self, timeout: Duration) {
-        let mut poked = self.poked.lock().unwrap_or_else(PoisonError::into_inner);
-        let deadline = Instant::now() + timeout;
-        while !*poked {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            let (guard, _) = self
-                .bell
-                .wait_timeout(poked, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            poked = guard;
-        }
-        *poked = false;
-    }
-}
+use std::sync::Arc;
 
 /// The assembled observability pipeline (see the [module docs](self)).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TelemetryHub {
     bus: Arc<TelemetryBus>,
-    registry: Arc<MetricsRegistry>,
-    /// One past the newest sequence number the collector has ingested.
-    consumed: Arc<AtomicU64>,
-    stop: Arc<AtomicBool>,
-    nudge: Arc<Nudge>,
-    collector: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl TelemetryHub {
-    /// Starts a hub with a default-sized bus and a fresh registry.
-    pub fn start() -> Arc<TelemetryHub> {
-        TelemetryHub::start_with(Arc::new(TelemetryBus::new()))
-    }
-
-    /// Starts a hub collecting from a caller-built bus.
-    pub fn start_with(bus: Arc<TelemetryBus>) -> Arc<TelemetryHub> {
-        let registry = Arc::new(MetricsRegistry::new());
-        let consumed = Arc::new(AtomicU64::new(0));
-        let stop = Arc::new(AtomicBool::new(false));
-        let nudge = Arc::new(Nudge::default());
-        let collector = {
-            let (bus, registry) = (bus.clone(), registry.clone());
-            let (consumed, stop) = (consumed.clone(), stop.clone());
-            let nudge = nudge.clone();
-            std::thread::Builder::new()
-                .name("hg-telemetry-collector".to_string())
-                .spawn(move || {
-                    let mut batch = Vec::new();
-                    loop {
-                        let cursor = consumed.load(Ordering::Acquire);
-                        batch.clear();
-                        let next = bus.drain_since(cursor, &mut batch);
-                        for (_, event) in &batch {
-                            registry.ingest(event);
-                        }
-                        // Events that fell out of retention before this
-                        // drain are consumed by definition: the cursor
-                        // tracks the bus head, not just what was read.
-                        let head = bus.next_seq().max(next);
-                        consumed.store(head, Ordering::Release);
-                        if stop.load(Ordering::Acquire) {
-                            // One final drain already happened above with
-                            // the stop flag set; everything retained at
-                            // shutdown is in the registry.
-                            if bus.next_seq() == head {
-                                break;
-                            }
-                            continue;
-                        }
-                        nudge.park(COLLECT_TICK);
-                    }
-                })
-                .expect("spawn telemetry collector")
-        };
-        Arc::new(TelemetryHub {
-            bus,
-            registry,
-            consumed,
-            stop,
-            nudge,
-            collector: Mutex::new(Some(collector)),
-        })
+    /// A hub over a default-sized bus.
+    pub fn new() -> TelemetryHub {
+        TelemetryHub::default()
     }
 
     /// The publish side.
@@ -133,48 +26,9 @@ impl TelemetryHub {
         &self.bus
     }
 
-    /// The aggregate side.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
-    /// Blocks until every event published before this call has been folded
-    /// into the registry (or `timeout` elapses); returns whether the
-    /// registry caught up. This is the exactness handshake `GET /metrics`
-    /// uses before rendering.
-    pub fn sync(&self, timeout: Duration) -> bool {
-        let target = self.bus.next_seq();
-        let deadline = Instant::now() + timeout;
-        while self.consumed.load(Ordering::Acquire) < target {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            self.nudge.poke();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        true
-    }
-
-    /// Stops the collector after a final drain: the poke cuts any
-    /// in-progress nap short, the collector notices the flag, drains what
-    /// is retained and exits. Idempotent; also run on drop.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-        self.nudge.poke();
-        if let Some(handle) = self
-            .collector
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for TelemetryHub {
-    fn drop(&mut self) {
-        self.stop();
+    /// The aggregate side: the bus's own registry.
+    pub fn registry(&self) -> &MetricsRegistry {
+        self.bus.registry()
     }
 }
 
@@ -184,26 +38,12 @@ mod tests {
     use crate::event::TelemetryEvent;
 
     #[test]
-    fn collector_folds_published_events_into_the_registry() {
-        let hub = TelemetryHub::start();
+    fn registry_is_current_when_publish_returns() {
+        let hub = TelemetryHub::new();
         for home in 0..10 {
             hub.bus().publish(TelemetryEvent::HomeCreated { home });
+            assert_eq!(hub.registry().counter("homes_created_total"), home + 1);
         }
-        assert!(hub.sync(Duration::from_secs(5)), "collector must catch up");
-        assert_eq!(hub.registry().counter("homes_created_total"), 10);
-        assert_eq!(hub.registry().counter("events_consumed_total"), 10);
-        hub.stop();
-        // Idempotent stop.
-        hub.stop();
-    }
-
-    #[test]
-    fn stop_drains_whatever_is_still_retained() {
-        let hub = TelemetryHub::start();
-        for home in 0..100 {
-            hub.bus().publish(TelemetryEvent::HomeCreated { home });
-        }
-        hub.stop();
-        assert_eq!(hub.registry().counter("homes_created_total"), 100);
+        assert_eq!(hub.bus().published(), 10);
     }
 }

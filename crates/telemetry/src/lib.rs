@@ -4,18 +4,19 @@
 //! it finally *measures*. Three pieces, std-only like the rest of the
 //! service stack:
 //!
-//! * [`TelemetryBus`] — a bounded, lock-sharded event bus the hot paths
-//!   publish [`TelemetryEvent`]s into through a cheap
-//!   `Option<Arc<TelemetryBus>>` handle. `None` is the zero-cost default;
-//!   overflow drops the oldest event and counts it, so a slow consumer
-//!   costs history, never throughput.
+//! * [`TelemetryBus`] — the bounded event bus the hot paths publish
+//!   [`TelemetryEvent`]s into through a cheap `Option<Arc<TelemetryBus>>`
+//!   handle. `None` is the zero-cost default. Each publish stamps, folds
+//!   and retains its events under one lock in a single ring; overflow
+//!   drops the oldest event from the ring and counts it, so a slow
+//!   `/events/stream` reader costs history, never throughput.
 //! * [`MetricsRegistry`] — counters, gauges, fixed-bucket histograms and
 //!   the paper's fleet analytics (per-app interference table, latency
-//!   splits), folded in off the hot path and snapshot-able as a JSON
-//!   envelope for warm restarts.
-//! * [`TelemetryHub`] — bus + registry + the collector thread between
-//!   them, with a [`sync`](TelemetryHub::sync) handshake that makes
-//!   scrape-time totals exact.
+//!   splits). The bus folds every event into its registry as it is
+//!   published, so totals are exact the moment an operation returns.
+//!   Counters live in memory and reset on restart.
+//! * [`TelemetryHub`] — the thread-free handle a server keeps: the bus
+//!   and, through it, the registry.
 //!
 //! The design invariant, enforced by the differential test in
 //! `tests/telemetry_differential.rs`: telemetry is a **pure observer**.

@@ -1,14 +1,13 @@
 //! The metrics registry: bus events folded into counters, gauges,
 //! fixed-bucket histograms and the paper's fleet-scale analytics.
 //!
-//! A [`MetricsRegistry`] is a pure consumer — it subscribes to nothing by
-//! itself; the [`TelemetryHub`](crate::TelemetryHub) collector thread
-//! drains the bus and feeds [`MetricsRegistry::ingest`]. Everything lives
-//! behind one mutex (ingest is a handful of map bumps, far off any hot
-//! path), and the whole aggregate state round-trips through a JSON
-//! envelope ([`MetricsRegistry::export_state`] /
-//! [`MetricsRegistry::absorb_state`]) so counters and histograms ride
-//! fleet snapshots and restore warm.
+//! Every [`TelemetryBus`](crate::TelemetryBus) owns one
+//! [`MetricsRegistry`] and folds each event into it while publishing,
+//! inside the critical section that stamps the event's sequence number,
+//! so scraped totals are exact the moment an operation returns. A fold is
+//! a handful of map bumps on `&'static str` keys; an app that already has
+//! an interference row costs no allocation. Counters live in memory only
+//! and reset when the process restarts, as Prometheus counters do.
 //!
 //! The derived tables answer the paper's fleet questions directly:
 //! the per-app interference table is Fig. 8 at fleet scale (which store
@@ -18,7 +17,7 @@
 use crate::event::TelemetryEvent;
 use hg_rules::json::Json;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Bucket upper bounds (inclusive) per histogram name. The last implicit
 /// bucket is `+Inf`.
@@ -137,13 +136,14 @@ impl AppInterference {
     }
 }
 
+/// The aggregates behind the registry's lock.
 #[derive(Debug, Default)]
-struct Inner {
+pub(crate) struct Inner {
     counters: BTreeMap<&'static str, u64>,
     /// Threats by kind acronym.
-    threat_kinds: BTreeMap<String, u64>,
+    threat_kinds: BTreeMap<&'static str, u64>,
     /// Mediation decisions by final verdict.
-    verdicts: BTreeMap<String, u64>,
+    verdicts: BTreeMap<&'static str, u64>,
     /// Pull-style gauges, set by whoever scrapes (queue depths, bus drops).
     gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<&'static str, Histogram>,
@@ -161,38 +161,28 @@ impl Inner {
             .or_insert_with(|| Histogram::new(bounds_for(name)))
             .observe(value, weight);
     }
-}
 
-/// The fleet metrics registry (see the [module docs](self)).
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<Inner>,
-}
-
-// Lock recovery: every mutation is a self-contained map bump, so a
-// panicking ingester cannot leave half-written aggregates — recover the
-// map rather than propagating poison into the collector and every route.
-fn lock(inner: &Mutex<Inner>) -> std::sync::MutexGuard<'_, Inner> {
-    inner.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
+    /// Applies `charge` to the app's interference row: one lookup when
+    /// the row exists, and an allocation for its key only on first use.
+    fn charge(&mut self, app: &str, charge: impl Fn(&mut AppInterference)) {
+        match self.interference.get_mut(app) {
+            Some(row) => charge(row),
+            None => {
+                let mut row = AppInterference::default();
+                charge(&mut row);
+                self.interference.insert(app.to_string(), row);
+            }
+        }
     }
 
     /// Folds one bus event into the aggregates.
-    pub fn ingest(&self, event: &TelemetryEvent) {
-        let mut inner = lock(&self.inner);
-        inner.bump("events_consumed_total", 1);
+    pub(crate) fn fold(&mut self, event: &TelemetryEvent) {
         match event {
-            TelemetryEvent::HomeCreated { .. } => inner.bump("homes_created_total", 1),
+            TelemetryEvent::HomeCreated { .. } => self.bump("homes_created_total", 1),
             TelemetryEvent::InstallCompleted {
                 app,
                 installed,
                 upgrade,
-                threats,
                 pairs,
                 solves,
                 cache_hits,
@@ -202,8 +192,8 @@ impl MetricsRegistry {
                 micros,
                 ..
             } => {
-                inner.bump("installs_total", 1);
-                inner.bump(
+                self.bump("installs_total", 1);
+                self.bump(
                     if *installed {
                         "installs_clean_total"
                     } else {
@@ -212,21 +202,21 @@ impl MetricsRegistry {
                     1,
                 );
                 if *upgrade {
-                    inner.bump("upgrades_total", 1);
+                    self.bump("upgrades_total", 1);
                 }
-                inner.bump("pairs_checked_total", *pairs);
-                inner.bump("solves_total", *solves);
-                inner.bump("cache_hits_total", *cache_hits);
-                inner.bump("cache_misses_total", *cache_misses);
-                inner.bump("lowered_hits_total", *lowered_hits);
-                inner.bump("solver_fallbacks_total", *solver_fallbacks);
-                inner.observe("install_micros", *micros, 1);
-                let row = inner.interference.entry(app.clone()).or_default();
-                row.installs += 1;
-                if !installed {
-                    row.dirty += 1;
-                }
-                let _ = threats; // counted by the per-threat events
+                self.bump("pairs_checked_total", *pairs);
+                self.bump("solves_total", *solves);
+                self.bump("cache_hits_total", *cache_hits);
+                self.bump("cache_misses_total", *cache_misses);
+                self.bump("lowered_hits_total", *lowered_hits);
+                self.bump("solver_fallbacks_total", *solver_fallbacks);
+                self.observe("install_micros", *micros, 1);
+                // The report's threat count is not folded here: each
+                // threat arrives as its own `ThreatDetected` event.
+                self.charge(app, |row| {
+                    row.installs += 1;
+                    row.dirty += u64::from(!installed);
+                });
             }
             TelemetryEvent::ThreatDetected {
                 kind,
@@ -234,19 +224,11 @@ impl MetricsRegistry {
                 target_app,
                 ..
             } => {
-                inner.bump("threats_total", 1);
-                *inner.threat_kinds.entry((*kind).to_string()).or_insert(0) += 1;
-                inner
-                    .interference
-                    .entry(source_app.clone())
-                    .or_default()
-                    .threats += 1;
+                self.bump("threats_total", 1);
+                *self.threat_kinds.entry(kind).or_insert(0) += 1;
+                self.charge(source_app, |row| row.threats += 1);
                 if target_app != source_app {
-                    inner
-                        .interference
-                        .entry(target_app.clone())
-                        .or_default()
-                        .threats += 1;
+                    self.charge(target_app, |row| row.threats += 1);
                 }
             }
             TelemetryEvent::UninstallCompleted {
@@ -254,21 +236,21 @@ impl MetricsRegistry {
                 retired_threats,
                 ..
             } => {
-                inner.bump("uninstalls_total", 1);
-                inner.bump("uninstall_rules_removed_total", *removed_rules);
-                inner.bump("uninstall_threats_retired_total", *retired_threats);
+                self.bump("uninstalls_total", 1);
+                self.bump("uninstall_rules_removed_total", *removed_rules);
+                self.bump("uninstall_threats_retired_total", *retired_threats);
             }
             TelemetryEvent::MediationDecision {
                 verdict,
                 latency_ns,
                 ..
             } => {
-                inner.bump("mediation_events_total", 1);
+                self.bump("mediation_events_total", 1);
                 if *verdict != "allow" {
-                    inner.bump("mediation_mediated_total", 1);
+                    self.bump("mediation_mediated_total", 1);
                 }
-                *inner.verdicts.entry((*verdict).to_string()).or_insert(0) += 1;
-                inner.observe("mediation_latency_ns", *latency_ns, 1);
+                *self.verdicts.entry(verdict).or_insert(0) += 1;
+                self.observe("mediation_latency_ns", *latency_ns, 1);
             }
             TelemetryEvent::CacheProbe {
                 hit,
@@ -276,8 +258,8 @@ impl MetricsRegistry {
                 weight,
                 ..
             } => {
-                inner.bump("cache_probes_total", *weight);
-                inner.observe(
+                self.bump("cache_probes_total", *weight);
+                self.observe(
                     if *hit {
                         "pair_check_micros_cached"
                     } else {
@@ -288,67 +270,90 @@ impl MetricsRegistry {
                 );
             }
             TelemetryEvent::SweepShardDone { homes, .. } => {
-                inner.bump("sweep_shards_total", 1);
-                inner.bump("sweep_homes_total", *homes);
+                self.bump("sweep_shards_total", 1);
+                self.bump("sweep_homes_total", *homes);
             }
             TelemetryEvent::SnapshotTaken { micros, .. } => {
-                inner.bump("snapshots_total", 1);
-                inner.bump("snapshot_micros_total", *micros);
+                self.bump("snapshots_total", 1);
+                self.bump("snapshot_micros_total", *micros);
             }
-            TelemetryEvent::QueueSaturated { .. } => inner.bump("queue_saturated_total", 1),
+            TelemetryEvent::QueueSaturated { .. } => self.bump("queue_saturated_total", 1),
             TelemetryEvent::JournalAppended { records, bytes } => {
-                inner.bump("journal_appends_total", 1);
-                inner.bump("journal_records_total", *records);
-                inner.bump("journal_bytes_total", *bytes);
+                self.bump("journal_appends_total", 1);
+                self.bump("journal_records_total", *records);
+                self.bump("journal_bytes_total", *bytes);
             }
             TelemetryEvent::JournalSynced { micros } => {
-                inner.bump("journal_syncs_total", 1);
-                inner.bump("journal_sync_micros_total", *micros);
+                self.bump("journal_syncs_total", 1);
+                self.bump("journal_sync_micros_total", *micros);
             }
             TelemetryEvent::JournalCheckpoint { homes, micros, .. } => {
-                inner.bump("journal_checkpoints_total", 1);
-                inner.bump("journal_checkpoint_homes_total", *homes);
-                inner.bump("journal_checkpoint_micros_total", *micros);
+                self.bump("journal_checkpoints_total", 1);
+                self.bump("journal_checkpoint_homes_total", *homes);
+                self.bump("journal_checkpoint_micros_total", *micros);
             }
             TelemetryEvent::JournalReplayed { records, micros } => {
-                inner.bump("journal_replays_total", 1);
-                inner.bump("journal_replayed_records_total", *records);
-                inner.bump("journal_replay_micros_total", *micros);
+                self.bump("journal_replays_total", 1);
+                self.bump("journal_replayed_records_total", *records);
+                self.bump("journal_replay_micros_total", *micros);
             }
             TelemetryEvent::IoRetry { attempts, .. } => {
-                inner.bump("io_retry_events_total", 1);
-                inner.bump("io_retries_total", *attempts);
+                self.bump("io_retry_events_total", 1);
+                self.bump("io_retries_total", *attempts);
             }
-            TelemetryEvent::JournalDegraded { .. } => inner.bump("journal_degraded_total", 1),
-            TelemetryEvent::JournalHealed { .. } => inner.bump("journal_healed_total", 1),
+            TelemetryEvent::JournalDegraded { .. } => self.bump("journal_degraded_total", 1),
+            TelemetryEvent::JournalHealed { .. } => self.bump("journal_healed_total", 1),
         }
+    }
+}
+
+/// The fleet metrics registry (see the [module docs](self)).
+#[derive(Debug)]
+pub struct MetricsRegistry {
+    inner: Mutex<Inner>,
+}
+
+impl MetricsRegistry {
+    /// An empty registry. Only a bus creates one, so every count it holds
+    /// came through a publish.
+    pub(crate) fn new() -> MetricsRegistry {
+        MetricsRegistry {
+            inner: Mutex::new(Inner::default()),
+        }
+    }
+
+    // Lock recovery: a fold is map bumps and inserts with nothing that can
+    // panic part-way, so the maps stay valid — recover them rather than
+    // propagating poison into every publisher and route.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// One monotonic counter (0 when never bumped).
     pub fn counter(&self, name: &str) -> u64 {
-        lock(&self.inner).counters.get(name).copied().unwrap_or(0)
+        self.lock().counters.get(name).copied().unwrap_or(0)
     }
 
     /// Sets a pull-style gauge (queue depths, occupancy, bus drop counts —
     /// sampled by the scraper at render time, not event-driven).
     pub fn set_gauge(&self, name: impl Into<String>, value: i64) {
-        lock(&self.inner).gauges.insert(name.into(), value);
+        self.lock().gauges.insert(name.into(), value);
     }
 
     /// One gauge's last sampled value.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        lock(&self.inner).gauges.get(name).copied()
+        self.lock().gauges.get(name).copied()
     }
 
     /// One histogram's current shape.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        lock(&self.inner).histograms.get(name).cloned()
+        self.lock().histograms.get(name).cloned()
     }
 
     /// The interference table, highest rate first (rate ties break toward
     /// more attempts, then app name — a stable, meaningful leaderboard).
     pub fn interference_table(&self) -> Vec<(String, AppInterference)> {
-        let inner = lock(&self.inner);
+        let inner = self.lock();
         let mut rows: Vec<(String, AppInterference)> = inner
             .interference
             .iter()
@@ -378,7 +383,7 @@ impl MetricsRegistry {
     /// The named histograms as a JSON object (the `/analytics/latency`
     /// body); names with no observations yet are omitted.
     pub fn histograms_json(&self, names: &[&str]) -> Json {
-        let inner = lock(&self.inner);
+        let inner = self.lock();
         Json::Obj(
             names
                 .iter()
@@ -394,7 +399,7 @@ impl MetricsRegistry {
 
     /// The full registry as flat JSON (the `GET /metrics` body).
     pub fn to_json(&self) -> Json {
-        let inner = lock(&self.inner);
+        let inner = self.lock();
         let counters = Json::Obj(
             inner
                 .counters
@@ -413,14 +418,14 @@ impl MetricsRegistry {
             inner
                 .threat_kinds
                 .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v as i64)))
+                .map(|(k, v)| ((*k).to_string(), Json::Num(*v as i64)))
                 .collect(),
         );
         let verdicts = Json::Obj(
             inner
                 .verdicts
                 .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v as i64)))
+                .map(|(k, v)| ((*k).to_string(), Json::Num(*v as i64)))
                 .collect(),
         );
         let histograms = Json::Obj(
@@ -451,7 +456,7 @@ impl MetricsRegistry {
     /// `hg_`-prefixed counters and gauges, cumulative `_bucket{le=…}`
     /// histogram series, and the interference table as labeled gauges.
     pub fn render_prometheus(&self) -> String {
-        let inner = lock(&self.inner);
+        let inner = self.lock();
         let mut out = String::new();
         for (name, value) in &inner.counters {
             out.push_str(&format!("# TYPE hg_{name} counter\nhg_{name} {value}\n"));
@@ -495,220 +500,7 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Exports every aggregate as a versioned JSON payload — the
-    /// `telemetry` envelope a fleet snapshot carries. Gauges are omitted:
-    /// they are re-sampled live, not historical.
-    pub fn export_state(&self) -> Json {
-        let inner = lock(&self.inner);
-        Json::obj([
-            ("v", Json::Num(1)),
-            (
-                "counters",
-                Json::Obj(
-                    inner
-                        .counters
-                        .iter()
-                        .map(|(k, v)| ((*k).to_string(), Json::Num(*v as i64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "threat_kinds",
-                Json::Obj(
-                    inner
-                        .threat_kinds
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as i64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "verdicts",
-                Json::Obj(
-                    inner
-                        .verdicts
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as i64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "histograms",
-                Json::Obj(
-                    inner
-                        .histograms
-                        .iter()
-                        .map(|(name, h)| {
-                            (
-                                (*name).to_string(),
-                                Json::obj([
-                                    (
-                                        "counts",
-                                        Json::Arr(
-                                            h.counts.iter().map(|c| Json::Num(*c as i64)).collect(),
-                                        ),
-                                    ),
-                                    ("count", Json::Num(h.count as i64)),
-                                    ("sum", Json::Num(h.sum as i64)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "interference",
-                Json::Obj(
-                    inner
-                        .interference
-                        .iter()
-                        .map(|(app, row)| {
-                            (
-                                app.clone(),
-                                Json::obj([
-                                    ("installs", Json::Num(row.installs as i64)),
-                                    ("dirty", Json::Num(row.dirty as i64)),
-                                    ("threats", Json::Num(row.threats as i64)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Absorbs a previously exported payload **additively** — restoring
-    /// into a fresh registry reproduces the exported aggregates exactly;
-    /// events ingested after the restore keep accumulating on top (the
-    /// warm-restart cut-over). Unknown fields and histogram names are
-    /// ignored; a non-`v:1` payload is refused.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the structural mismatch.
-    pub fn absorb_state(&self, state: &Json) -> Result<(), String> {
-        if state.get("v").and_then(Json::as_num) != Some(1) {
-            return Err("unsupported telemetry state version".to_string());
-        }
-        let mut inner = lock(&self.inner);
-        if let Some(Json::Obj(counters)) = state.get("counters") {
-            for (name, value) in counters {
-                let Some(value) = value.as_num().filter(|v| *v >= 0) else {
-                    return Err(format!("counter `{name}` is not a non-negative number"));
-                };
-                // Intern through the known-name table: counter keys are
-                // &'static str, so only names this build knows can revive.
-                if let Some(known) = KNOWN_COUNTERS.iter().find(|k| **k == name.as_str()) {
-                    *inner.counters.entry(known).or_insert(0) += value as u64;
-                }
-            }
-        }
-        if let Some(Json::Obj(kinds)) = state.get("threat_kinds") {
-            for (kind, value) in kinds {
-                let add = value.as_num().unwrap_or(0).max(0) as u64;
-                *inner.threat_kinds.entry(kind.clone()).or_insert(0) += add;
-            }
-        }
-        if let Some(Json::Obj(verdicts)) = state.get("verdicts") {
-            for (verdict, value) in verdicts {
-                let add = value.as_num().unwrap_or(0).max(0) as u64;
-                *inner.verdicts.entry(verdict.clone()).or_insert(0) += add;
-            }
-        }
-        if let Some(Json::Obj(histograms)) = state.get("histograms") {
-            for (name, h) in histograms {
-                let Some(known) = KNOWN_HISTOGRAMS.iter().find(|k| **k == name.as_str()) else {
-                    continue;
-                };
-                let counts: Vec<u64> = h
-                    .get("counts")
-                    .and_then(Json::as_arr)
-                    .map(|arr| {
-                        arr.iter()
-                            .map(|c| c.as_num().unwrap_or(0).max(0) as u64)
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let slot = inner
-                    .histograms
-                    .entry(known)
-                    .or_insert_with(|| Histogram::new(bounds_for(known)));
-                if counts.len() != slot.counts.len() {
-                    return Err(format!("histogram `{name}` has a mismatched bucket layout"));
-                }
-                for (mine, theirs) in slot.counts.iter_mut().zip(&counts) {
-                    *mine += theirs;
-                }
-                slot.count += h.get("count").and_then(Json::as_num).unwrap_or(0).max(0) as u64;
-                slot.sum += h.get("sum").and_then(Json::as_num).unwrap_or(0).max(0) as u128;
-            }
-        }
-        if let Some(Json::Obj(interference)) = state.get("interference") {
-            for (app, row) in interference {
-                let get =
-                    |field: &str| row.get(field).and_then(Json::as_num).unwrap_or(0).max(0) as u64;
-                let entry = inner.interference.entry(app.clone()).or_default();
-                entry.installs += get("installs");
-                entry.dirty += get("dirty");
-                entry.threats += get("threats");
-            }
-        }
-        Ok(())
-    }
 }
-
-/// Counter names a restore may revive (keys are `&'static str`, so the
-/// envelope's strings must intern through this table).
-const KNOWN_COUNTERS: &[&str] = &[
-    "events_consumed_total",
-    "homes_created_total",
-    "installs_total",
-    "installs_clean_total",
-    "installs_dirty_total",
-    "upgrades_total",
-    "uninstalls_total",
-    "uninstall_rules_removed_total",
-    "uninstall_threats_retired_total",
-    "pairs_checked_total",
-    "solves_total",
-    "cache_hits_total",
-    "cache_misses_total",
-    "lowered_hits_total",
-    "solver_fallbacks_total",
-    "cache_probes_total",
-    "threats_total",
-    "mediation_events_total",
-    "mediation_mediated_total",
-    "sweep_shards_total",
-    "sweep_homes_total",
-    "snapshots_total",
-    "snapshot_micros_total",
-    "queue_saturated_total",
-    "journal_appends_total",
-    "journal_records_total",
-    "journal_bytes_total",
-    "journal_syncs_total",
-    "journal_sync_micros_total",
-    "journal_checkpoints_total",
-    "journal_checkpoint_homes_total",
-    "journal_checkpoint_micros_total",
-    "journal_replays_total",
-    "journal_replayed_records_total",
-    "journal_replay_micros_total",
-    "io_retry_events_total",
-    "io_retries_total",
-    "journal_degraded_total",
-    "journal_healed_total",
-];
-
-const KNOWN_HISTOGRAMS: &[&str] = &[
-    "install_micros",
-    "mediation_latency_ns",
-    "pair_check_micros_cached",
-    "pair_check_micros_uncached",
-];
 
 fn histogram_json(h: &Histogram) -> Json {
     Json::obj([
@@ -777,10 +569,10 @@ mod tests {
     #[test]
     fn counters_and_interference_aggregate() {
         let reg = MetricsRegistry::new();
-        reg.ingest(&install("A", true));
-        reg.ingest(&install("A", false));
-        reg.ingest(&install("B", true));
-        reg.ingest(&TelemetryEvent::ThreatDetected {
+        reg.lock().fold(&install("A", true));
+        reg.lock().fold(&install("A", false));
+        reg.lock().fold(&install("B", true));
+        reg.lock().fold(&TelemetryEvent::ThreatDetected {
             home: 0,
             kind: "AR",
             source_app: "A".into(),
@@ -808,13 +600,13 @@ mod tests {
     #[test]
     fn histograms_bucket_weighted_observations() {
         let reg = MetricsRegistry::new();
-        reg.ingest(&TelemetryEvent::CacheProbe {
+        reg.lock().fold(&TelemetryEvent::CacheProbe {
             hit: true,
             tier: "lowered",
             micros: 3,
             weight: 64,
         });
-        reg.ingest(&TelemetryEvent::CacheProbe {
+        reg.lock().fold(&TelemetryEvent::CacheProbe {
             hit: false,
             tier: "solver",
             micros: 9_000,
@@ -855,7 +647,7 @@ mod tests {
         assert_eq!(h.percentile(50.0), 1_000.0);
         // Registry JSON carries the percentile fields.
         let reg = MetricsRegistry::new();
-        reg.ingest(&TelemetryEvent::MediationDecision {
+        reg.lock().fold(&TelemetryEvent::MediationDecision {
             home: 0,
             kind: "AR",
             verdict: "allow",
@@ -871,22 +663,23 @@ mod tests {
     #[test]
     fn journal_events_fold_into_counters() {
         let reg = MetricsRegistry::new();
-        reg.ingest(&TelemetryEvent::JournalAppended {
+        reg.lock().fold(&TelemetryEvent::JournalAppended {
             records: 1,
             bytes: 200,
         });
-        reg.ingest(&TelemetryEvent::JournalAppended {
+        reg.lock().fold(&TelemetryEvent::JournalAppended {
             records: 1,
             bytes: 100,
         });
-        reg.ingest(&TelemetryEvent::JournalSynced { micros: 40 });
-        reg.ingest(&TelemetryEvent::JournalCheckpoint {
+        reg.lock()
+            .fold(&TelemetryEvent::JournalSynced { micros: 40 });
+        reg.lock().fold(&TelemetryEvent::JournalCheckpoint {
             offset: 2,
             homes: 5,
             full: true,
             micros: 900,
         });
-        reg.ingest(&TelemetryEvent::JournalReplayed {
+        reg.lock().fold(&TelemetryEvent::JournalReplayed {
             records: 2,
             micros: 300,
         });
@@ -898,46 +691,5 @@ mod tests {
         assert_eq!(reg.counter("journal_checkpoint_homes_total"), 5);
         assert_eq!(reg.counter("journal_replays_total"), 1);
         assert_eq!(reg.counter("journal_replayed_records_total"), 2);
-        // Journal counters survive the snapshot envelope.
-        let state = reg.export_state();
-        let fresh = MetricsRegistry::new();
-        fresh.absorb_state(&state).unwrap();
-        assert_eq!(fresh.counter("journal_bytes_total"), 300);
-    }
-
-    #[test]
-    fn export_absorb_round_trips_every_aggregate() {
-        let reg = MetricsRegistry::new();
-        reg.ingest(&install("A", false));
-        reg.ingest(&TelemetryEvent::ThreatDetected {
-            home: 0,
-            kind: "CT",
-            source_app: "A".into(),
-            target_app: "A".into(),
-        });
-        reg.ingest(&TelemetryEvent::MediationDecision {
-            home: 0,
-            kind: "CT",
-            verdict: "suppress",
-            latency_ns: 700,
-        });
-        reg.set_gauge("shard_queue_depth_0", 3);
-
-        let state = reg.export_state();
-        let fresh = MetricsRegistry::new();
-        fresh.absorb_state(&state).unwrap();
-        // Every counter and histogram revives exactly; gauges don't ride.
-        assert_eq!(fresh.export_state().to_text(), state.to_text());
-        assert_eq!(fresh.counter("installs_total"), 1);
-        assert_eq!(fresh.counter("mediation_mediated_total"), 1);
-        assert_eq!(fresh.histogram("mediation_latency_ns").unwrap().count, 1);
-        assert_eq!(fresh.gauge("shard_queue_depth_0"), None);
-        // The restored registry keeps accumulating — the cut-over.
-        fresh.ingest(&install("A", true));
-        assert_eq!(fresh.counter("installs_total"), 2);
-        // Version gate.
-        assert!(fresh
-            .absorb_state(&Json::obj([("v", Json::Num(2))]))
-            .is_err());
     }
 }

@@ -4,7 +4,7 @@
 //! Prometheus text, the per-app interference table (paper Fig. 8), the
 //! verdict-cache hot-pair leaderboard, the latency histograms, a live
 //! `/events/stream` NDJSON tail — and prove the counters reconcile with
-//! the traffic and survive a snapshot→restore warm restart.
+//! the traffic the moment each request returns.
 //!
 //! Run with: `cargo run -p homeguard-examples --bin fleet_dashboard`
 
@@ -56,6 +56,15 @@ fn call(
 
 fn json(body: &str) -> Json {
     Json::parse(body).expect("JSON body")
+}
+
+/// One counter from a `GET /metrics` JSON body (0 when never bumped).
+fn counter(metrics: &Json, name: &str) -> i64 {
+    metrics
+        .get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_num)
+        .unwrap_or(0)
 }
 
 /// JSON payload lines of a chunked NDJSON body (chunk-size lines are hex,
@@ -129,17 +138,10 @@ fn main() {
         homes.len()
     );
 
-    // ---- /metrics: flat JSON, exact after the collector handshake ------
+    // ---- /metrics: flat JSON, exact as soon as the traffic returned ----
     let (status, body) = call(addr, "GET", "/metrics", None, None);
     assert_eq!(status, 200);
     let metrics = json(&body);
-    let counter = |name: &str| {
-        metrics
-            .get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_num)
-            .unwrap_or(0)
-    };
     println!("\n--- counters ---");
     for name in [
         "homes_created_total",
@@ -150,14 +152,20 @@ fn main() {
         "cache_hits_total",
         "cache_misses_total",
         "sweep_shards_total",
-        "events_consumed_total",
     ] {
-        println!("  {name:<28} {}", counter(name));
+        println!("  {name:<28} {}", counter(&metrics, name));
     }
-    assert_eq!(counter("homes_created_total"), homes.len() as i64);
-    assert!(counter("installs_dirty_total") >= 1, "the conflict counts");
-    assert!(counter("threats_total") >= 1);
-    assert_eq!(counter("sweep_shards_total"), 4, "one per rollout shard");
+    assert_eq!(counter(&metrics, "homes_created_total"), homes.len() as i64);
+    assert!(
+        counter(&metrics, "installs_dirty_total") >= 1,
+        "the conflict counts"
+    );
+    assert!(counter(&metrics, "threats_total") >= 1);
+    assert_eq!(
+        counter(&metrics, "sweep_shards_total"),
+        4,
+        "one per rollout shard"
+    );
     println!("--- gauges ---");
     if let Some(Json::Obj(gauges)) = metrics.get("gauges") {
         for (name, value) in gauges {
@@ -236,7 +244,7 @@ fn main() {
     println!("--- latency: install_micros count={install_count} ---");
     assert_eq!(
         install_count,
-        counter("installs_total"),
+        counter(&metrics, "installs_total"),
         "every install attempt is timed exactly once"
     );
 
@@ -256,39 +264,34 @@ fn main() {
     }
     assert_eq!(lines.len(), 6, "the limit bounds the tail");
 
-    // ---- warm restart: aggregates ride the snapshot --------------------
-    let (_, snapshot) = call(addr, "GET", "/snapshot", Some(&token), None);
-    assert!(
-        json(&snapshot)
-            .get("payload")
-            .and_then(|p| p.get("telemetry"))
-            .is_some(),
-        "the snapshot carries the telemetry envelope"
+    // ---- exact with no wait: counters move by the requests just made ---
+    let (homes_before, installs_before) = (
+        counter(&metrics, "homes_created_total"),
+        counter(&metrics, "installs_total"),
     );
-    let installs_before = counter("installs_total");
-    let (status, _) = call(
-        addr,
-        "POST",
-        "/restore",
-        Some(&token),
-        Some(&json(&snapshot)),
-    );
-    assert_eq!(status, 200);
+    let extra = 3;
+    for _ in 0..extra {
+        let (_, body) = call(addr, "POST", "/homes", Some(&token), None);
+        let home = json(&body).get("home").and_then(Json::as_num).unwrap();
+        let (status, _) = install(comfort_tv.name, comfort_tv.source, home);
+        assert_eq!(status, 200);
+    }
     let (_, body) = call(addr, "GET", "/metrics", None, None);
     let after = json(&body);
-    let installs_after = after
-        .get("counters")
-        .and_then(|c| c.get("installs_total"))
-        .and_then(Json::as_num)
-        .unwrap_or(0);
-    assert!(
-        installs_after >= 2 * installs_before,
-        "restore absorbs the envelope on top of the live registry \
-         ({installs_before} → {installs_after})"
+    assert_eq!(
+        counter(&after, "homes_created_total"),
+        homes_before + extra,
+        "every home creation is counted when its request returns"
+    );
+    assert_eq!(
+        counter(&after, "installs_total"),
+        installs_before + extra,
+        "every install is counted when its request returns"
     );
     println!(
-        "\nwarm restart: installs_total {installs_before} → {installs_after} \
-         (live registry + absorbed envelope)"
+        "\nno-wait scrape: {extra} more homes and installs → installs_total \
+         {installs_before} → {}",
+        counter(&after, "installs_total")
     );
 
     server.shutdown();

@@ -4,22 +4,23 @@
 //! *exactly* with the events the bus carried.
 //!
 //! Two fleets over separate stores run the same lifecycle churn: one
-//! silent, one wired to a live [`TelemetryHub`]. The wired fleet's
-//! observable outputs (install/uninstall reports, rollout merges, the
-//! snapshot document) must be bit-identical to the silent fleet's; the
-//! hub's counters must then equal a direct recount of the bus events.
-//! Finally the aggregate envelope rides a snapshot through text and
-//! restores warm into a fresh registry with nothing lost.
+//! silent, one wired to a [`TelemetryHub`]. The wired fleet's observable
+//! outputs (install/uninstall reports, rollout merges, the snapshot
+//! document) must be bit-identical to the silent fleet's; the hub's
+//! counters must then equal a direct recount of the bus events. The bus
+//! folds each event as it is published, so no check here waits for
+//! anything: totals are exact the moment an operation returns, even when
+//! the operation fanned out over several shard workers.
 
+use hg_api::{ExecConfig, FleetExec};
 use hg_persist::FleetSnapshot;
 use hg_service::{
     DegradedPolicy, FaultBackend, FaultKind, FaultPlan, Fleet, HomeId, Journal, JournalConfig,
     MemBackend, RuleStore, TelemetryEvent,
 };
-use hg_telemetry::{MetricsRegistry, TelemetryHub};
+use hg_telemetry::TelemetryHub;
 use homeguard_core::HgError;
 use std::sync::Arc;
-use std::time::Duration;
 
 const ON_APP: &str = r#"
 definition(name: "OnApp")
@@ -105,7 +106,7 @@ fn render_install(report: &homeguard_core::InstallReport) -> String {
 fn attached_bus_changes_no_report_and_no_persisted_byte() {
     let silent = Fleet::builder(RuleStore::shared()).shards(4).build();
     let wired = Fleet::builder(RuleStore::shared()).shards(4).build();
-    let hub = TelemetryHub::start();
+    let hub = TelemetryHub::new();
     assert!(wired.attach_telemetry(hub.bus().clone()));
 
     let silent_log = churn(&silent);
@@ -115,9 +116,8 @@ fn attached_bus_changes_no_report_and_no_persisted_byte() {
         "every report must be identical with the bus attached"
     );
 
-    // The persisted documents are bit-identical: a fleet-level snapshot
-    // never embeds observability state (the API layer injects the
-    // envelope separately).
+    // The persisted documents are bit-identical: a snapshot never embeds
+    // observability state.
     let silent_doc = silent.snapshot().unwrap().to_text();
     let wired_doc = wired.snapshot().unwrap().to_text();
     assert_eq!(
@@ -125,9 +125,8 @@ fn attached_bus_changes_no_report_and_no_persisted_byte() {
         "snapshot bytes must not depend on telemetry"
     );
 
-    // Exactness: once the collector has consumed everything published,
-    // the registry's totals equal a direct recount of the bus events.
-    assert!(hub.sync(Duration::from_secs(5)), "collector must catch up");
+    // Exactness: the registry's totals equal a direct recount of the bus
+    // events.
     assert_eq!(hub.bus().dropped_events(), 0, "churn fits bus retention");
     let mut events = Vec::new();
     hub.bus().drain_since(0, &mut events);
@@ -156,10 +155,7 @@ fn attached_bus_changes_no_report_and_no_persisted_byte() {
     );
     assert_eq!(registry.counter("sweep_shards_total"), 4);
     assert_eq!(registry.counter("snapshots_total"), 1);
-    assert_eq!(
-        registry.counter("events_consumed_total"),
-        events.len() as u64
-    );
+    assert_eq!(hub.bus().published(), events.len() as u64);
 
     // The pair-check tier counters reconcile exactly too: the registry's
     // totals equal the sum of the per-install payloads the bus carried,
@@ -183,7 +179,6 @@ fn attached_bus_changes_no_report_and_no_persisted_byte() {
 
     // The silent fleet's mediation accessors work without any bus.
     assert_eq!(silent.mediation_stats().events, 0);
-    hub.stop();
 }
 
 /// The fault-policy lifecycle publishes exactly what the registry
@@ -208,7 +203,7 @@ fn fault_policy_events_reconcile_exactly_with_registry_totals() {
         )
         .unwrap(),
     );
-    let hub = TelemetryHub::start();
+    let hub = TelemetryHub::new();
     journal.set_telemetry(hub.bus().clone());
     let fleet = Fleet::builder(RuleStore::shared()).shards(2).build();
     assert!(fleet.attach_telemetry(hub.bus().clone()));
@@ -233,7 +228,6 @@ fn fault_policy_events_reconcile_exactly_with_registry_totals() {
     fleet.heal_journal().unwrap();
     fleet.create_home().unwrap();
 
-    assert!(hub.sync(Duration::from_secs(5)), "collector must catch up");
     assert_eq!(hub.bus().dropped_events(), 0, "churn fits bus retention");
     let mut events = Vec::new();
     hub.bus().drain_since(0, &mut events);
@@ -267,52 +261,88 @@ fn fault_policy_events_reconcile_exactly_with_registry_totals() {
     assert_eq!(registry.counter("io_retries_total"), retries);
     assert_eq!(registry.counter("journal_degraded_total"), degraded);
     assert_eq!(registry.counter("journal_healed_total"), healed);
-    hub.stop();
 }
 
+/// Upgrades dispatched through the per-shard executor publish from
+/// every shard worker at once. With no wait after each rollout, the
+/// registry must already account for every home the rollout touched.
 #[test]
-fn telemetry_envelope_rides_snapshots_and_restores_warm() {
-    let fleet = Fleet::builder(RuleStore::shared()).shards(2).build();
-    let hub = TelemetryHub::start();
+fn exec_dispatched_rollouts_reconcile_with_no_wait() {
+    const SHARDS: u64 = 4;
+    let hub = TelemetryHub::new();
+    let fleet = Arc::new(Fleet::builder(RuleStore::shared()).shards(4).build());
     assert!(fleet.attach_telemetry(hub.bus().clone()));
-    churn(&fleet);
+    let ids: Vec<HomeId> = (0..32).map(|_| fleet.create_home().unwrap()).collect();
+    for (_, result) in fleet.install_many(&ids, ON_APP, "OnApp", None).unwrap() {
+        result.unwrap();
+    }
+    // Every third home also runs the conflicting app, so part of each
+    // rollout comes back dirty with threats.
+    for id in ids.iter().step_by(3) {
+        fleet
+            .install_app_forced(*id, OFF_APP, "OffApp", None)
+            .unwrap();
+    }
+    let registry = hub.registry();
+    let counter = |name: &str| registry.counter(name);
+    let exec = FleetExec::start(fleet.clone(), ExecConfig::default());
+    let (upgrades, dirty, threats, sweeps, swept) = (
+        counter("upgrades_total"),
+        counter("installs_dirty_total"),
+        counter("threats_total"),
+        counter("sweep_shards_total"),
+        counter("sweep_homes_total"),
+    );
+    let (mut touched, mut pending, mut pending_threats) = (0, 0, 0);
+    for round in 1..=6u64 {
+        let source = format!("{ON_APP}// v{round}\n");
+        let mut stream = exec
+            .begin_upgrade(source, "OnApp".to_string())
+            .unwrap()
+            .unwrap();
+        while stream.next_part().is_some() {}
+        let rollout = stream.finish();
+        assert!(rollout.failed.is_empty());
+        touched += (rollout.upgraded.len() + rollout.pending.len()) as u64;
+        pending += rollout.pending.len() as u64;
+        pending_threats += rollout
+            .pending
+            .iter()
+            .map(|(_, report)| report.threats.len() as u64)
+            .sum::<u64>();
 
-    let mut snapshot = fleet.snapshot().unwrap();
+        assert_eq!(counter("upgrades_total") - upgrades, touched);
+        assert_eq!(counter("installs_dirty_total") - dirty, pending);
+        assert_eq!(counter("threats_total") - threats, pending_threats);
+        assert_eq!(counter("sweep_shards_total") - sweeps, SHARDS * round);
+        assert_eq!(
+            counter("sweep_homes_total") - swept,
+            ids.len() as u64 * round
+        );
+    }
+    assert_eq!(touched, 6 * ids.len() as u64, "every home runs OnApp");
     assert!(
-        snapshot.telemetry.is_none(),
-        "the fleet itself never embeds the envelope"
+        pending > 0 && pending_threats > 0,
+        "OffApp homes stay dirty"
     );
-    assert!(hub.sync(Duration::from_secs(5)));
-    let envelope = hub.registry().export_state();
-    snapshot.telemetry = Some(envelope.clone());
+    exec.stop();
+}
 
-    // Through text and back: the envelope survives verbatim…
-    let text = snapshot.to_text();
-    let revived = FleetSnapshot::from_text(&text).unwrap();
-    let carried = revived.telemetry.clone().expect("envelope must ride");
-    assert_eq!(carried.to_text(), envelope.to_text());
-
-    // …and a fresh registry absorbing it reproduces every aggregate.
-    let fresh = MetricsRegistry::new();
-    fresh.absorb_state(&carried).unwrap();
-    assert_eq!(
-        fresh.export_state().to_text(),
-        envelope.to_text(),
-        "snapshot→restore must preserve every counter, histogram and row"
+/// Snapshots written while the server still embedded a `telemetry`
+/// aggregate load unchanged; the key is ignored and never written back.
+#[test]
+fn snapshot_with_a_legacy_telemetry_key_loads_and_drops_it() {
+    let fleet = Fleet::builder(RuleStore::shared()).shards(2).build();
+    churn(&fleet);
+    let text = fleet.snapshot().unwrap().to_text();
+    let legacy = text.replacen(
+        "\"payload\":{",
+        "\"payload\":{\"telemetry\":{\"v\":1,\"counters\":{\"installs_total\":9}},",
+        1,
     );
-    assert_eq!(
-        fresh.counter("installs_total"),
-        hub.registry().counter("installs_total")
-    );
-
-    // The fleet side restores independently of the envelope.
+    assert_ne!(legacy, text);
+    let revived = FleetSnapshot::from_text(&legacy).unwrap();
+    assert_eq!(revived.to_text(), text);
     let back = Fleet::restore(revived).unwrap();
-    assert_eq!(back.len(), fleet.len());
-
-    // Stripping the envelope reproduces the pre-telemetry document
-    // exactly — old readers and writers stay byte-compatible.
-    let mut stripped = FleetSnapshot::from_text(&text).unwrap();
-    stripped.telemetry = None;
-    assert_eq!(stripped.to_text(), fleet.snapshot().unwrap().to_text());
-    hub.stop();
+    assert_eq!(back.snapshot().unwrap().to_text(), text);
 }
