@@ -121,103 +121,6 @@ fn bench_verdict_cache(c: &mut Criterion) {
     assert!(cache.stats().hits > 0);
 }
 
-fn bench_lowered_vs_solver(c: &mut Criterion) {
-    // The three-tier pipeline, tier by tier, on real corpus pairs: a pair
-    // the lowered evaluator decides outright, the same pair forced onto
-    // the full solver (what every check cost before the lowering tier),
-    // a pair the evaluator refuses (so the measured time includes the
-    // refusal probe *and* the solver fallback), and a warm verdict-cache
-    // hit. Pairs are discovered from the corpus by their recorded tier,
-    // not hard-coded, so the bench stays honest as the fragment grows.
-    let lowered_det = Detector::store_wide();
-    let mut solver_det = Detector::store_wide();
-    solver_det.lowered_pairs = false;
-
-    let sets: Vec<Vec<hg_rules::rule::Rule>> = hg_bench::device_control_rule_sets()
-        .into_iter()
-        .filter(|set| !set.is_empty())
-        .collect();
-    let prepared: Vec<PreparedRule> = sets
-        .iter()
-        .map(|set| PreparedRule::prepare(&set[0], &lowered_det.unification))
-        .collect();
-
-    // One corpus-wide pairwise sweep: classify every pair by deciding
-    // tier and aggregate the honest coverage ratio (every solver-answered
-    // question counts against the lowered tier, CT/EC solves included).
-    let mut lowered_pair = None;
-    let mut fallback_pair = None;
-    let mut hits = 0u64;
-    let mut fallbacks = 0u64;
-    for i in 0..prepared.len() {
-        for j in (i + 1)..prepared.len() {
-            let (_, stats) = lowered_det.detect_pair_prepared(&prepared[i], &prepared[j]);
-            hits += stats.lowered_hits;
-            fallbacks += stats.solver_fallbacks;
-            if stats.lowered_hits > 0 && stats.solver_fallbacks == 0 && lowered_pair.is_none() {
-                lowered_pair = Some((i, j));
-            }
-            if stats.solver_fallbacks > 0 && fallback_pair.is_none() {
-                fallback_pair = Some((i, j));
-            }
-        }
-    }
-    let (li, lj) = lowered_pair.expect("corpus must contain a fully lowered pair");
-    let (fi, fj) = fallback_pair.expect("corpus must contain a fallback pair");
-    let coverage = 100.0 * hits as f64 / (hits + fallbacks) as f64;
-
-    let cache = Arc::new(VerdictCache::new());
-    let cached_det = Detector::store_wide().with_cache(cache.clone());
-    cached_det.detect_pair_prepared(&prepared[li], &prepared[lj]); // warm
-
-    let time_pair = |det: &Detector, a: &PreparedRule, b: &PreparedRule| {
-        let runs = 60u32;
-        let started = Instant::now();
-        for _ in 0..runs {
-            black_box(det.detect_pair_prepared(black_box(a), black_box(b)));
-        }
-        started.elapsed().as_micros() as f64 / runs as f64
-    };
-    hg_bench::emit_summary(
-        "lowered_vs_solver_us",
-        &[
-            (
-                "lowered_hit_pair",
-                time_pair(&lowered_det, &prepared[li], &prepared[lj]),
-            ),
-            (
-                "solver_forced_pair",
-                time_pair(&solver_det, &prepared[li], &prepared[lj]),
-            ),
-            (
-                "solver_fallback_pair",
-                time_pair(&lowered_det, &prepared[fi], &prepared[fj]),
-            ),
-            (
-                "cache_hit_pair",
-                time_pair(&cached_det, &prepared[li], &prepared[lj]),
-            ),
-            ("corpus_coverage_pct", coverage),
-        ],
-    );
-
-    let mut group = c.benchmark_group("lowered_vs_solver");
-    group.bench_function("lowered_hit", |bch| {
-        bch.iter(|| black_box(lowered_det.detect_pair_prepared(&prepared[li], &prepared[lj])))
-    });
-    group.bench_function("solver_forced", |bch| {
-        bch.iter(|| black_box(solver_det.detect_pair_prepared(&prepared[li], &prepared[lj])))
-    });
-    group.bench_function("solver_fallback", |bch| {
-        bch.iter(|| black_box(lowered_det.detect_pair_prepared(&prepared[fi], &prepared[fj])))
-    });
-    group.bench_function("cache_hit", |bch| {
-        bch.iter(|| black_box(cached_det.detect_pair_prepared(&prepared[li], &prepared[lj])))
-    });
-    group.finish();
-    assert!(cache.stats().hits > 0);
-}
-
 fn bench_solver_reuse(c: &mut Criterion) {
     // The reuse effect: detect_pair solves the situation overlap once and
     // reuses it across AR/CT/SD/LT, so a full pair detection costs little
@@ -240,6 +143,6 @@ fn bench_solver_reuse(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_detection, bench_solver_reuse, bench_verdict_cache, bench_lowered_vs_solver
+    targets = bench_detection, bench_solver_reuse, bench_verdict_cache
 }
 criterion_main!(benches);

@@ -65,7 +65,6 @@ pub struct HomeBuilder {
     config: Vec<ConfigInfo>,
     handling: PolicyTable,
     share_verdicts: bool,
-    lowered_pairs: bool,
 }
 
 impl HomeBuilder {
@@ -80,7 +79,6 @@ impl HomeBuilder {
             config: Vec::new(),
             handling: PolicyTable::default(),
             share_verdicts: true,
-            lowered_pairs: true,
         }
     }
 
@@ -121,9 +119,11 @@ impl HomeBuilder {
     }
 
     /// Whether the session's detector consults the store's fleet-shared
-    /// [`VerdictCache`](hg_detector::VerdictCache) (default: true). The
-    /// differential harnesses disable it to obtain the uncached ground
-    /// truth the cached path must be bit-identical to.
+    /// [`VerdictCache`](hg_detector::VerdictCache) (default: true). With
+    /// sharing off, every pair check is a fresh detection whose overlap
+    /// questions are all `OverlapSolver` solves: the uncached ground
+    /// truth the differential harnesses hold the cached path to, bit for
+    /// bit.
     ///
     /// This is a session-local diagnostic knob, not durable
     /// configuration: it is absent from [`HomeState`], and a session
@@ -135,16 +135,10 @@ impl HomeBuilder {
         self
     }
 
-    /// Whether the session's detector consults the lowered pair-check
-    /// tier before falling back to the full `OverlapSolver` (default:
-    /// true, subject to the process-wide `HG_LOWERED_PAIRS` override).
-    /// The differential harnesses disable it to run solver-forced twin
-    /// sessions. Like [`verdict_sharing`](Self::verdict_sharing) this is
-    /// a session-local diagnostic knob, absent from [`HomeState`]: a
-    /// restored session is back on the (bit-identical, differentially
-    /// proven) lowered default.
-    pub fn lowered_pairs(mut self, enabled: bool) -> HomeBuilder {
-        self.lowered_pairs = enabled;
+    /// Does nothing: the `OverlapSolver` answers every verdict-cache miss,
+    /// so every session is already solver-only. Kept so callers written
+    /// against it (the `homebench` reference sessions) still build.
+    pub fn lowered_pairs(self, _enabled: bool) -> HomeBuilder {
         self
     }
 
@@ -163,7 +157,6 @@ impl HomeBuilder {
             handling: self.handling,
             mediation: None,
             share_verdicts: self.share_verdicts,
-            lowered_pairs: self.lowered_pairs,
             telemetry: None,
             label: 0,
             mediation_sink: Arc::new(Mutex::new(MediationStats::default())),
@@ -206,9 +199,6 @@ pub struct Home {
     /// Whether detection consults the store's fleet-shared verdict cache
     /// (see [`HomeBuilder::verdict_sharing`]).
     share_verdicts: bool,
-    /// Whether detection consults the lowered pair-check tier before the
-    /// full solver (see [`HomeBuilder::lowered_pairs`]).
-    lowered_pairs: bool,
     /// Fleet event bus handle. `None` (the default) keeps every telemetry
     /// branch in the lifecycle paths a single pointer test — detection,
     /// mediation and persistence are bit-identical with or without it.
@@ -367,10 +357,6 @@ impl Home {
             unification,
             ..Detector::default()
         };
-        // The session opt-out can only disable the tier; the process-wide
-        // `HG_LOWERED_PAIRS` override (folded into the default) wins when
-        // it says off.
-        det.lowered_pairs &= self.lowered_pairs;
         det.solver.set_modes(self.modes.iter().cloned());
         det.solver.set_user_values(self.values.clone());
         if self.share_verdicts {
@@ -428,8 +414,6 @@ impl Home {
             solves: report.stats.solves,
             cache_hits: report.stats.cache_hits,
             cache_misses: report.stats.cache_misses,
-            lowered_hits: report.stats.lowered_hits,
-            solver_fallbacks: report.stats.solver_fallbacks,
             micros: started.map_or(0, |t| t.elapsed().as_micros() as u64),
         });
         events.extend(
@@ -986,11 +970,10 @@ impl Home {
     /// mediation index recompiles lazily from the restored Allowed list.
     /// Any enforcer built from the restored session starts with **empty**
     /// per-run memory — in-flight defer grants and fired-rule traces never
-    /// survive a restart. Verdict sharing and the lowered pair-check tier
-    /// reset to their defaults (enabled): the
-    /// [`HomeBuilder::verdict_sharing`] and
-    /// [`HomeBuilder::lowered_pairs`] opt-outs are diagnostic knobs, not
-    /// persisted state.
+    /// survive a restart. Verdict sharing resets to the default (enabled):
+    /// the [`HomeBuilder::verdict_sharing`] opt-out is a diagnostic knob,
+    /// not persisted state. No other detection setting exists to restore:
+    /// a cache miss is always answered by the `OverlapSolver`.
     pub fn restore_state(store: Arc<RuleStore>, state: HomeState) -> Home {
         let mut home = Home {
             store,
@@ -1013,7 +996,6 @@ impl Home {
             handling: state.handling,
             mediation: None,
             share_verdicts: true,
-            lowered_pairs: true,
             telemetry: None,
             label: 0,
             mediation_sink: Arc::new(Mutex::new(MediationStats::default())),

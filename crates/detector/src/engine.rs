@@ -7,7 +7,6 @@
 //! edges describe: CT/SD/LT reuse the AR overlap result, DC reuses EC's.
 
 use crate::index::{prepare_with, PreparedRule};
-use crate::lowering::{self, LoweredProgram};
 use crate::overlap::{OverlapSolver, Unification};
 use crate::report::{DetectStats, Threat, ThreatKind};
 use crate::verdict_cache::{fingerprint128, PairKey, VerdictCache};
@@ -32,18 +31,17 @@ use std::time::Instant;
 const HIT_PROBE_SAMPLE: u64 = 64;
 
 /// The CAI threat detector.
-#[derive(Debug, Clone)]
+///
+/// A pair check is answered in one of two ways: a hit in the attached
+/// [`VerdictCache`], or a fresh detection in which every overlap
+/// question is a [`solve`](OverlapSolver::solve) on `solver`. Nothing
+/// else decides a verdict, and no option selects another evaluator.
+#[derive(Debug, Clone, Default)]
 pub struct Detector {
     /// Device slot unification strategy.
     pub unification: Unification,
     /// Overlap solver (modes + collected configuration values).
     pub solver: OverlapSolver,
-    /// Whether the lowered pair-check tier is consulted between the
-    /// verdict-cache probe and the full solver (see [`crate::lowering`]).
-    /// Defaults to on unless the `HG_LOWERED_PAIRS` environment variable
-    /// disables it process-wide (`off`/`0`/`false`); differential tests
-    /// clear it per-detector to run solver-forced twins.
-    pub lowered_pairs: bool,
     /// The fleet-shared pair-verdict cache, when one is attached (the
     /// [`RuleStore`]-owned `Arc` threaded through every home's detector).
     /// `None` runs every pair fresh — the ground truth the cached path is
@@ -58,31 +56,6 @@ pub struct Detector {
     /// Probe sampling tick, shared across clones of this detector so the
     /// 1-in-N hit sampling stays 1-in-N fleet-wide.
     pub probe_tick: Arc<AtomicU64>,
-}
-
-impl Default for Detector {
-    fn default() -> Detector {
-        Detector {
-            unification: Unification::default(),
-            solver: OverlapSolver::default(),
-            lowered_pairs: lowered_pairs_env(),
-            cache: None,
-            bus: None,
-            probe_tick: Arc::default(),
-        }
-    }
-}
-
-/// The process-wide `HG_LOWERED_PAIRS` operator override, read once:
-/// `off`, `0` or `false` forces every pair check onto the full solver.
-fn lowered_pairs_env() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("HG_LOWERED_PAIRS").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        )
-    })
 }
 
 impl Detector {
@@ -152,11 +125,10 @@ impl Detector {
                 .then(Instant::now)
         });
         let key = self.pair_key(p1, p2);
-        if let Some((threats, stats, tier)) = cache.lookup_full(&key) {
+        if let Some((threats, stats)) = cache.lookup(&key) {
             if let (Some(bus), Some(started)) = (&self.bus, probe_at) {
                 bus.publish(TelemetryEvent::CacheProbe {
                     hit: true,
-                    tier: tier.name(),
                     micros: started.elapsed().as_micros() as u64,
                     weight: HIT_PROBE_SAMPLE,
                 });
@@ -173,7 +145,6 @@ impl Detector {
         if let (Some(bus), Some(started)) = (&self.bus, fresh_at) {
             bus.publish(TelemetryEvent::CacheProbe {
                 hit: false,
-                tier: stats.deciding_tier().name(),
                 micros: started.elapsed().as_micros() as u64,
                 weight: 1,
             });
@@ -287,47 +258,15 @@ impl<'a> PairCx<'a> {
         &p.unified
     }
 
-    /// A full-solver overlap solve. When the lowered tier is enabled this
-    /// is by definition a fallback — either the question's shape never
-    /// lowered, the pairwise check refused, or the question (effect and
-    /// trigger-channel solves) is outside the lowered fragment entirely —
-    /// so `solver_fallbacks` counts every solver-answered question and
-    /// `lowered_hits / (lowered_hits + solver_fallbacks)` is an honest
-    /// coverage ratio.
     fn solve(&mut self, formulas: &[&Formula]) -> Outcome {
         self.stats.solves += 1;
-        if self.detector.lowered_pairs {
-            self.stats.solver_fallbacks += 1;
-        }
         self.detector.solver.solve(formulas)
-    }
-
-    /// Answers one overlap question through the tiered pipeline: the
-    /// lowered evaluator when both sides compiled and the pairwise check
-    /// decides (bit-identical to the solver by construction), the full
-    /// solver otherwise. A lowered answer still counts as a `solve` so
-    /// the logical effort counters match a solver-forced twin exactly.
-    fn tiered_solve(
-        &mut self,
-        lowered: (Option<&LoweredProgram>, Option<&LoweredProgram>),
-        formulas: &[&Formula],
-    ) -> Outcome {
-        if self.detector.lowered_pairs {
-            if let (Some(a), Some(b)) = lowered {
-                if let Some(outcome) = lowering::check_pair(a, b, &self.detector.solver) {
-                    self.stats.solves += 1;
-                    self.stats.lowered_hits += 1;
-                    return outcome;
-                }
-            }
-        }
-        self.solve(formulas)
     }
 
     /// The overlap of both rules' full situations (trigger constraints plus
     /// conditions), computed once and reused. The situation conjunctions
     /// themselves were precomputed at preparation — no per-pair formula
-    /// cloning — and so were their lowered programs.
+    /// cloning.
     fn situation_overlap(&mut self) -> Outcome {
         if let Some(o) = self.situation_overlap.clone() {
             self.stats.reused += 1;
@@ -335,10 +274,7 @@ impl<'a> PairCx<'a> {
         }
         let p1: &'a PreparedRule = self.pair[0];
         let p2: &'a PreparedRule = self.pair[1];
-        let outcome = self.tiered_solve(
-            (p1.lowered_situation(), p2.lowered_situation()),
-            &[p1.situation(), p2.situation()],
-        );
+        let outcome = self.solve(&[p1.situation(), p2.situation()]);
         self.situation_overlap = Some(outcome.clone());
         outcome
     }
@@ -350,12 +286,9 @@ impl<'a> PairCx<'a> {
             self.stats.reused += 1;
             return o;
         }
-        let p1: &'a PreparedRule = self.pair[0];
-        let p2: &'a PreparedRule = self.pair[1];
         let c1 = &self.unified(0).condition.predicate;
         let c2 = &self.unified(1).condition.predicate;
-        let outcome =
-            self.tiered_solve((p1.lowered_condition(), p2.lowered_condition()), &[c1, c2]);
+        let outcome = self.solve(&[c1, c2]);
         self.condition_overlap = Some(outcome.clone());
         outcome
     }

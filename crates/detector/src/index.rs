@@ -16,7 +16,6 @@
 //! skipping most pair visits.
 
 use crate::engine::{action_kind, direct_effects, Detector};
-use crate::lowering::LoweredProgram;
 use crate::overlap::Unification;
 use hg_capability::domains::EnvProperty;
 use hg_rules::constraint::Formula;
@@ -54,13 +53,6 @@ pub struct PreparedRule {
     /// preparation instead of re-cloned on every pair visit (the
     /// Actuator-Race overlap solve reads it for every candidate pair).
     situation: Formula,
-    /// `situation` compiled to a lowered pair-check program, when its
-    /// shape is classifiable (see [`crate::lowering`]); `None` means every
-    /// overlap question over this rule's situation uses the full solver.
-    lowered_situation: Option<LoweredProgram>,
-    /// The unified condition predicate compiled likewise, for the
-    /// Enabling/Disabling-Condition overlap solves.
-    lowered_condition: Option<LoweredProgram>,
 }
 
 impl PreparedRule {
@@ -75,8 +67,6 @@ impl PreparedRule {
         let mut user_inputs = BTreeSet::new();
         collect_user_inputs(&unified, &mut user_inputs);
         let situation = unified.situation();
-        let lowered_situation = LoweredProgram::compile(&situation);
-        let lowered_condition = LoweredProgram::compile(&unified.condition.predicate);
         PreparedRule {
             orig: rule.clone(),
             unified,
@@ -84,8 +74,6 @@ impl PreparedRule {
             fingerprint,
             user_inputs,
             situation,
-            lowered_situation,
-            lowered_condition,
         }
     }
 
@@ -98,16 +86,6 @@ impl PreparedRule {
     /// The rule's content fingerprint (see the field docs).
     pub fn fingerprint(&self) -> u128 {
         self.fingerprint
-    }
-
-    /// The situation conjunction's lowered program, when classifiable.
-    pub fn lowered_situation(&self) -> Option<&LoweredProgram> {
-        self.lowered_situation.as_ref()
-    }
-
-    /// The condition predicate's lowered program, when classifiable.
-    pub fn lowered_condition(&self) -> Option<&LoweredProgram> {
-        self.lowered_condition.as_ref()
     }
 
     /// The user-input variables the rule's solver-visible formulas

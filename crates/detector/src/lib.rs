@@ -56,7 +56,6 @@ pub mod chained;
 pub mod engine;
 pub mod incremental;
 pub mod index;
-pub mod lowering;
 pub mod overlap;
 pub mod report;
 pub mod verdict_cache;
@@ -65,7 +64,6 @@ pub use chained::{find_chains, Chain, Edge};
 pub use engine::Detector;
 pub use incremental::DetectionEngine;
 pub use index::{actuator_key, CandidateIndex, PreparedRule};
-pub use lowering::LoweredProgram;
 pub use overlap::{OverlapSolver, Unification, UserValues};
-pub use report::{DecisionTier, DetectStats, Threat, ThreatKind};
+pub use report::{DetectStats, Threat, ThreatKind};
 pub use verdict_cache::{CacheStats, HotPair, PairKey, VerdictCache};

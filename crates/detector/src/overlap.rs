@@ -321,7 +321,7 @@ impl OverlapSolver {
 
 /// The attribute's domain, looked up through any capability that declares it
 /// (preferring the device's own capability when known).
-pub(crate) fn attr_domain(device: &DeviceRef, attribute: &str) -> Option<AttrDomain> {
+fn attr_domain(device: &DeviceRef, attribute: &str) -> Option<AttrDomain> {
     if let Some(capname) = device.capability() {
         if let Some(cap) = capability::lookup(capname) {
             if let Some(attr) = cap.attribute(attribute) {

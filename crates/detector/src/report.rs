@@ -120,6 +120,10 @@ impl fmt::Display for Threat {
 }
 
 /// Counters for the Fig. 9 efficiency analysis.
+///
+/// A pair check is a [`VerdictCache`](crate::VerdictCache) hit or a fresh
+/// detection whose every overlap question is one `OverlapSolver` solve;
+/// there is no other evaluator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectStats {
     /// Rule pairs examined.
@@ -145,13 +149,11 @@ pub struct DetectStats {
     /// Pair verdicts computed fresh and published to the cache. Zero when
     /// no cache is attached.
     pub cache_misses: u64,
-    /// Overlap questions answered by the lowered pair-check tier (a
-    /// compiled [`LoweredProgram`](crate::LoweredProgram) pair decided
-    /// without building a solver model). Each such answer is bit-identical
-    /// to what the solver would have produced, so `solves` still counts it.
+    /// Always zero: no detector writes it, and `absorb`/`logical` leave it
+    /// alone. It stays for readers built against it (`homebench`'s trace
+    /// derives `detector.lowered_share` from it, which therefore reads 0).
     pub lowered_hits: u64,
-    /// Overlap questions the lowered tier refused (unlowerable shape or a
-    /// check-time refusal), answered by the full `OverlapSolver` instead.
+    /// Always zero, like [`lowered_hits`](Self::lowered_hits).
     pub solver_fallbacks: u64,
 }
 
@@ -165,57 +167,16 @@ impl DetectStats {
         self.pruned += other.pruned;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.lowered_hits += other.lowered_hits;
-        self.solver_fallbacks += other.solver_fallbacks;
     }
 
-    /// This counter set with the cache hit/miss and tier markers zeroed —
-    /// the *logical* detection effort, identical between a cached and an
-    /// uncached run, and between a lowered and a solver-forced run, over
-    /// the same population (the differential harnesses compare exactly
-    /// this projection).
+    /// This counter set with the cache hit/miss markers zeroed — the
+    /// *logical* detection effort, identical between a cached and an
+    /// uncached run over the same population (the differential harnesses
+    /// compare exactly this projection).
     pub fn logical(mut self) -> DetectStats {
         self.cache_hits = 0;
         self.cache_misses = 0;
-        self.lowered_hits = 0;
-        self.solver_fallbacks = 0;
         self
-    }
-
-    /// Which tier decided this counter set's overlap questions.
-    pub fn deciding_tier(&self) -> DecisionTier {
-        if self.lowered_hits > 0 && self.solver_fallbacks == 0 {
-            DecisionTier::Lowered
-        } else if self.lowered_hits == 0 {
-            DecisionTier::Solver
-        } else {
-            DecisionTier::Mixed
-        }
-    }
-}
-
-/// Which tier of the pair-check pipeline produced a verdict: the lowered
-/// evaluator alone, the full solver alone, or a mix (some questions
-/// lowered, some refused to the solver).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DecisionTier {
-    /// Every overlap question was answered by the lowered evaluator.
-    Lowered,
-    /// Every overlap question fell through to the full solver (including
-    /// pairs that asked no overlap question at all).
-    Solver,
-    /// Some questions lowered, others refused to the solver.
-    Mixed,
-}
-
-impl DecisionTier {
-    /// Short wire/telemetry name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            DecisionTier::Lowered => "lowered",
-            DecisionTier::Solver => "solver",
-            DecisionTier::Mixed => "mixed",
-        }
     }
 }
 
@@ -264,8 +225,7 @@ mod tests {
             pruned: 5,
             cache_hits: 6,
             cache_misses: 7,
-            lowered_hits: 8,
-            solver_fallbacks: 9,
+            ..Default::default()
         };
         a.absorb(DetectStats {
             pairs: 10,
@@ -275,8 +235,7 @@ mod tests {
             pruned: 50,
             cache_hits: 60,
             cache_misses: 70,
-            lowered_hits: 80,
-            solver_fallbacks: 90,
+            ..Default::default()
         });
         assert_eq!(
             a,
@@ -288,33 +247,17 @@ mod tests {
                 pruned: 55,
                 cache_hits: 66,
                 cache_misses: 77,
-                lowered_hits: 88,
-                solver_fallbacks: 99,
+                ..Default::default()
             }
         );
-        // The logical projection strips the cache and tier markers.
+        // The logical projection strips only the cache markers.
         assert_eq!(
             a.logical(),
             DetectStats {
                 cache_hits: 0,
                 cache_misses: 0,
-                lowered_hits: 0,
-                solver_fallbacks: 0,
                 ..a
             }
         );
-    }
-
-    #[test]
-    fn deciding_tier_classifies() {
-        let mut s = DetectStats::default();
-        assert_eq!(s.deciding_tier(), DecisionTier::Solver);
-        s.lowered_hits = 2;
-        assert_eq!(s.deciding_tier(), DecisionTier::Lowered);
-        s.solver_fallbacks = 1;
-        assert_eq!(s.deciding_tier(), DecisionTier::Mixed);
-        assert_eq!(DecisionTier::Lowered.name(), "lowered");
-        assert_eq!(DecisionTier::Mixed.name(), "mixed");
-        assert_eq!(DecisionTier::Solver.name(), "solver");
     }
 }

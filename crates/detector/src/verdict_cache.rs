@@ -39,7 +39,7 @@
 //! The cache is runtime state, never persisted: snapshots rebuild it empty
 //! (`hg-persist` asserts exactly that).
 
-use crate::report::{DecisionTier, DetectStats, Threat};
+use crate::report::{DetectStats, Threat};
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -85,12 +85,6 @@ const MAX_ENTRIES_PER_SHARD: usize = 1 << 14;
 struct CachedVerdict {
     threats: Vec<Threat>,
     stats: DetectStats,
-    /// Which pair-check tier produced this verdict (derived from the
-    /// memoized counters at insert). Keys stay tier-agnostic — a lowered
-    /// and a solver-forced detector share entries, which is exactly what
-    /// lets the differential harnesses assert tier equivalence — but the
-    /// producing tier rides along for telemetry and those assertions.
-    tier: DecisionTier,
     apps: [String; 2],
     last_used: AtomicU64,
     /// Hits this entry has served — the raw material of the hot-pair
@@ -246,12 +240,6 @@ impl VerdictCache {
     /// `cache_hits` themselves so the cache stays oblivious to how stats
     /// are absorbed.
     pub fn lookup(&self, key: &PairKey) -> Option<(Vec<Threat>, DetectStats)> {
-        self.lookup_full(key).map(|(t, s, _)| (t, s))
-    }
-
-    /// [`lookup`](Self::lookup) also reporting which tier produced the
-    /// memoized verdict (the engine's sampled cache probes publish it).
-    pub fn lookup_full(&self, key: &PairKey) -> Option<(Vec<Threat>, DetectStats, DecisionTier)> {
         let shard = self
             .shard(key)
             .read()
@@ -266,7 +254,7 @@ impl VerdictCache {
                     Ordering::Relaxed,
                 );
                 verdict.hits.fetch_add(1, Ordering::Relaxed);
-                Some((verdict.threats.clone(), verdict.stats, verdict.tier))
+                Some((verdict.threats.clone(), verdict.stats))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -293,7 +281,6 @@ impl VerdictCache {
         let verdict = CachedVerdict {
             threats,
             stats,
-            tier: stats.deciding_tier(),
             apps: [apps[0].to_string(), apps[1].to_string()],
             last_used: AtomicU64::new(self.clock.fetch_add(1, Ordering::Relaxed)),
             hits: AtomicU64::new(0),

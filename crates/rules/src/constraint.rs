@@ -388,12 +388,7 @@ fn map_term_vars(t: &Term, f: &dyn Fn(&VarId) -> VarId) -> Term {
     }
 }
 
-/// Evaluates a comparison between two constants, or `None` when the
-/// pair is not decidable at fold time (ordered comparisons between
-/// non-numeric values). This is the constant-folding rule used by
-/// [`Formula::substitute`]; the detector's lowering tier reuses it so
-/// lowered programs fold exactly like solver-bound formulas.
-pub fn eval_const_cmp(a: &Value, op: CmpOp, b: &Value) -> Option<bool> {
+fn eval_const_cmp(a: &Value, op: CmpOp, b: &Value) -> Option<bool> {
     match (a, b) {
         (Value::Num(x), Value::Num(y)) => Some(op.eval(x, y)),
         (Value::Sym(x), Value::Sym(y)) => match op {

@@ -208,7 +208,6 @@ mod tests {
     fn probe(n: u64) -> TelemetryEvent {
         TelemetryEvent::CacheProbe {
             hit: false,
-            tier: "solver",
             micros: n,
             weight: 1,
         }

@@ -41,10 +41,6 @@ pub enum TelemetryEvent {
         cache_hits: u64,
         /// Pair verdicts computed fresh.
         cache_misses: u64,
-        /// Overlap questions answered by the lowered pair-check tier.
-        lowered_hits: u64,
-        /// Overlap questions the lowered tier passed to the full solver.
-        solver_fallbacks: u64,
         /// Wall-clock cost of the whole attempt.
         micros: u64,
     },
@@ -87,9 +83,6 @@ pub enum TelemetryEvent {
     CacheProbe {
         /// Whether the fleet verdict cache answered.
         hit: bool,
-        /// Which tier decided the verdict: `lowered`, `solver` or `mixed`
-        /// (on a hit, the tier that originally produced the cached entry).
-        tier: &'static str,
         /// Wall-clock pair-check time.
         micros: u64,
         /// How many pair checks this probe stands for.
@@ -220,8 +213,6 @@ impl TelemetryEvent {
                 solves,
                 cache_hits,
                 cache_misses,
-                lowered_hits,
-                solver_fallbacks,
                 micros,
             } => {
                 fields.extend([
@@ -234,11 +225,6 @@ impl TelemetryEvent {
                     ("solves".to_string(), Json::Num(*solves as i64)),
                     ("cache_hits".to_string(), Json::Num(*cache_hits as i64)),
                     ("cache_misses".to_string(), Json::Num(*cache_misses as i64)),
-                    ("lowered_hits".to_string(), Json::Num(*lowered_hits as i64)),
-                    (
-                        "solver_fallbacks".to_string(),
-                        Json::Num(*solver_fallbacks as i64),
-                    ),
                     ("micros".to_string(), Json::Num(*micros as i64)),
                 ]);
             }
@@ -289,13 +275,11 @@ impl TelemetryEvent {
             }
             TelemetryEvent::CacheProbe {
                 hit,
-                tier,
                 micros,
                 weight,
             } => {
                 fields.extend([
                     ("hit".to_string(), Json::Bool(*hit)),
-                    ("tier".to_string(), Json::str(*tier)),
                     ("micros".to_string(), Json::Num(*micros as i64)),
                     ("weight".to_string(), Json::Num(*weight as i64)),
                 ]);
@@ -396,8 +380,6 @@ mod tests {
                 solves: 2,
                 cache_hits: 2,
                 cache_misses: 2,
-                lowered_hits: 1,
-                solver_fallbacks: 1,
                 micros: 120,
             },
             TelemetryEvent::ThreatDetected {
@@ -420,7 +402,6 @@ mod tests {
             },
             TelemetryEvent::CacheProbe {
                 hit: true,
-                tier: "lowered",
                 micros: 2,
                 weight: 64,
             },

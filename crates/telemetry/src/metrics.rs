@@ -187,8 +187,6 @@ impl Inner {
                 solves,
                 cache_hits,
                 cache_misses,
-                lowered_hits,
-                solver_fallbacks,
                 micros,
                 ..
             } => {
@@ -208,8 +206,6 @@ impl Inner {
                 self.bump("solves_total", *solves);
                 self.bump("cache_hits_total", *cache_hits);
                 self.bump("cache_misses_total", *cache_misses);
-                self.bump("lowered_hits_total", *lowered_hits);
-                self.bump("solver_fallbacks_total", *solver_fallbacks);
                 self.observe("install_micros", *micros, 1);
                 // The report's threat count is not folded here: each
                 // threat arrives as its own `ThreatDetected` event.
@@ -256,7 +252,6 @@ impl Inner {
                 hit,
                 micros,
                 weight,
-                ..
             } => {
                 self.bump("cache_probes_total", *weight);
                 self.observe(
@@ -560,8 +555,6 @@ mod tests {
             solves: 1,
             cache_hits: 2,
             cache_misses: 1,
-            lowered_hits: 1,
-            solver_fallbacks: 1,
             micros: 420,
         }
     }
@@ -581,8 +574,6 @@ mod tests {
         assert_eq!(reg.counter("installs_total"), 3);
         assert_eq!(reg.counter("installs_dirty_total"), 1);
         assert_eq!(reg.counter("cache_hits_total"), 6);
-        assert_eq!(reg.counter("lowered_hits_total"), 3);
-        assert_eq!(reg.counter("solver_fallbacks_total"), 3);
         assert_eq!(reg.counter("threats_total"), 1);
         let table = reg.interference_table();
         assert_eq!(table[0].0, "A", "A has the higher interference rate");
@@ -602,13 +593,11 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.lock().fold(&TelemetryEvent::CacheProbe {
             hit: true,
-            tier: "lowered",
             micros: 3,
             weight: 64,
         });
         reg.lock().fold(&TelemetryEvent::CacheProbe {
             hit: false,
-            tier: "solver",
             micros: 9_000,
             weight: 1,
         });

@@ -89,16 +89,14 @@ fn render_install(report: &homeguard_core::InstallReport) -> String {
         .collect();
     threats.sort();
     format!(
-        "install app={} installed={} threats={:?} pairs={} solves={} hits={} misses={} lowered={} fallbacks={}",
+        "install app={} installed={} threats={:?} pairs={} solves={} hits={} misses={}",
         report.app,
         report.installed,
         threats,
         report.stats.pairs,
         report.stats.solves,
         report.stats.cache_hits,
-        report.stats.cache_misses,
-        report.stats.lowered_hits,
-        report.stats.solver_fallbacks
+        report.stats.cache_misses
     )
 }
 
@@ -157,25 +155,37 @@ fn attached_bus_changes_no_report_and_no_persisted_byte() {
     assert_eq!(registry.counter("snapshots_total"), 1);
     assert_eq!(hub.bus().published(), events.len() as u64);
 
-    // The pair-check tier counters reconcile exactly too: the registry's
-    // totals equal the sum of the per-install payloads the bus carried,
-    // and the lowered tier really answered checks during the churn (the
-    // AR pairs here are simple attribute comparisons, squarely inside
-    // the lowered fragment).
-    let sum = |f: fn(&TelemetryEvent) -> u64| events.iter().map(|(_, e)| f(e)).sum::<u64>();
-    let lowered = sum(|e| match e {
-        TelemetryEvent::InstallCompleted { lowered_hits, .. } => *lowered_hits,
-        _ => 0,
-    });
-    let fallbacks = sum(|e| match e {
-        TelemetryEvent::InstallCompleted {
-            solver_fallbacks, ..
-        } => *solver_fallbacks,
-        _ => 0,
-    });
-    assert_eq!(registry.counter("lowered_hits_total"), lowered);
-    assert_eq!(registry.counter("solver_fallbacks_total"), fallbacks);
-    assert!(lowered > 0, "churn pairs must hit the lowered tier");
+    // The detection counters reconcile exactly too: each registry total
+    // equals the sum of the per-install payloads the bus carried. The
+    // churn must produce both verdict-cache misses (the first home to ask
+    // a pair) and hits (its neighbors asking the same pair), and every
+    // pair check is one or the other.
+    let mut sums = [0u64; 4];
+    for (_, event) in &events {
+        if let TelemetryEvent::InstallCompleted {
+            pairs,
+            solves,
+            cache_hits,
+            cache_misses,
+            ..
+        } = event
+        {
+            for (sum, n) in sums
+                .iter_mut()
+                .zip([pairs, solves, cache_hits, cache_misses])
+            {
+                *sum += n;
+            }
+        }
+    }
+    let [pairs, solves, hits, misses] = sums;
+    assert_eq!(registry.counter("pairs_checked_total"), pairs);
+    assert_eq!(registry.counter("solves_total"), solves);
+    assert_eq!(registry.counter("cache_hits_total"), hits);
+    assert_eq!(registry.counter("cache_misses_total"), misses);
+    assert!(hits > 0, "neighbor homes must hit the verdict cache");
+    assert!(misses > 0, "the first home to ask a pair must miss");
+    assert_eq!(hits + misses, pairs, "every pair check hits or misses");
 
     // The silent fleet's mediation accessors work without any bus.
     assert_eq!(silent.mediation_stats().events, 0);
