@@ -1,224 +1,209 @@
 //! Delta checkpoints and their materialization into a full fleet image.
 //!
 //! A checkpoint freezes the fleet's ground truth **as of a journal
-//! offset**: the first one in a chain is always full (store + every
-//! home); later ones are deltas carrying only the homes dirtied — and the
-//! store, if touched — since the previous checkpoint, plus the ids of
-//! homes removed. Folding the chain left to right
-//! ([`materialize`]) reproduces the complete image the newest checkpoint
+//! offset**: the first one in a chain is always full (a whole
+//! [`FleetSnapshot`]); later ones are deltas carrying only the homes
+//! dirtied — and the store, if touched — since the previous checkpoint,
+//! plus the ids of homes removed. Folding the chain left to right
+//! ([`materialize`]) reproduces the fleet snapshot the newest checkpoint
 //! covers, and replaying journal records at offsets `>= offset` on top of
 //! it reproduces the live fleet.
 
 use hg_persist::codec::{
-    home_state_from_json, home_state_to_json, store_state_from_json, store_state_to_json,
+    homes_from_json, homes_to_json, store_state_from_json, store_state_to_json,
 };
+use hg_persist::FleetSnapshot;
 use hg_rules::json::Json;
-use homeguard_core::{HgError, HomeState, StoreState};
+use homeguard_core::{HgError, HomeId, HomeState, StoreState};
 use std::collections::BTreeMap;
 
 use crate::record::journal_err;
 
 /// Checkpoint document format version, checked on decode.
-pub const CHECKPOINT_VERSION: i64 = 1;
+pub const CHECKPOINT_VERSION: i64 = 2;
 
 /// One checkpoint document: the fleet's ground truth (full) or the
-/// dirtied part of it (delta) as of a journal offset.
+/// dirtied part of it (delta) as of a journal offset. Every record at an
+/// offset `< offset` is folded in; replay resumes at `offset`.
 #[derive(Debug, Clone)]
-pub struct Checkpoint {
-    /// Journal offset this checkpoint covers: every record at an offset
-    /// `< offset` is folded in; replay resumes at `offset`.
-    pub offset: u64,
-    /// Whether this is a full image (chain base) or a delta.
-    pub full: bool,
-    /// Fleet shard count (registry routing parameter).
-    pub shards: usize,
-    /// The fleet's next home id.
-    pub next_id: u64,
-    /// The shared rule store's state; always present when `full`, present
-    /// in a delta only when store records landed since the previous
-    /// checkpoint.
-    pub store: Option<StoreState>,
-    /// `(raw id, ground truth)` for every home covered: all homes when
-    /// `full`, dirtied homes otherwise.
-    pub homes: Vec<(u64, HomeState)>,
-    /// Raw ids of homes removed since the previous checkpoint.
-    pub removed: Vec<u64>,
+pub enum Checkpoint {
+    /// A chain base: the whole fleet.
+    Full {
+        /// Journal offset this checkpoint covers.
+        offset: u64,
+        /// The fleet image.
+        fleet: FleetSnapshot,
+    },
+    /// What changed since the previous checkpoint.
+    Delta {
+        /// Journal offset this checkpoint covers.
+        offset: u64,
+        /// The fleet's next home id.
+        next_id: u64,
+        /// The shared rule store's state, present only when store
+        /// records landed since the previous checkpoint.
+        store: Option<StoreState>,
+        /// Every home dirtied since the previous checkpoint.
+        homes: Vec<(HomeId, HomeState)>,
+        /// Raw ids of homes removed since the previous checkpoint.
+        removed: Vec<u64>,
+    },
 }
 
 impl Checkpoint {
+    /// Journal offset this checkpoint covers.
+    pub fn offset(&self) -> u64 {
+        match self {
+            Checkpoint::Full { offset, .. } | Checkpoint::Delta { offset, .. } => *offset,
+        }
+    }
+
     /// Serializes to the checkpoint document text.
     pub fn to_text(&self) -> String {
-        Json::obj([
+        let mut fields = vec![
             ("version", Json::Num(CHECKPOINT_VERSION)),
             ("kind", Json::str("journal-checkpoint")),
-            ("offset", Json::Num(self.offset as i64)),
-            ("full", Json::Bool(self.full)),
-            ("shards", Json::Num(self.shards as i64)),
-            ("nextId", Json::Num(self.next_id as i64)),
-            (
-                "store",
-                self.store
-                    .as_ref()
-                    .map(store_state_to_json)
-                    .unwrap_or(Json::Null),
-            ),
-            (
-                "homes",
-                Json::Arr(
-                    self.homes
-                        .iter()
-                        .map(|(id, state)| {
-                            Json::obj([
-                                ("id", Json::Num(*id as i64)),
-                                ("state", home_state_to_json(state)),
-                            ])
-                        })
-                        .collect(),
+            ("offset", Json::Num(self.offset() as i64)),
+        ];
+        match self {
+            Checkpoint::Full { fleet, .. } => {
+                fields.extend([("full", Json::Bool(true)), ("fleet", fleet.to_json())])
+            }
+            Checkpoint::Delta {
+                next_id,
+                store,
+                homes,
+                removed,
+                ..
+            } => fields.extend([
+                ("full", Json::Bool(false)),
+                ("nextId", Json::Num(*next_id as i64)),
+                (
+                    "store",
+                    store
+                        .as_ref()
+                        .map(store_state_to_json)
+                        .unwrap_or(Json::Null),
                 ),
-            ),
-            (
-                "removed",
-                Json::Arr(self.removed.iter().map(|&r| Json::Num(r as i64)).collect()),
-            ),
-        ])
-        .to_text()
+                ("homes", homes_to_json(homes)),
+                (
+                    "removed",
+                    Json::Arr(removed.iter().map(|&r| Json::Num(r as i64)).collect()),
+                ),
+            ]),
+        }
+        Json::obj(fields).to_text()
     }
 
     /// Decodes a checkpoint document.
     pub fn from_text(text: &str) -> Result<Checkpoint, HgError> {
         let j = Json::parse(text).map_err(|e| journal_err(format!("checkpoint parse: {e}")))?;
-        if j.get("version").and_then(Json::as_num) != Some(CHECKPOINT_VERSION) {
-            return Err(journal_err("unsupported checkpoint version"));
+        match j.get("version").and_then(Json::as_num) {
+            Some(CHECKPOINT_VERSION) => {}
+            Some(v) => {
+                return Err(journal_err(format!(
+                    "unsupported checkpoint version {v} (this build reads {CHECKPOINT_VERSION})"
+                )))
+            }
+            None => return Err(journal_err("checkpoint missing `version`")),
         }
         if j.get("kind").and_then(Json::as_str) != Some("journal-checkpoint") {
             return Err(journal_err("not a journal checkpoint document"));
         }
-        let num = |field: &str| -> Result<i64, HgError> {
-            let n = j
-                .get(field)
-                .and_then(Json::as_num)
-                .ok_or_else(|| journal_err(format!("checkpoint missing `{field}`")))?;
+        let field = |name: &str| {
+            j.get(name)
+                .ok_or_else(|| journal_err(format!("checkpoint missing `{name}`")))
+        };
+        let num = |name: &str| -> Result<u64, HgError> {
+            let n = field(name)?
+                .as_num()
+                .ok_or_else(|| journal_err(format!("checkpoint `{name}` not a number")))?;
             if n < 0 {
-                return Err(journal_err(format!("negative checkpoint `{field}`")));
+                return Err(journal_err(format!("negative checkpoint `{name}`")));
             }
-            Ok(n)
+            Ok(n as u64)
         };
-        let full = match j.get("full") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err(journal_err("checkpoint missing `full`")),
-        };
-        let store = match j.get("store") {
-            None | Some(Json::Null) => None,
-            Some(s) => Some(store_state_from_json(s).map_err(|e| journal_err(e.to_string()))?),
-        };
-        if full && store.is_none() {
-            return Err(journal_err("full checkpoint missing store state"));
+        let persist = |e: HgError| journal_err(e.to_string());
+        let offset = num("offset")?;
+        match field("full")? {
+            Json::Bool(true) => Ok(Checkpoint::Full {
+                offset,
+                fleet: FleetSnapshot::from_json(field("fleet")?).map_err(persist)?,
+            }),
+            Json::Bool(false) => Ok(Checkpoint::Delta {
+                offset,
+                next_id: num("nextId")?,
+                store: match field("store")? {
+                    Json::Null => None,
+                    s => Some(store_state_from_json(s).map_err(persist)?),
+                },
+                homes: homes_from_json(field("homes")?).map_err(persist)?,
+                removed: field("removed")?
+                    .as_arr()
+                    .ok_or_else(|| journal_err("checkpoint `removed` not an array"))?
+                    .iter()
+                    .map(|r| {
+                        r.as_num()
+                            .filter(|&n| n >= 0)
+                            .map(|n| n as u64)
+                            .ok_or_else(|| journal_err("bad removed id in checkpoint"))
+                    })
+                    .collect::<Result<_, _>>()?,
+            }),
+            _ => Err(journal_err("checkpoint `full` not a boolean")),
         }
-        let mut homes = Vec::new();
-        for entry in j
-            .get("homes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| journal_err("checkpoint missing `homes`"))?
-        {
-            let id = entry
-                .get("id")
-                .and_then(Json::as_num)
-                .filter(|&n| n >= 0)
-                .ok_or_else(|| journal_err("bad home id in checkpoint"))?;
-            let state = home_state_from_json(
-                entry
-                    .get("state")
-                    .ok_or_else(|| journal_err("checkpoint home missing state"))?,
-            )
-            .map_err(|e| journal_err(e.to_string()))?;
-            homes.push((id as u64, state));
-        }
-        let removed = j
-            .get("removed")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| journal_err("checkpoint missing `removed`"))?
-            .iter()
-            .map(|r| {
-                r.as_num()
-                    .filter(|&n| n >= 0)
-                    .map(|n| n as u64)
-                    .ok_or_else(|| journal_err("bad removed id in checkpoint"))
-            })
-            .collect::<Result<_, _>>()?;
-        let shards = num("shards")? as usize;
-        if shards == 0 {
-            return Err(journal_err("checkpoint with zero shards"));
-        }
-        Ok(Checkpoint {
-            offset: num("offset")? as u64,
-            full,
-            shards,
-            next_id: num("nextId")? as u64,
-            store,
-            homes,
-            removed,
-        })
     }
-}
-
-/// A checkpoint chain folded into one complete fleet image.
-#[derive(Debug, Clone)]
-pub struct MaterializedFleet {
-    /// Journal offset replay resumes from.
-    pub offset: u64,
-    /// Fleet shard count.
-    pub shards: usize,
-    /// The fleet's next home id.
-    pub next_id: u64,
-    /// The shared rule store's state.
-    pub store: StoreState,
-    /// Every live home's ground truth, keyed by raw id.
-    pub homes: BTreeMap<u64, HomeState>,
 }
 
 /// Folds a checkpoint chain (ascending offsets, first one full) into the
-/// complete image as of the newest checkpoint's offset.
-pub fn materialize(chain: &[Checkpoint]) -> Result<MaterializedFleet, HgError> {
-    let base = chain
-        .first()
-        .ok_or_else(|| journal_err("empty checkpoint chain"))?;
-    if !base.full {
-        return Err(journal_err(format!(
-            "checkpoint chain does not start full (base covers offset {})",
-            base.offset
-        )));
-    }
-    let mut image = MaterializedFleet {
-        offset: base.offset,
-        shards: base.shards,
-        next_id: base.next_id,
-        store: base.store.clone().expect("full checkpoint carries a store"),
-        homes: BTreeMap::new(),
+/// fleet image as of the newest checkpoint's offset, returned with that
+/// offset.
+pub fn materialize(chain: Vec<Checkpoint>) -> Result<(u64, FleetSnapshot), HgError> {
+    let mut chain = chain.into_iter();
+    let (mut at, mut fleet) = match chain.next() {
+        Some(Checkpoint::Full { offset, fleet }) => (offset, fleet),
+        Some(Checkpoint::Delta { offset, .. }) => {
+            return Err(journal_err(format!(
+                "checkpoint chain does not start full (base covers offset {offset})"
+            )))
+        }
+        None => return Err(journal_err("empty checkpoint chain")),
     };
+    let mut homes: BTreeMap<HomeId, HomeState> =
+        std::mem::take(&mut fleet.homes).into_iter().collect();
     for ckpt in chain {
-        if ckpt.offset < image.offset {
+        if ckpt.offset() < at {
             return Err(journal_err(format!(
                 "checkpoint chain offsets regress at {}",
-                ckpt.offset
+                ckpt.offset()
             )));
         }
-        if ckpt.full {
-            image.homes.clear();
+        at = ckpt.offset();
+        match ckpt {
+            Checkpoint::Full { fleet: base, .. } => {
+                fleet = base;
+                homes = std::mem::take(&mut fleet.homes).into_iter().collect();
+            }
+            Checkpoint::Delta {
+                next_id,
+                store,
+                homes: dirtied,
+                removed,
+                ..
+            } => {
+                fleet.next_id = next_id;
+                if let Some(store) = store {
+                    fleet.store = store;
+                }
+                homes.extend(dirtied);
+                for id in removed {
+                    homes.remove(&HomeId::new(id));
+                }
+            }
         }
-        if let Some(store) = &ckpt.store {
-            image.store = store.clone();
-        }
-        for (id, state) in &ckpt.homes {
-            image.homes.insert(*id, state.clone());
-        }
-        for id in &ckpt.removed {
-            image.homes.remove(id);
-        }
-        image.offset = ckpt.offset;
-        image.shards = ckpt.shards;
-        image.next_id = ckpt.next_id;
     }
-    Ok(image)
+    fleet.homes = homes.into_iter().collect();
+    Ok((at, fleet))
 }
 
 #[cfg(test)]
@@ -236,6 +221,10 @@ mod tests {
         (home.export_state(), store.export_state(), store)
     }
 
+    fn id(raw: u64) -> HomeId {
+        HomeId::new(raw)
+    }
+
     const ON_APP: &str = r#"
         definition(name: "OnApp")
         input "m", "capability.motionSensor"
@@ -247,27 +236,78 @@ mod tests {
     #[test]
     fn checkpoints_round_trip() {
         let (state, store, _) = state_with(&[("OnApp", ON_APP)]);
-        let ckpt = Checkpoint {
-            offset: 12,
-            full: true,
+        let fleet = FleetSnapshot {
             shards: 4,
             next_id: 9,
+            store: store.clone(),
+            homes: vec![(id(3), state.clone())],
+        };
+        let full = Checkpoint::Full {
+            offset: 12,
+            fleet: fleet.clone(),
+        };
+        let delta = Checkpoint::Delta {
+            offset: 15,
+            next_id: 10,
             store: Some(store),
-            homes: vec![(3, state)],
+            homes: vec![(id(3), state)],
             removed: vec![7],
         };
-        let back = Checkpoint::from_text(&ckpt.to_text()).unwrap();
-        assert_eq!(back.offset, 12);
-        assert!(back.full);
-        assert_eq!(back.shards, 4);
-        assert_eq!(back.next_id, 9);
-        assert_eq!(back.removed, vec![7]);
-        assert_eq!(back.homes.len(), 1);
-        assert_eq!(back.homes[0].0, 3);
-        assert_eq!(back.homes[0].1, ckpt.homes[0].1);
-        // Document-level refusals.
+        for ckpt in [&full, &delta] {
+            let text = ckpt.to_text();
+            let back = Checkpoint::from_text(&text).unwrap();
+            assert_eq!(back.offset(), ckpt.offset());
+            // Every field is encoded, so a field lost in decoding breaks
+            // the fixed point.
+            assert_eq!(back.to_text(), text);
+        }
+        // The full document's fleet object is the snapshot payload itself.
+        let doc = Json::parse(&full.to_text()).unwrap();
+        let embedded = FleetSnapshot::from_json(doc.get("fleet").unwrap()).unwrap();
+        assert_eq!(embedded.to_text(), fleet.to_text());
+        let text = delta.to_text();
+        // Document-level refusals, including a version-1 document.
         assert!(Checkpoint::from_text("garbage").is_err());
-        assert!(Checkpoint::from_text("{\"version\":1,\"kind\":\"store\"}").is_err());
+        assert!(Checkpoint::from_text("{\"version\":2,\"kind\":\"store\"}").is_err());
+        match Checkpoint::from_text(&text.replacen("\"version\":2", "\"version\":1", 1)) {
+            Err(HgError::Journal(detail)) => {
+                assert!(
+                    detail.contains("unsupported checkpoint version 1"),
+                    "{detail}"
+                )
+            }
+            other => panic!("expected a typed journal error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn duplicate_home_ids_are_refused_in_full_and_delta_documents() {
+        let (state, store, _) = state_with(&[("OnApp", ON_APP)]);
+        let twice = vec![(id(3), state.clone()), (id(3), state)];
+        let full = Checkpoint::Full {
+            offset: 4,
+            fleet: FleetSnapshot {
+                shards: 1,
+                next_id: 4,
+                store,
+                homes: twice.clone(),
+            },
+        };
+        let delta = Checkpoint::Delta {
+            offset: 4,
+            next_id: 4,
+            store: None,
+            homes: twice,
+            removed: Vec::new(),
+        };
+        for ckpt in [full, delta] {
+            match Checkpoint::from_text(&ckpt.to_text()) {
+                Err(HgError::Journal(detail)) => {
+                    assert!(detail.contains("duplicate home id"), "{detail}")
+                }
+                other => panic!("a home listed twice must be refused, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -277,37 +317,35 @@ mod tests {
         let state_b0 = home_b.export_state();
         home_b.install_app(ON_APP, "OnApp", None).unwrap();
         let state_b1 = home_b.export_state();
-        let chain = [
-            Checkpoint {
+        let chain = vec![
+            Checkpoint::Full {
                 offset: 2,
-                full: true,
-                shards: 2,
-                next_id: 2,
-                store: Some(store.clone()),
-                homes: vec![(0, state_a.clone()), (1, state_b0)],
-                removed: Vec::new(),
+                fleet: FleetSnapshot {
+                    shards: 2,
+                    next_id: 2,
+                    store,
+                    homes: vec![(id(0), state_a.clone()), (id(1), state_b0)],
+                },
             },
-            Checkpoint {
+            Checkpoint::Delta {
                 offset: 5,
-                full: false,
-                shards: 2,
                 next_id: 3,
                 store: None,
-                homes: vec![(1, state_b1.clone()), (2, state_a.clone())],
+                homes: vec![(id(1), state_b1.clone()), (id(2), state_a.clone())],
                 removed: vec![0],
             },
         ];
-        let image = materialize(&chain).unwrap();
-        assert_eq!(image.offset, 5);
+        let (offset, image) = materialize(chain.clone()).unwrap();
+        assert_eq!(offset, 5);
         assert_eq!(image.next_id, 3);
+        assert_eq!(image.shards, 2);
         assert_eq!(
-            image.homes.keys().copied().collect::<Vec<_>>(),
-            vec![1, 2],
+            image.homes,
+            vec![(id(1), state_b1), (id(2), state_a)],
             "home 0 removed, homes 1-2 live"
         );
-        assert_eq!(image.homes[&1], state_b1);
         // A chain that does not start full is refused.
-        assert!(materialize(&chain[1..]).is_err());
-        assert!(materialize(&[]).is_err());
+        assert!(materialize(chain[1..].to_vec()).is_err());
+        assert!(materialize(Vec::new()).is_err());
     }
 }

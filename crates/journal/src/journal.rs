@@ -34,6 +34,7 @@
 //! fresh **full** checkpoint onto the recovered backend, so replay never
 //! crosses the quarantine gap.
 
+use hg_persist::FleetSnapshot;
 use hg_telemetry::{TelemetryBus, TelemetryEvent};
 use homeguard_core::HgError;
 use std::collections::BTreeSet;
@@ -43,7 +44,7 @@ use std::sync::{
 use std::time::{Duration, Instant};
 
 use crate::backend::{BackendError, JournalBackend};
-use crate::checkpoint::{materialize, Checkpoint, MaterializedFleet};
+use crate::checkpoint::{materialize, Checkpoint};
 use crate::frame::{encode_frame, scan_frames};
 use crate::record::{journal_err, JournalRecord};
 
@@ -156,6 +157,21 @@ pub struct CheckpointStats {
     pub full: bool,
     /// Wall-clock write time in microseconds.
     pub micros: u64,
+}
+
+impl CheckpointStats {
+    fn of(ckpt: &Checkpoint, started: Instant) -> CheckpointStats {
+        let (full, homes) = match ckpt {
+            Checkpoint::Full { fleet, .. } => (true, fleet.homes.len()),
+            Checkpoint::Delta { homes, .. } => (false, homes.len()),
+        };
+        CheckpointStats {
+            offset: ckpt.offset(),
+            homes: homes as u64,
+            full,
+            micros: started.elapsed().as_micros() as u64,
+        }
+    }
 }
 
 /// Summary returned by [`Journal::compact`].
@@ -538,35 +554,31 @@ impl Journal {
     /// Re-arms a quarantined journal onto a recovered backend.
     ///
     /// The caller must hold [`gate_exclusive`](Journal::gate_exclusive)
-    /// and pass a **full** checkpoint of the *current* fleet state at
-    /// exactly [`next_offset`](Journal::next_offset) (the fleet-side
-    /// wrapper is `Fleet::heal_journal`). Heal first repairs the tail
-    /// segment — proving the backend works again and cutting any bytes
-    /// a failed append left behind — then writes the checkpoint and
-    /// syncs it down. Only then is the quarantine cleared; replay never
-    /// crosses the gap because the fresh full checkpoint covers
-    /// everything before it, journaled or not. Any failure leaves the
-    /// journal quarantined.
+    /// and pass a snapshot of the *current* fleet state at exactly
+    /// [`next_offset`](Journal::next_offset) (the fleet-side wrapper is
+    /// `Fleet::heal_journal`). Heal first repairs the tail segment —
+    /// proving the backend works again and cutting any bytes a failed
+    /// append left behind — then writes the snapshot as a full
+    /// checkpoint and syncs it down. Only then is the quarantine cleared;
+    /// replay never crosses the gap because the fresh full checkpoint
+    /// covers everything before it, journaled or not. Any failure leaves
+    /// the journal quarantined.
     ///
     /// # Errors
     ///
-    /// [`HgError::Journal`] when not quarantined, when the checkpoint
-    /// is not a full image at `next_offset`, or when the backend is
-    /// still failing.
-    pub fn heal(&self, ckpt: &Checkpoint) -> Result<CheckpointStats, HgError> {
+    /// [`HgError::Journal`] when not quarantined, when `offset` is not
+    /// `next_offset`, or when the backend is still failing.
+    pub fn heal(&self, offset: u64, fleet: FleetSnapshot) -> Result<CheckpointStats, HgError> {
         let started = Instant::now();
-        if !ckpt.full {
-            return Err(journal_err("heal requires a full checkpoint"));
-        }
         let (tail_start, tail_bytes) = {
             let inner = self.lock();
             if inner.quarantined.is_none() {
                 return Err(journal_err("journal is not quarantined"));
             }
-            if ckpt.offset != inner.next_offset {
+            if offset != inner.next_offset {
                 return Err(journal_err(format!(
-                    "heal checkpoint covers offset {} but the journal is at {}",
-                    ckpt.offset, inner.next_offset
+                    "heal checkpoint covers offset {offset} but the journal is at {}",
+                    inner.next_offset
                 )));
             }
             (inner.tail_start, inner.tail_bytes)
@@ -574,8 +586,8 @@ impl Journal {
         self.repair_tail(tail_start, tail_bytes).map_err(|e| {
             journal_err(format!("heal: tail repair failed, still quarantined: {e}"))
         })?;
-        let text = ckpt.to_text();
-        self.write_checkpoint_retrying(ckpt.offset, &text)
+        let ckpt = Checkpoint::Full { offset, fleet };
+        self.write_checkpoint_retrying(offset, &ckpt.to_text())
             .map_err(|e| {
                 journal_err(format!(
                     "heal: checkpoint write failed, still quarantined: {e}"
@@ -585,23 +597,12 @@ impl Journal {
             .sync()
             .map_err(|e| journal_err(format!("heal: sync failed, still quarantined: {e}")))?;
         let mut inner = self.lock();
-        if inner.checkpoints.last() != Some(&ckpt.offset) {
-            inner.checkpoints.push(ckpt.offset);
-            inner.checkpoints.sort_unstable();
-        }
-        inner.dirty.clear();
-        inner.removed.clear();
-        inner.store_dirty = false;
+        note_checkpoint(&mut inner, offset);
         inner.quarantined = None;
         inner.synced_offset = inner.next_offset;
         inner.heals += 1;
         drop(inner);
-        let stats = CheckpointStats {
-            offset: ckpt.offset,
-            homes: ckpt.homes.len() as u64,
-            full: true,
-            micros: started.elapsed().as_micros() as u64,
-        };
+        let stats = CheckpointStats::of(&ckpt, started);
         self.publish(TelemetryEvent::JournalHealed {
             offset: stats.offset,
         });
@@ -703,7 +704,7 @@ impl Journal {
     ///
     /// The caller (the fleet's checkpoint path) is responsible for
     /// holding [`gate_exclusive`](Journal::gate_exclusive) while it
-    /// exported the states, and for `ckpt.offset == next_offset()` under
+    /// exported the states, and for `ckpt.offset() == next_offset()` under
     /// that gate.
     ///
     /// # Errors
@@ -722,24 +723,10 @@ impl Journal {
                 )));
             }
         }
-        let text = ckpt.to_text();
-        self.write_checkpoint_retrying(ckpt.offset, &text)
+        self.write_checkpoint_retrying(ckpt.offset(), &ckpt.to_text())
             .map_err(berr)?;
-        let mut inner = self.lock();
-        if inner.checkpoints.last() != Some(&ckpt.offset) {
-            inner.checkpoints.push(ckpt.offset);
-            inner.checkpoints.sort_unstable();
-        }
-        inner.dirty.clear();
-        inner.removed.clear();
-        inner.store_dirty = false;
-        drop(inner);
-        let stats = CheckpointStats {
-            offset: ckpt.offset,
-            homes: ckpt.homes.len() as u64,
-            full: ckpt.full,
-            micros: started.elapsed().as_micros() as u64,
-        };
+        note_checkpoint(&mut self.lock(), ckpt.offset());
+        let stats = CheckpointStats::of(ckpt, started);
         self.publish(TelemetryEvent::JournalCheckpoint {
             offset: stats.offset,
             homes: stats.homes,
@@ -765,15 +752,15 @@ impl Journal {
             .collect()
     }
 
-    /// Folds the stored checkpoint chain into one complete fleet image
-    /// (recovery's starting point).
+    /// Folds the stored checkpoint chain into one fleet snapshot, with
+    /// the offset replay resumes from (recovery's starting point).
     ///
     /// # Errors
     ///
     /// [`HgError::Journal`] when no checkpoint exists or the chain is
     /// damaged.
-    pub fn materialize(&self) -> Result<MaterializedFleet, HgError> {
-        materialize(&self.checkpoint_chain()?)
+    pub fn materialize(&self) -> Result<(u64, FleetSnapshot), HgError> {
+        materialize(self.checkpoint_chain()?)
     }
 
     /// Compacts the journal: folds the checkpoint chain into a single
@@ -796,24 +783,15 @@ impl Journal {
         if chain.is_empty() {
             return Err(journal_err("nothing to compact: no checkpoints"));
         }
-        let folded = materialize(&chain)?;
-        let full = Checkpoint {
-            offset: folded.offset,
-            full: true,
-            shards: folded.shards,
-            next_id: folded.next_id,
-            store: Some(folded.store),
-            homes: folded.homes.into_iter().collect(),
-            removed: Vec::new(),
-        };
-        let text = full.to_text();
-        self.backend
-            .write_checkpoint(full.offset, &text)
+        let folded: Vec<u64> = chain.iter().map(Checkpoint::offset).collect();
+        let (offset, fleet) = materialize(chain)?;
+        let full = Checkpoint::Full { offset, fleet };
+        self.write_checkpoint_retrying(offset, &full.to_text())
             .map_err(berr)?;
         let mut dropped_ckpts = 0u64;
-        for ckpt in &chain {
-            if ckpt.offset != full.offset {
-                self.backend.remove_checkpoint(ckpt.offset).map_err(berr)?;
+        for &at in &folded {
+            if at != offset {
+                self.backend.remove_checkpoint(at).map_err(berr)?;
                 dropped_ckpts += 1;
             }
         }
@@ -825,17 +803,17 @@ impl Journal {
         let mut dropped_segs = 0u64;
         for (i, &start) in starts.iter().enumerate() {
             let end = starts.get(i + 1).copied().unwrap_or(inner.next_offset);
-            if end <= full.offset && start != inner.tail_start {
+            if end <= offset && start != inner.tail_start {
                 self.backend.remove_segment(start).map_err(berr)?;
                 dropped_segs += 1;
             }
         }
-        inner.checkpoints = vec![full.offset];
+        inner.checkpoints = vec![offset];
         drop(inner);
         Ok(CompactStats {
             checkpoints_folded: dropped_ckpts,
             segments_dropped: dropped_segs,
-            offset: full.offset,
+            offset,
         })
     }
 
@@ -926,6 +904,18 @@ impl Journal {
     }
 }
 
+/// Records a checkpoint written at `offset` and resets the dirty
+/// bookkeeping it covers.
+fn note_checkpoint(inner: &mut JournalInner, offset: u64) {
+    if inner.checkpoints.last() != Some(&offset) {
+        inner.checkpoints.push(offset);
+        inner.checkpoints.sort_unstable();
+    }
+    inner.dirty.clear();
+    inner.removed.clear();
+    inner.store_dirty = false;
+}
+
 fn note_dirty(inner: &mut JournalInner, record: &JournalRecord) {
     for id in record.dirtied_homes() {
         inner.dirty.insert(id);
@@ -957,6 +947,25 @@ mod tests {
         JournalConfig {
             backoff_micros: 0,
             ..JournalConfig::default()
+        }
+    }
+
+    fn empty_fleet() -> FleetSnapshot {
+        FleetSnapshot {
+            shards: 1,
+            next_id: 0,
+            store: homeguard_core::RuleStore::new().export_state(),
+            homes: Vec::new(),
+        }
+    }
+
+    fn empty_delta(offset: u64) -> Checkpoint {
+        Checkpoint::Delta {
+            offset,
+            next_id: 0,
+            store: None,
+            homes: Vec::new(),
+            removed: Vec::new(),
         }
     }
 
@@ -1028,14 +1037,12 @@ mod tests {
         assert_eq!(removed, vec![1]);
         assert!(store_dirty);
         journal
-            .checkpoint_write(&Checkpoint {
+            .checkpoint_write(&Checkpoint::Full {
                 offset: journal.next_offset(),
-                full: true,
-                shards: 1,
-                next_id: 2,
-                store: Some(homeguard_core::RuleStore::new().export_state()),
-                homes: Vec::new(),
-                removed: Vec::new(),
+                fleet: FleetSnapshot {
+                    next_id: 2,
+                    ..empty_fleet()
+                },
             })
             .unwrap();
         let (dirty, removed, store_dirty) = journal.dirty_set();
@@ -1054,32 +1061,16 @@ mod tests {
             },
         )
         .unwrap();
-        let store = homeguard_core::RuleStore::new().export_state();
         journal
-            .checkpoint_write(&Checkpoint {
+            .checkpoint_write(&Checkpoint::Full {
                 offset: 0,
-                full: true,
-                shards: 1,
-                next_id: 0,
-                store: Some(store.clone()),
-                homes: Vec::new(),
-                removed: Vec::new(),
+                fleet: empty_fleet(),
             })
             .unwrap();
         for n in 0..6 {
             journal.append(&rec(n)).unwrap();
         }
-        journal
-            .checkpoint_write(&Checkpoint {
-                offset: 6,
-                full: false,
-                shards: 1,
-                next_id: 0,
-                store: None,
-                homes: Vec::new(),
-                removed: Vec::new(),
-            })
-            .unwrap();
+        journal.checkpoint_write(&empty_delta(6)).unwrap();
         let before_segments = mem.segments().unwrap().len();
         assert!(before_segments > 1);
         let stats = journal.compact().unwrap();
@@ -1090,9 +1081,42 @@ mod tests {
         // The journal still opens and materializes after compaction.
         drop(journal);
         let reopened = Journal::open(Box::new(mem)).unwrap();
-        let image = reopened.materialize().unwrap();
-        assert_eq!(image.offset, 6);
-        assert!(reopened.records_from(image.offset).unwrap().is_empty());
+        let (offset, _) = reopened.materialize().unwrap();
+        assert_eq!(offset, 6);
+        assert!(reopened.records_from(offset).unwrap().is_empty());
+    }
+
+    #[test]
+    fn compaction_retries_a_transient_checkpoint_fault() {
+        let mem = MemBackend::new();
+        let fault = FaultBackend::new(mem.clone());
+        let journal = Journal::open_with(Box::new(fault.clone()), fast_config()).unwrap();
+        journal
+            .checkpoint_write(&Checkpoint::Full {
+                offset: 0,
+                fleet: empty_fleet(),
+            })
+            .unwrap();
+        for n in 0..3 {
+            journal.append(&rec(n)).unwrap();
+        }
+        // One transient fault on the next write: the delta's checkpoint
+        // write absorbs it by retrying...
+        fault.arm(FaultPlan::new().at(fault.ops(), FaultKind::Transient));
+        journal.checkpoint_write(&empty_delta(3)).unwrap();
+        assert_eq!(fault.injected(), 1);
+        // ...and so does the folded checkpoint compaction writes.
+        fault.arm(FaultPlan::new().at(fault.ops(), FaultKind::Transient));
+        let stats = journal.compact().unwrap();
+        assert_eq!(fault.injected(), 2);
+        assert_eq!(stats.offset, 3);
+        assert_eq!(stats.checkpoints_folded, 1);
+        assert!(!journal.is_quarantined());
+        drop(journal);
+        let reopened = Journal::open(Box::new(mem)).unwrap();
+        assert_eq!(reopened.checkpoint_count(), 1);
+        let (offset, _) = reopened.materialize().unwrap();
+        assert_eq!(offset, 3);
     }
 
     #[test]
@@ -1200,19 +1224,9 @@ mod tests {
         journal.append(&rec(0)).unwrap();
         journal.append(&rec(1)).unwrap_err();
         assert!(journal.is_quarantined());
-        // Heal before the backend recovers fails and stays quarantined.
-        let ckpt = Checkpoint {
-            offset: journal.next_offset(),
-            full: true,
-            shards: 1,
-            next_id: 0,
-            store: Some(homeguard_core::RuleStore::new().export_state()),
-            homes: Vec::new(),
-            removed: Vec::new(),
-        };
         // The disk recovers.
         fault.disarm();
-        journal.heal(&ckpt).unwrap();
+        journal.heal(journal.next_offset(), empty_fleet()).unwrap();
         assert!(!journal.is_quarantined());
         // The healed journal appends again and a reopen sees a clean
         // timeline: checkpoint at 1 plus the post-heal records.
@@ -1227,29 +1241,38 @@ mod tests {
     }
 
     #[test]
-    fn heal_requires_quarantine_and_a_full_checkpoint_at_next_offset() {
+    fn heal_requires_quarantine_and_the_next_offset() {
         let journal = Journal::open(Box::new(MemBackend::new())).unwrap();
-        let full_at = |offset| Checkpoint {
-            offset,
-            full: true,
-            shards: 1,
-            next_id: 0,
-            store: Some(homeguard_core::RuleStore::new().export_state()),
-            homes: Vec::new(),
-            removed: Vec::new(),
-        };
         assert!(journal
-            .heal(&full_at(0))
+            .heal(0, empty_fleet())
             .unwrap_err()
             .to_string()
             .contains("not quarantined"));
-        let mut delta = full_at(0);
-        delta.full = false;
-        assert!(journal
-            .heal(&delta)
-            .unwrap_err()
-            .to_string()
-            .contains("full checkpoint"));
+
+        let plan = FaultPlan::new().at(2, FaultKind::Permanent);
+        let fault = FaultBackend::with_plan(MemBackend::new(), plan);
+        let journal = Journal::open_with(Box::new(fault.clone()), fast_config()).unwrap();
+        journal.append(&rec(0)).unwrap();
+        journal.append(&rec(1)).unwrap();
+        journal.append(&rec(2)).unwrap_err();
+        assert!(journal.is_quarantined());
+        assert_eq!(journal.next_offset(), 2);
+        fault.disarm();
+        // A stale offset is refused even on a working backend, naming
+        // both offsets, and the quarantine stands.
+        match journal.heal(1, empty_fleet()) {
+            Err(HgError::Journal(detail)) => {
+                assert!(
+                    detail.contains("offset 1") && detail.contains("at 2"),
+                    "{detail}"
+                )
+            }
+            other => panic!("a stale heal must be refused, got {other:?}"),
+        }
+        assert!(journal.is_quarantined());
+        journal.heal(2, empty_fleet()).unwrap();
+        assert!(!journal.is_quarantined());
+        assert_eq!(journal.last_checkpoint_offset(), Some(2));
     }
 
     #[test]
@@ -1264,14 +1287,9 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("quarantined"));
-        let ckpt = Checkpoint {
+        let ckpt = Checkpoint::Full {
             offset: 0,
-            full: true,
-            shards: 1,
-            next_id: 0,
-            store: Some(homeguard_core::RuleStore::new().export_state()),
-            homes: Vec::new(),
-            removed: Vec::new(),
+            fleet: empty_fleet(),
         };
         assert!(journal
             .checkpoint_write(&ckpt)

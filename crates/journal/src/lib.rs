@@ -11,11 +11,12 @@
 //!   ingest/retire). Records are framed with per-record CRC-32 checksums
 //!   ([`frame`]); segments rotate by size; opening a journal verifies
 //!   every frame and **truncates a torn tail** instead of panicking.
-//! * **[`Checkpoint`]** — full or delta images of the fleet's ground
-//!   truth as of a journal offset, built on the same snapshot codecs the
-//!   fleet snapshot uses. [`materialize`] folds a chain of them into one
-//!   complete image; [`Journal::compact`] folds the chain *and* deletes
-//!   the segments it covers.
+//! * **[`Checkpoint`]** — the fleet's ground truth as of a journal
+//!   offset: a full one holds a whole [`hg_persist::FleetSnapshot`], a
+//!   delta only what changed, in the snapshot's home-list codec.
+//!   [`materialize`] folds a chain of them into one fleet snapshot;
+//!   [`Journal::compact`] folds the chain *and* deletes the segments it
+//!   covers.
 //! * **[`JournalBackend`]** — pluggable storage: [`MemBackend`] (tests,
 //!   benches, crash forks) and [`DirBackend`] (a directory of
 //!   `seg-*.wal` / `ckpt-*.json` files).
@@ -54,7 +55,7 @@ pub mod record;
 pub mod scheduler;
 
 pub use backend::{BackendError, DirBackend, JournalBackend, MemBackend};
-pub use checkpoint::{materialize, Checkpoint, MaterializedFleet};
+pub use checkpoint::{materialize, Checkpoint};
 pub use fault::{FaultBackend, FaultKind, FaultPlan};
 pub use journal::{
     Admission, CheckpointStats, CompactStats, DegradedPolicy, Journal, JournalConfig, JournalState,

@@ -16,7 +16,8 @@ use hg_rules::rule::RuleId;
 use hg_runtime::{HandlingPolicy, PolicyTable};
 use hg_solver::Assignment;
 use hg_symexec::{AppAnalysis, ExtractorConfig, InputDecl, InputType};
-use homeguard_core::{HgError, HomeState, StoreAppState, StoreState, UnificationPolicy};
+use homeguard_core::{HgError, HomeId, HomeState, StoreAppState, StoreState, UnificationPolicy};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Builds the crate's uniform decode failure, [`HgError::Snapshot`].
@@ -636,4 +637,39 @@ pub fn home_state_from_json(j: &Json) -> Result<HomeState, HgError> {
                 .ok_or_else(|| snap_err("home missing handling"))?,
         )?,
     })
+}
+
+/// Encodes a list of homes as `[{"id", "home"}, ...]` — the home list of
+/// a fleet snapshot and of a delta checkpoint.
+pub fn homes_to_json(homes: &[(HomeId, HomeState)]) -> Json {
+    Json::Arr(
+        homes
+            .iter()
+            .map(|(id, state)| {
+                Json::obj([
+                    ("id", Json::Num(id.raw() as i64)),
+                    ("home", home_state_to_json(state)),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// Decodes a [`homes_to_json`] list, refusing a home id listed twice.
+pub fn homes_from_json(j: &Json) -> Result<Vec<(HomeId, HomeState)>, HgError> {
+    let mut seen = BTreeSet::new();
+    j.as_arr()
+        .ok_or_else(|| snap_err("homes not an array"))?
+        .iter()
+        .map(|entry| {
+            let id = HomeId::new(nonneg_field(entry, "id")? as u64);
+            if !seen.insert(id) {
+                return Err(snap_err(format!("duplicate home id {id}")));
+            }
+            let state = entry
+                .get("home")
+                .ok_or_else(|| snap_err("home entry missing state"))?;
+            Ok((id, home_state_from_json(state)?))
+        })
+        .collect()
 }

@@ -6,18 +6,19 @@
 //! the rule database, every Allowed list and all mediation state. This
 //! crate is the durability layer:
 //!
-//! * **Store snapshots** ([`store_to_text`] / [`store_from_text`]) — the
-//!   rule database with its cached analyses and live ingest fingerprints,
-//!   so a restarted store answers unchanged-source ingests from cache
-//!   (warm restart) instead of re-extracting the world.
 //! * **Home snapshots** ([`home_to_text`] / [`home_from_text`]) — one
 //!   session's ground truth: installed apps and rules, confirmed/Allowed
 //!   threat decisions, the configuration recorder and the handling-policy
 //!   table. This is the migration unit: export a home from one process,
 //!   import it into another fleet.
-//! * **Fleet snapshots** ([`FleetSnapshot`]) — the whole service: store +
-//!   every home + registry routing parameters, produced and consumed by
-//!   `hg_service::Fleet::{snapshot, restore}`.
+//! * **Fleet snapshots** ([`FleetSnapshot`]) — the whole service: the
+//!   rule store (database, cached analyses and live ingest fingerprints,
+//!   so a restarted store answers unchanged-source ingests from cache),
+//!   every home and the registry routing parameters, produced and
+//!   consumed by `hg_service::Fleet::{snapshot, restore}`. It is the only
+//!   whole-fleet image: `hg-journal`'s full checkpoints embed its payload
+//!   ([`FleetSnapshot::to_json`]), and its delta checkpoints reuse the
+//!   home-list codec ([`codec::homes_to_json`]).
 //!
 //! ## What is (deliberately) not serialized
 //!
@@ -33,7 +34,7 @@
 //! Snapshots are a single JSON document in the same hand-rolled codec the
 //! rule-store database uses ([`hg_rules::json`]); an app's rules appear in
 //! a snapshot as *exactly* the rule-file bytes the database holds. Every
-//! document carries `{"version": N, "kind": "store"|"home"|"fleet"}`;
+//! document carries `{"version": N, "kind": "home"|"fleet"}`;
 //! readers refuse an unknown version or kind — and any corrupt or garbage
 //! input — with a typed [`HgError::Snapshot`](homeguard_core::HgError),
 //! never a panic and never a half-applied restore.
@@ -70,4 +71,4 @@
 pub mod codec;
 pub mod snapshot;
 
-pub use snapshot::{home_from_text, home_to_text, store_from_text, store_to_text, FleetSnapshot};
+pub use snapshot::{home_from_text, home_to_text, FleetSnapshot};

@@ -1,5 +1,5 @@
-//! Snapshot envelopes: versioned, self-describing documents for a rule
-//! store, a single home session, or a whole fleet.
+//! Snapshot envelopes: versioned, self-describing documents for a single
+//! home session or a whole fleet.
 //!
 //! Every envelope carries the schema version
 //! ([`hg_rules::json::SCHEMA_VERSION`]) and a `kind` tag. Readers refuse a
@@ -44,21 +44,6 @@ fn open_envelope(text: &str, kind: &str) -> Result<Json, HgError> {
         .ok_or_else(|| codec::snap_err("missing payload"))
 }
 
-/// Serializes a store's exported state (see `RuleStore::export_state`).
-pub fn store_to_text(state: &StoreState) -> String {
-    envelope("store", codec::store_state_to_json(state)).to_text()
-}
-
-/// Parses a store snapshot back.
-///
-/// # Errors
-///
-/// [`HgError::Snapshot`] on corrupt bytes, a wrong schema version or kind,
-/// or a structurally invalid document.
-pub fn store_from_text(text: &str) -> Result<StoreState, HgError> {
-    codec::store_state_from_json(&open_envelope(text, "store")?)
-}
-
 /// Serializes one home session's exported state — the migration unit: a
 /// home exported here can be imported into a different process's fleet.
 pub fn home_to_text(state: &HomeState) -> String {
@@ -69,7 +54,8 @@ pub fn home_to_text(state: &HomeState) -> String {
 ///
 /// # Errors
 ///
-/// As [`store_from_text`].
+/// [`HgError::Snapshot`] on corrupt bytes, a wrong schema version or kind,
+/// or a structurally invalid document.
 pub fn home_from_text(text: &str) -> Result<HomeState, HgError> {
     codec::home_state_from_json(&open_envelope(text, "home")?)
 }
@@ -77,7 +63,9 @@ pub fn home_from_text(text: &str) -> Result<HomeState, HgError> {
 /// A whole-fleet snapshot: the shared store, every registered home's
 /// session state, and the registry's routing parameters. Produced by
 /// `Fleet::snapshot()`, consumed by `Fleet::restore()`; [`to_text`] /
-/// [`from_text`] are the durable byte form in between.
+/// [`from_text`] are the durable byte form in between. It is also the
+/// journal's whole-fleet image: a full checkpoint holds one, and folding
+/// a checkpoint chain yields one.
 ///
 /// A snapshot holds ground truth only, never telemetry: metrics counters
 /// reset when a fleet is restored, as Prometheus counters do on restart.
@@ -101,28 +89,10 @@ pub struct FleetSnapshot {
 }
 
 impl FleetSnapshot {
-    /// Serializes the snapshot to its durable text form.
+    /// Serializes the snapshot to its durable text form: the `fleet`
+    /// envelope around [`to_json`](FleetSnapshot::to_json).
     pub fn to_text(&self) -> String {
-        let payload = Json::obj([
-            ("shards", Json::Num(self.shards as i64)),
-            ("nextId", Json::Num(self.next_id as i64)),
-            ("store", codec::store_state_to_json(&self.store)),
-            (
-                "homes",
-                Json::Arr(
-                    self.homes
-                        .iter()
-                        .map(|(id, state)| {
-                            Json::obj([
-                                ("id", Json::Num(id.raw() as i64)),
-                                ("home", codec::home_state_to_json(state)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]);
-        envelope("fleet", payload).to_text()
+        envelope("fleet", self.to_json()).to_text()
     }
 
     /// Parses a fleet snapshot back.
@@ -132,42 +102,47 @@ impl FleetSnapshot {
     /// [`HgError::Snapshot`] on corrupt bytes, a wrong schema version or
     /// kind, a structurally invalid document, or duplicate home ids.
     pub fn from_text(text: &str) -> Result<FleetSnapshot, HgError> {
-        let payload = open_envelope(text, "fleet")?;
+        FleetSnapshot::from_json(&open_envelope(text, "fleet")?)
+    }
+
+    /// The snapshot's payload — shard count, next id, store and homes —
+    /// without the envelope. A full journal checkpoint embeds this same
+    /// object.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("shards", Json::Num(self.shards as i64)),
+            ("nextId", Json::Num(self.next_id as i64)),
+            ("store", codec::store_state_to_json(&self.store)),
+            ("homes", codec::homes_to_json(&self.homes)),
+        ])
+    }
+
+    /// Decodes a [`to_json`](FleetSnapshot::to_json) payload.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_text`](FleetSnapshot::from_text), minus the envelope
+    /// checks.
+    pub fn from_json(payload: &Json) -> Result<FleetSnapshot, HgError> {
         let shards = payload
             .get("shards")
             .and_then(Json::as_num)
             .filter(|&n| n > 0)
             .ok_or_else(|| codec::snap_err("missing or invalid shard count"))?
             as usize;
-        let next_id = codec::nonneg_field(&payload, "nextId")? as u64;
-        let store = codec::store_state_from_json(
-            payload
-                .get("store")
-                .ok_or_else(|| codec::snap_err("missing store"))?,
-        )?;
-        let mut homes: Vec<(HomeId, HomeState)> = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for entry in payload
-            .get("homes")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| codec::snap_err("missing homes"))?
-        {
-            let id = HomeId::new(codec::nonneg_field(entry, "id")? as u64);
-            if !seen.insert(id) {
-                return Err(codec::snap_err(format!("duplicate home id {id}")));
-            }
-            let state = codec::home_state_from_json(
-                entry
-                    .get("home")
-                    .ok_or_else(|| codec::snap_err("home entry missing state"))?,
-            )?;
-            homes.push((id, state));
-        }
         Ok(FleetSnapshot {
             shards,
-            next_id,
-            store,
-            homes,
+            next_id: codec::nonneg_field(payload, "nextId")? as u64,
+            store: codec::store_state_from_json(
+                payload
+                    .get("store")
+                    .ok_or_else(|| codec::snap_err("missing store"))?,
+            )?,
+            homes: codec::homes_from_json(
+                payload
+                    .get("homes")
+                    .ok_or_else(|| codec::snap_err("missing homes"))?,
+            )?,
         })
     }
 }

@@ -6,24 +6,27 @@
 //! stop-the-world snapshot problem and becomes **last checkpoint +
 //! replay**:
 //!
-//! * [`Fleet::recover`] — materializes the journal's checkpoint chain,
-//!   revives the fleet from it, then replays every record past the chain's
-//!   offset through the same public lifecycle methods live traffic uses.
-//!   The result is bit-identical to the crashed fleet (the property
+//! * [`Fleet::recover`] — folds the journal's checkpoint chain into one
+//!   [`FleetSnapshot`](hg_persist::FleetSnapshot), revives it with
+//!   [`Fleet::restore`] (the warm-restart path `POST /restore` takes too),
+//!   then replays every record past the chain's offset through the same
+//!   public lifecycle methods live traffic uses. The result is
+//!   bit-identical to the crashed fleet (the property
 //!   `tests/journal_fuzz.rs` proves at every record boundary).
 //! * [`Fleet::checkpoint`] — exports only what changed since the previous
 //!   checkpoint (dirty homes, removals, the store if store records
 //!   landed), under the gate's exclusive side so the cut is consistent.
-//!   The first checkpoint of a journal is always a full image.
+//!   The first checkpoint of a journal is always a full one: the fleet's
+//!   own [`Fleet::snapshot`].
 //! * [`start_checkpointer`] — wires a fleet into the journal's background
 //!   [`CheckpointScheduler`].
 
 use crate::fleet::Fleet;
 use hg_config::ConfigInfo;
 use hg_detector::{DetectStats, Threat};
-use hg_journal::{journal_err, Checkpoint, CheckpointScheduler, CheckpointStats, Journal};
-use hg_journal::{JournalRecord, MaterializedFleet};
-use hg_persist::FleetSnapshot;
+use hg_journal::{
+    journal_err, Checkpoint, CheckpointScheduler, CheckpointStats, Journal, JournalRecord,
+};
 use hg_rules::Rule;
 use homeguard_core::{HgError, HomeId, InstallReport};
 use std::sync::Arc;
@@ -31,12 +34,12 @@ use std::time::{Duration, Instant};
 
 impl Fleet {
     /// Revives a fleet from its write-ahead journal — the crash-recovery
-    /// path. Folds the checkpoint chain into a base image, restores the
-    /// fleet from it ([`Fleet::restore`] semantics: ids, Allowed lists and
-    /// the ingest cache survive), replays every journal record at or past
-    /// the chain's offset through the public lifecycle methods, and
-    /// finally re-attaches the journal so the recovered fleet keeps
-    /// journaling where the crashed one stopped.
+    /// path. Folds the checkpoint chain into one fleet snapshot, revives
+    /// it with [`Fleet::restore`] (ids, Allowed lists and the ingest cache
+    /// survive), replays every journal record at or past the chain's
+    /// offset through the public lifecycle methods, and finally
+    /// re-attaches the journal so the recovered fleet keeps journaling
+    /// where the crashed one stopped.
     ///
     /// # Errors
     ///
@@ -44,22 +47,8 @@ impl Fleet {
     /// cannot be replayed (the offending offset is named);
     /// [`HgError::Snapshot`] when the materialized image is inconsistent.
     pub fn recover(journal: Arc<Journal>) -> Result<Fleet, HgError> {
-        let MaterializedFleet {
-            offset,
-            shards,
-            next_id,
-            store,
-            homes,
-        } = journal.materialize()?;
-        let fleet = Fleet::restore(FleetSnapshot {
-            shards,
-            next_id,
-            store,
-            homes: homes
-                .into_iter()
-                .map(|(raw, state)| (HomeId::new(raw), state))
-                .collect(),
-        })?;
+        let (offset, snapshot) = journal.materialize()?;
+        let fleet = Fleet::restore(snapshot)?;
         let records = journal.records_from(offset)?;
         let started = Instant::now();
         let replayed = records.len() as u64;
@@ -207,19 +196,9 @@ impl Fleet {
         let _cut = journal.gate_exclusive();
         let offset = journal.next_offset();
         if journal.checkpoint_count() == 0 {
-            let snapshot = self.snapshot()?;
-            return journal.checkpoint_write(&Checkpoint {
+            return journal.checkpoint_write(&Checkpoint::Full {
                 offset,
-                full: true,
-                shards: snapshot.shards,
-                next_id: snapshot.next_id,
-                store: Some(snapshot.store),
-                homes: snapshot
-                    .homes
-                    .into_iter()
-                    .map(|(id, state)| (id.raw(), state))
-                    .collect(),
-                removed: Vec::new(),
+                fleet: self.snapshot()?,
             });
         }
         let (dirty, removed, store_dirty) = journal.dirty_set();
@@ -232,13 +211,11 @@ impl Fleet {
             });
         }
         let mut homes = Vec::with_capacity(dirty.len());
-        for raw in dirty {
-            homes.push((raw, self.export_home(HomeId::new(raw))?));
+        for id in dirty.into_iter().map(HomeId::new) {
+            homes.push((id, self.export_home(id)?));
         }
-        journal.checkpoint_write(&Checkpoint {
+        journal.checkpoint_write(&Checkpoint::Delta {
             offset,
-            full: false,
-            shards: self.shard_count(),
             next_id: self.next_id_value(),
             store: store_dirty.then(|| self.store().export_state()),
             homes,
@@ -248,7 +225,7 @@ impl Fleet {
 
     /// Re-arms a quarantined journal over the **live** fleet state: takes
     /// the gate's exclusive side (no mutation is mid-flight), snapshots
-    /// the fleet, and hands [`Journal::heal`] a full checkpoint at the
+    /// the fleet, and hands the snapshot to [`Journal::heal`] at the
     /// journal's current offset. Healing closes the divergence window a
     /// quarantine opens — any mutation applied while degraded (refused
     /// appends, [`hg_journal::DegradedPolicy::ServeUnjournaled`] traffic)
@@ -267,20 +244,7 @@ impl Fleet {
             .ok_or_else(|| journal_err("no journal attached"))?
             .clone();
         let _cut = journal.gate_exclusive();
-        let snapshot = self.snapshot()?;
-        journal.heal(&Checkpoint {
-            offset: journal.next_offset(),
-            full: true,
-            shards: snapshot.shards,
-            next_id: snapshot.next_id,
-            store: Some(snapshot.store),
-            homes: snapshot
-                .homes
-                .into_iter()
-                .map(|(id, state)| (id.raw(), state))
-                .collect(),
-            removed: Vec::new(),
-        })
+        journal.heal(journal.next_offset(), self.snapshot()?)
     }
 }
 

@@ -357,19 +357,9 @@ impl Fleet {
         }
         if journal.checkpoint_count() == 0 {
             let _cut = journal.gate_exclusive();
-            let snapshot = self.snapshot()?;
-            journal.checkpoint_write(&Checkpoint {
+            journal.checkpoint_write(&Checkpoint::Full {
                 offset: journal.next_offset(),
-                full: true,
-                shards: snapshot.shards,
-                next_id: snapshot.next_id,
-                store: Some(snapshot.store),
-                homes: snapshot
-                    .homes
-                    .into_iter()
-                    .map(|(id, state)| (id.raw(), state))
-                    .collect(),
-                removed: Vec::new(),
+                fleet: self.snapshot()?,
             })?;
         }
         Ok(self.journal.set(journal).is_ok())
@@ -1341,34 +1331,21 @@ impl Fleet {
         Ok(snapshot)
     }
 
-    /// Revives a fleet from a snapshot — the warm-restart path. The store
-    /// comes back with its ingest cache live, every home is rebuilt from
-    /// its ground truth (derived state — detection postings, mediation
-    /// points, enforcers — is reconstructed, never deserialized), shard
-    /// routing and the id counter are preserved so existing [`HomeId`]
-    /// handles stay valid and future ids never collide. The home template
-    /// for *future* [`Fleet::create_home`] calls resets to deployment
-    /// defaults; use [`Fleet::restore_with`] to customize it.
+    /// Revives a fleet from a snapshot — the warm-restart path, and the
+    /// base of crash recovery ([`Fleet::recover`]). The store comes back
+    /// with its ingest cache live, every home is rebuilt from its ground
+    /// truth (derived state — detection postings, mediation points,
+    /// enforcers — is reconstructed, never deserialized), shard routing
+    /// and the id counter are preserved so existing [`HomeId`] handles
+    /// stay valid and future ids never collide. The home template for
+    /// *future* [`Fleet::create_home`] calls resets to deployment
+    /// defaults.
     ///
     /// # Errors
     ///
     /// [`HgError::Snapshot`] when the snapshot's ids exceed its own
     /// `next_id` counter (a forged or corrupted document).
     pub fn restore(snapshot: FleetSnapshot) -> Result<Fleet, HgError> {
-        Fleet::restore_with(snapshot, |builder| builder)
-    }
-
-    /// [`Fleet::restore`] with a customized template for homes created
-    /// after the restart (the restored homes carry their own state and are
-    /// not affected).
-    ///
-    /// # Errors
-    ///
-    /// As [`Fleet::restore`].
-    pub fn restore_with(
-        snapshot: FleetSnapshot,
-        customize: impl FnOnce(HomeBuilder) -> HomeBuilder,
-    ) -> Result<Fleet, HgError> {
         if let Some((id, _)) = snapshot
             .homes
             .iter()
@@ -1382,7 +1359,6 @@ impl Fleet {
         let store = Arc::new(RuleStore::restore_state(snapshot.store));
         let fleet = Fleet::builder(store.clone())
             .shards(snapshot.shards)
-            .home_defaults(customize)
             .build();
         fleet.next_id.store(snapshot.next_id, Ordering::Relaxed);
         for (id, state) in snapshot.homes {
