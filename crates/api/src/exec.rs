@@ -521,8 +521,10 @@ impl FleetExec {
             .map(|stream| stream.finish()))
     }
 
-    /// Closes every queue and joins the workers. Jobs already queued are
-    /// abandoned unrun (their submitters observe [`ExecError::Gone`]).
+    /// Closes every queue and joins the workers. New submissions are
+    /// refused with [`ExecError::Gone`]; jobs already queued still drain
+    /// and run before their worker exits (after `POST /restore` they run
+    /// against the replaced fleet, whose journaled writes are refused).
     /// Idempotent; also invoked on drop.
     pub fn stop(&self) {
         if self.stopped.swap(true, Ordering::SeqCst) {

@@ -132,7 +132,10 @@ impl AppState {
         }
         if let Some(journal) = &self.journal {
             // The swapped-in fleet is a new durability timeline: wipe the
-            // old fleet's records and re-baseline on the fresh state.
+            // old fleet's records and re-baseline on the fresh state. From
+            // the reset on, the old fleet's late writes (a worker that read
+            // `exec()` before the swap, jobs still draining from the old
+            // executor) are refused instead of landing in this journal.
             journal.reset()?;
             fleet.attach_journal(journal.clone())?;
         }

@@ -12,8 +12,8 @@ use common::{app_body, send, ON_APP};
 use hg_api::{ApiServer, ServerConfig};
 use hg_rules::json::Json;
 use hg_service::{
-    DegradedPolicy, FaultBackend, FaultKind, FaultPlan, Fleet, HomeId, Journal, JournalConfig,
-    MemBackend, RuleStore,
+    FaultBackend, FaultKind, FaultPlan, Fleet, HomeId, Journal, JournalConfig, MemBackend,
+    RuleStore,
 };
 use std::sync::Arc;
 
@@ -118,7 +118,6 @@ fn journal_quarantine_drops_readiness_until_healed_over_http() {
             JournalConfig {
                 max_io_attempts: 2,
                 backoff_micros: 0,
-                degraded: DegradedPolicy::RefuseWrites,
                 ..JournalConfig::default()
             },
         )

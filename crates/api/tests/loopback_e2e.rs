@@ -8,7 +8,7 @@ mod common;
 use common::{app_body, send, OFF_APP, ON_APP};
 use hg_api::{ApiServer, ExecConfig, ServerConfig, TelemetryEvent};
 use hg_rules::json::Json;
-use hg_service::{Fleet, HomeId, RuleStore};
+use hg_service::{Fleet, HgError, HomeId, Journal, MemBackend, RuleStore};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -42,6 +42,17 @@ fn create_home(server: &ApiServer, token: &str) -> i64 {
         .get("home")
         .and_then(Json::as_num)
         .expect("home id")
+}
+
+/// `POST /restore` with a snapshot document as the raw body.
+fn post_restore(server: &ApiServer, token: &str, snapshot: &[u8]) -> common::Reply {
+    let mut raw = format!(
+        "POST /restore HTTP/1.1\r\nconnection: close\r\nx-session: {token}\r\ncontent-length: {}\r\n\r\n",
+        snapshot.len()
+    )
+    .into_bytes();
+    raw.extend_from_slice(snapshot);
+    common::parse_reply(&common::send_raw(server.addr(), &raw))
 }
 
 #[test]
@@ -371,13 +382,7 @@ fn snapshot_restore_round_trips_over_http() {
             .and_then(Json::as_num),
         Some(2)
     );
-    let mut raw = format!(
-        "POST /restore HTTP/1.1\r\nconnection: close\r\nx-session: {token}\r\ncontent-length: {}\r\n\r\n",
-        text.len()
-    )
-    .into_bytes();
-    raw.extend_from_slice(&text);
-    let restored = common::parse_reply(&common::send_raw(addr, &raw));
+    let restored = post_restore(&server, &token, &text);
     assert_eq!(restored.status, 200);
     assert_eq!(restored.json().get("homes").and_then(Json::as_num), Some(1));
     assert_eq!(
@@ -398,6 +403,48 @@ fn snapshot_restore_round_trips_over_http() {
             .len(),
         1
     );
+    server.shutdown();
+}
+
+/// `POST /restore` starts a new journal timeline. The replaced fleet stays
+/// reachable through any executor handle taken before the swap (an HTTP
+/// worker mid-request, a job queued on the old executor), but its writes
+/// are refused before they touch state or the journal, so recovery
+/// reproduces exactly the restored fleet.
+#[test]
+fn restore_refuses_late_writes_from_the_replaced_fleet() {
+    let mem = MemBackend::new();
+    let journal = Arc::new(Journal::open(Box::new(mem.clone())).expect("open journal"));
+    let fleet = Arc::new(Fleet::builder(RuleStore::shared()).shards(2).build());
+    let server = ApiServer::start_journaled(fleet, ServerConfig::default(), journal).expect("bind");
+    let token = session(&server);
+    for _ in 0..3 {
+        create_home(&server, &token);
+    }
+    let single = Fleet::new(RuleStore::shared());
+    single.create_home().unwrap();
+    let old = server.state().exec();
+    let restored = post_restore(
+        &server,
+        &token,
+        single.snapshot().unwrap().to_text().as_bytes(),
+    );
+    assert_eq!(restored.status, 200);
+
+    assert!(matches!(
+        old.fleet().create_home(),
+        Err(HgError::Degraded(_))
+    ));
+    assert!(matches!(
+        old.fleet().checkpoint(),
+        Err(HgError::Degraded(_))
+    ));
+    // The restored fleet journals as usual.
+    create_home(&server, &token);
+    let live = server.state().exec().fleet().snapshot().unwrap().to_text();
+    let recovered = Fleet::recover(Arc::new(Journal::open(Box::new(mem.fork())).unwrap())).unwrap();
+    assert_eq!(recovered.snapshot().unwrap().to_text(), live);
+    assert_eq!(recovered.len(), 2);
     server.shutdown();
 }
 

@@ -90,11 +90,12 @@ pub enum HgError {
     /// triggered a failed append has still been applied — the error tells
     /// the caller its durability guarantee lapsed, not that state is bad.
     Journal(String),
-    /// The service is running degraded — its write-ahead journal is
-    /// quarantined after exhausting I/O retries — and the configured
-    /// degraded policy refuses this write. Unlike [`HgError::Journal`],
-    /// nothing was applied: the mutation was rejected up front and can be
-    /// retried verbatim once the journal heals. Reads keep serving.
+    /// The service is running degraded and refuses this write: its
+    /// write-ahead journal is quarantined after exhausting I/O retries, or
+    /// the fleet was replaced and its journal handed to the new one.
+    /// Unlike [`HgError::Journal`], nothing was applied: the mutation was
+    /// rejected up front and can be retried verbatim once the journal
+    /// heals. Reads keep serving.
     Degraded(String),
 }
 

@@ -485,44 +485,6 @@ impl Home {
         })
     }
 
-    /// Batch check: the verdicts a user would see installing `apps` in
-    /// order (each member is checked against the installed population plus
-    /// the preceding batch members). Nothing is installed.
-    ///
-    /// # Errors
-    ///
-    /// [`HgError::UnknownApp`] / [`HgError::Parse`] for any batch member.
-    pub fn check_install_many(&self, apps: &[&str]) -> Result<Vec<InstallReport>, HgError> {
-        let rule_sets: Vec<Vec<Rule>> = apps
-            .iter()
-            .map(|app| self.store.rules_of(app))
-            .collect::<Result<_, _>>()?;
-        let borrowed: Vec<&[Rule]> = rule_sets.iter().map(Vec::as_slice).collect();
-        let raw = self.engine.check_many(&borrowed);
-        let mut allowed_edges = Edge::from_threats(&self.allowed);
-        let mut out = Vec::with_capacity(apps.len());
-        for ((app, rules), (threats, stats)) in apps.iter().zip(rule_sets).zip(raw) {
-            // Chains may pass through earlier batch members' fresh threats.
-            allowed_edges.extend(Edge::from_threats(&threats));
-            let chains = find_chains(&allowed_edges, self.chain_depth)
-                .into_iter()
-                .filter(|c| c.rules.iter().any(|r| r.app == *app))
-                .collect();
-            out.push(InstallReport {
-                app: app.to_string(),
-                rules,
-                threats,
-                chains,
-                stats,
-                installed: false,
-                config: None,
-                replaces: None,
-                dropped_ranks: Vec::new(),
-            });
-        }
-        Ok(out)
-    }
-
     /// Chained detection through the Allowed list (§VI-D): edges from the
     /// new findings plus the user-allowed historical pairs. For upgrade
     /// staging, `exclude` drops the replaced version's pairs — they refer
@@ -1639,23 +1601,6 @@ def k(evt) { valve.close() }
             home.mediation_index().len(),
             restored.mediation_index().len()
         );
-    }
-
-    #[test]
-    fn check_install_many_matches_sequential_installs() {
-        let store = RuleStore::shared();
-        store.ingest(ON_APP, "OnApp").unwrap();
-        store.ingest(OFF_APP, "OffApp").unwrap();
-        let home = Home::builder(store.clone()).build();
-        let reports = home.check_install_many(&["OnApp", "OffApp"]).unwrap();
-        assert_eq!(reports.len(), 2);
-        assert!(reports[0].is_clean());
-        assert!(reports[1]
-            .threats
-            .iter()
-            .any(|t| t.kind == ThreatKind::ActuatorRace));
-        // check does not install.
-        assert!(home.installed_rules().is_empty());
     }
 
     #[test]

@@ -155,11 +155,7 @@ impl DetectionEngine {
     /// internal to `new_rules` are also checked (a multi-rule app can
     /// interfere with itself).
     pub fn check(&self, new_rules: &[Rule]) -> (Vec<Threat>, DetectStats) {
-        let prepared: Vec<PreparedRule> = new_rules
-            .iter()
-            .map(|r| PreparedRule::prepare(r, &self.detector.unification))
-            .collect();
-        self.check_prepared(&prepared)
+        self.check_masked(new_rules, None)
     }
 
     /// [`check`](DetectionEngine::check) against the installed population
@@ -171,33 +167,20 @@ impl DetectionEngine {
         new_rules: &[Rule],
         exclude_app: &str,
     ) -> (Vec<Threat>, DetectStats) {
-        let prepared: Vec<PreparedRule> = new_rules
+        self.check_masked(new_rules, Some(exclude_app))
+    }
+
+    /// [`check`](DetectionEngine::check) with an optional app whose
+    /// installed rules are masked out.
+    fn check_masked(
+        &self,
+        new_rules: &[Rule],
+        exclude_app: Option<&str>,
+    ) -> (Vec<Threat>, DetectStats) {
+        let new_rules: Vec<PreparedRule> = new_rules
             .iter()
             .map(|r| PreparedRule::prepare(r, &self.detector.unification))
             .collect();
-        self.check_prepared_staged(&prepared, &[], Some(exclude_app))
-    }
-
-    /// [`check`](DetectionEngine::check) over rules the caller already
-    /// prepared (one preparation serves repeated checks — the reusable
-    /// session the batch entry point builds on).
-    pub fn check_prepared(&self, new_rules: &[PreparedRule]) -> (Vec<Threat>, DetectStats) {
-        self.check_prepared_staged(new_rules, &[], None)
-    }
-
-    /// [`check_prepared`](DetectionEngine::check_prepared) with an extra
-    /// slice of already-prepared `staged` rules treated as installed —
-    /// batch members confirmed earlier in a [`check_many`] sweep — and an
-    /// optional app whose installed rules are masked out (upgrade
-    /// staging).
-    ///
-    /// [`check_many`]: DetectionEngine::check_many
-    fn check_prepared_staged(
-        &self,
-        new_rules: &[PreparedRule],
-        staged: &[PreparedRule],
-        exclude_app: Option<&str>,
-    ) -> (Vec<Threat>, DetectStats) {
         // The population an exhaustive filterless detector would visit:
         // live rules minus the masked app's.
         let population = match exclude_app {
@@ -238,10 +221,10 @@ impl DetectionEngine {
                 );
             }
             stats.pruned += (population - visited) as u64;
-            // Staged and intra-batch pairs: scan them directly — batches
-            // are small compared to the installed population the index
-            // exists for.
-            for earlier in staged.iter().chain(&new_rules[..i]) {
+            // Intra-batch pairs: scan them directly — one app's rules are
+            // few compared to the installed population the index exists
+            // for.
+            for earlier in &new_rules[..i] {
                 stats.absorb(self.detector.detect_pair_prepared_into(
                     new_rule,
                     earlier,
@@ -278,24 +261,6 @@ impl DetectionEngine {
             }
         }
         (threats, stats)
-    }
-
-    /// Batch entry point: checks several apps' rule sets in sequence, each
-    /// against the installed population *plus the preceding batch members*
-    /// — the verdicts a user would see installing the batch in order. One
-    /// preparation per rule serves every pair visit.
-    pub fn check_many(&self, batch: &[&[Rule]]) -> Vec<(Vec<Threat>, DetectStats)> {
-        let mut staged: Vec<PreparedRule> = Vec::new();
-        let mut out = Vec::with_capacity(batch.len());
-        for rules in batch {
-            let prepared: Vec<PreparedRule> = rules
-                .iter()
-                .map(|r| PreparedRule::prepare(r, &self.detector.unification))
-                .collect();
-            out.push(self.check_prepared_staged(&prepared, &staged, None));
-            staged.extend(prepared);
-        }
-        out
     }
 }
 
@@ -514,26 +479,6 @@ def h(evt) {{ valve.close() }}
         // The survivors still race with a probe.
         let (threats, _) = engine.check(&off_app("Probe"));
         assert!(threats.iter().any(|t| t.kind == ThreatKind::ActuatorRace));
-    }
-
-    #[test]
-    fn check_many_sees_intra_batch_interference() {
-        let engine = DetectionEngine::new(Detector::store_wide());
-        let a = on_app("OnApp");
-        let b = off_app("OffApp");
-        let reports = engine.check_many(&[&a, &b]);
-        assert_eq!(reports.len(), 2);
-        assert!(
-            reports[0].0.is_empty(),
-            "first app installs into an empty home"
-        );
-        assert!(
-            reports[1]
-                .0
-                .iter()
-                .any(|t| t.kind == ThreatKind::ActuatorRace),
-            "second app must race with the first batch member"
-        );
     }
 
     #[test]

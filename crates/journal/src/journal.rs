@@ -27,17 +27,18 @@
 //! retried frame never lands after the garbage of a partial write. On
 //! retry exhaustion or a permanent error the journal **quarantines**: it
 //! records the last offset it can vouch for, refuses further appends,
-//! and publishes `journal_degraded`. What mutations do next is the
-//! fleet's [`DegradedPolicy`] decision ([`Journal::admit`]): refuse
-//! writes outright, or keep serving them unjournaled. [`Journal::heal`]
-//! re-arms a quarantined journal by repairing the tail and cutting a
-//! fresh **full** checkpoint onto the recovered backend, so replay never
+//! and publishes `journal_degraded`. From then on [`Journal::admit`]
+//! refuses every fleet write before it touches state, so nothing commits
+//! that recovery would roll back. [`Journal::heal`] re-arms a
+//! quarantined journal by repairing the tail and cutting a fresh
+//! **full** checkpoint onto the recovered backend, so replay never
 //! crosses the quarantine gap.
 
 use hg_persist::FleetSnapshot;
 use hg_telemetry::{TelemetryBus, TelemetryEvent};
 use homeguard_core::HgError;
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{
     Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
@@ -47,20 +48,6 @@ use crate::backend::{BackendError, JournalBackend};
 use crate::checkpoint::{materialize, Checkpoint};
 use crate::frame::{encode_frame, scan_frames};
 use crate::record::{journal_err, JournalRecord};
-
-/// What journaled mutations do while the journal is quarantined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DegradedPolicy {
-    /// Journaled mutations are refused with `HgError::Degraded` before
-    /// any state changes; reads keep serving. Nothing can diverge from
-    /// the WAL — the safe default.
-    #[default]
-    RefuseWrites,
-    /// Mutations keep serving without journaling (availability over
-    /// durability). Recovery rolls back to the quarantine offset until
-    /// [`Journal::heal`] cuts a fresh checkpoint over the live state.
-    ServeUnjournaled,
-}
 
 /// Health of a [`Journal`], as reported by [`Journal::state`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,16 +64,6 @@ pub enum JournalState {
     },
 }
 
-/// [`Journal::admit`]'s verdict for one journaled mutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Journal healthy: apply the mutation and append its records.
-    Journaled,
-    /// Quarantined under [`DegradedPolicy::ServeUnjournaled`]: apply the
-    /// mutation, skip the appends (the skip is counted).
-    Unjournaled,
-}
-
 /// Tuning for a [`Journal`].
 #[derive(Debug, Clone)]
 pub struct JournalConfig {
@@ -100,8 +77,6 @@ pub struct JournalConfig {
     /// Base retry backoff in microseconds; attempt *n* sleeps
     /// `backoff_micros << (n−1)` — deterministic, no jitter.
     pub backoff_micros: u64,
-    /// What mutations do while quarantined (see [`Journal::admit`]).
-    pub degraded: DegradedPolicy,
 }
 
 impl Default for JournalConfig {
@@ -110,7 +85,6 @@ impl Default for JournalConfig {
             max_segment_bytes: 4 * 1024 * 1024,
             max_io_attempts: 3,
             backoff_micros: 50,
-            degraded: DegradedPolicy::default(),
         }
     }
 }
@@ -142,7 +116,6 @@ struct JournalInner {
     truncated_on_open: u64,
     io_retries: u64,
     refused: u64,
-    unjournaled: u64,
     heals: u64,
 }
 
@@ -194,6 +167,9 @@ pub struct Journal {
     backend: Box<dyn JournalBackend>,
     gate: RwLock<()>,
     inner: Mutex<JournalInner>,
+    /// Bumped by [`Journal::reset`] under the exclusive gate, so a reader
+    /// holding either side of the gate sees a settled value.
+    timeline: AtomicU64,
     telemetry: OnceLock<Arc<TelemetryBus>>,
     config: JournalConfig,
 }
@@ -271,6 +247,7 @@ impl Journal {
             backend,
             gate: RwLock::new(()),
             inner: Mutex::new(inner),
+            timeline: AtomicU64::new(0),
             telemetry: OnceLock::new(),
             config,
         };
@@ -331,38 +308,31 @@ impl Journal {
         self.lock().quarantined.is_some()
     }
 
-    /// The configured degraded-mode policy.
-    pub fn degraded_policy(&self) -> DegradedPolicy {
-        self.config.degraded
-    }
-
     /// Admission check for one journaled mutation, called by the fleet
-    /// **before** applying state. Healthy journals admit everything;
-    /// quarantined ones decide by [`DegradedPolicy`].
+    /// under the shared gate **before** applying state. A healthy journal
+    /// admits everything; a quarantined one refuses everything.
     ///
     /// # Errors
     ///
-    /// `HgError::Degraded` when quarantined under
-    /// [`DegradedPolicy::RefuseWrites`] — the mutation must not be
+    /// `HgError::Degraded` when quarantined — the mutation must not be
     /// applied.
-    pub fn admit(&self) -> Result<Admission, HgError> {
+    pub fn admit(&self) -> Result<(), HgError> {
         let mut inner = self.lock();
-        match &inner.quarantined {
-            None => Ok(Admission::Journaled),
-            Some((durable, reason)) => match self.config.degraded {
-                DegradedPolicy::ServeUnjournaled => {
-                    inner.unjournaled += 1;
-                    Ok(Admission::Unjournaled)
-                }
-                DegradedPolicy::RefuseWrites => {
-                    let e = HgError::Degraded(format!(
-                        "journal quarantined at durable offset {durable} ({reason}); writes refused"
-                    ));
-                    inner.refused += 1;
-                    Err(e)
-                }
-            },
-        }
+        let Some((durable, reason)) = &inner.quarantined else {
+            return Ok(());
+        };
+        let e = HgError::Degraded(format!(
+            "journal quarantined at durable offset {durable} ({reason}); writes refused"
+        ));
+        inner.refused += 1;
+        Err(e)
+    }
+
+    /// The journal's timeline: bumped by every [`reset`](Journal::reset).
+    /// A fleet records it on attach, and its writes are refused once the
+    /// journal has moved on to describe a different fleet.
+    pub fn timeline(&self) -> u64 {
+        self.timeline.load(Ordering::Relaxed)
     }
 
     /// Deterministic backoff before retry attempt `attempt` (1-based).
@@ -817,11 +787,13 @@ impl Journal {
         })
     }
 
-    /// Wipes all stored segments and checkpoints — a new timeline. Used
-    /// when an externally-restored fleet replaces the one this journal
-    /// described (e.g. `POST /restore`): the old history describes a
-    /// fleet that no longer exists. A quarantine is cleared with the
-    /// timeline, provided the backend accepts the wipe.
+    /// Wipes all stored segments and checkpoints and starts a new
+    /// [`timeline`](Journal::timeline). Used when an externally-restored
+    /// fleet replaces the one this journal described (e.g.
+    /// `POST /restore`): the old history describes a fleet that no longer
+    /// exists, and that fleet's late writes are refused from here on. A
+    /// quarantine is cleared with the timeline, provided the backend
+    /// accepts the wipe.
     ///
     /// # Errors
     ///
@@ -836,6 +808,7 @@ impl Journal {
             self.backend.remove_checkpoint(offset).map_err(berr)?;
         }
         *inner = JournalInner::default();
+        self.timeline.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -897,7 +870,6 @@ impl Journal {
             ),
             ("ioRetriesSession", Json::Num(inner.io_retries as i64)),
             ("refusedSession", Json::Num(inner.refused as i64)),
-            ("unjournaledSession", Json::Num(inner.unjournaled as i64)),
             ("healsSession", Json::Num(inner.heals as i64)),
             ("truncatedOnOpen", Json::Num(inner.truncated_on_open as i64)),
         ])
@@ -1183,32 +1155,25 @@ mod tests {
 
     #[test]
     fn admit_refuses_or_serves_unjournaled_by_policy() {
-        for (policy, expect_refuse) in [
-            (DegradedPolicy::RefuseWrites, true),
-            (DegradedPolicy::ServeUnjournaled, false),
-        ] {
-            let plan = FaultPlan::new().at(0, FaultKind::Permanent);
-            let fault = FaultBackend::with_plan(MemBackend::new(), plan);
-            let journal = Journal::open_with(
-                Box::new(fault),
-                JournalConfig {
-                    degraded: policy,
-                    backoff_micros: 0,
-                    ..JournalConfig::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(journal.admit().unwrap(), Admission::Journaled);
-            journal.append(&rec(0)).unwrap_err();
-            match journal.admit() {
-                Ok(Admission::Unjournaled) => assert!(!expect_refuse),
-                Err(HgError::Degraded(msg)) => {
-                    assert!(expect_refuse, "unexpected refusal: {msg}");
-                    assert!(msg.contains("quarantined"));
-                }
-                other => panic!("unexpected admission: {other:?}"),
-            }
+        let plan = FaultPlan::new().at(0, FaultKind::Permanent);
+        let fault = FaultBackend::with_plan(MemBackend::new(), plan);
+        let journal = Journal::open_with(Box::new(fault.clone()), fast_config()).unwrap();
+        journal.admit().unwrap();
+        journal.append(&rec(0)).unwrap_err();
+        match journal.admit() {
+            Err(HgError::Degraded(msg)) => assert!(msg.contains("quarantined"), "{msg}"),
+            other => panic!("a quarantined journal must refuse writes, got {other:?}"),
         }
+        assert!(journal
+            .stats_json()
+            .to_text()
+            .contains("\"refusedSession\":1"));
+        // A reset clears the quarantine and starts a new timeline.
+        fault.disarm();
+        let before = journal.timeline();
+        journal.reset().unwrap();
+        journal.admit().unwrap();
+        assert_eq!(journal.timeline(), before + 1);
     }
 
     #[test]

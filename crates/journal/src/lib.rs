@@ -25,9 +25,9 @@
 //! * **[`FaultPlan`] / [`FaultBackend`]** — deterministic, seeded I/O
 //!   fault injection for chaos tests, driving the journal's failure
 //!   policy: classified [`BackendError`]s, bounded retry with tail
-//!   repair, quarantine under a configurable [`DegradedPolicy`], and
-//!   [`Journal::heal`] (a fresh full checkpoint re-arms a recovered
-//!   backend).
+//!   repair, quarantine (a quarantined journal refuses writes through
+//!   [`Journal::admit`]), and [`Journal::heal`] (a fresh full checkpoint
+//!   re-arms a recovered backend).
 //!
 //! The fleet-side wiring (journaled mutation paths, `Fleet::recover`)
 //! lives in `hg-service`; this crate knows nothing about live homes —
@@ -57,8 +57,6 @@ pub mod scheduler;
 pub use backend::{BackendError, DirBackend, JournalBackend, MemBackend};
 pub use checkpoint::{materialize, Checkpoint};
 pub use fault::{FaultBackend, FaultKind, FaultPlan};
-pub use journal::{
-    Admission, CheckpointStats, CompactStats, DegradedPolicy, Journal, JournalConfig, JournalState,
-};
+pub use journal::{CheckpointStats, CompactStats, Journal, JournalConfig, JournalState};
 pub use record::{journal_err, JournalRecord};
 pub use scheduler::CheckpointScheduler;

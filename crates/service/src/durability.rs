@@ -187,13 +187,11 @@ impl Fleet {
     /// # Errors
     ///
     /// [`HgError::Journal`] when no journal is attached or the write
-    /// fails; [`HgError::Poisoned`] when exporting hits a poisoned shard.
+    /// fails; [`HgError::Poisoned`] when exporting hits a poisoned shard;
+    /// [`HgError::Degraded`] when a [`Journal::reset`] handed the journal
+    /// to the fleet that replaced this one.
     pub fn checkpoint(&self) -> Result<CheckpointStats, HgError> {
-        let journal = self
-            .journal()
-            .ok_or_else(|| journal_err("no journal attached"))?
-            .clone();
-        let _cut = journal.gate_exclusive();
+        let (journal, _cut) = self.journal_cut()?;
         let offset = journal.next_offset();
         if journal.checkpoint_count() == 0 {
             return journal.checkpoint_write(&Checkpoint::Full {
@@ -226,24 +224,21 @@ impl Fleet {
     /// Re-arms a quarantined journal over the **live** fleet state: takes
     /// the gate's exclusive side (no mutation is mid-flight), snapshots
     /// the fleet, and hands the snapshot to [`Journal::heal`] at the
-    /// journal's current offset. Healing closes the divergence window a
-    /// quarantine opens — any mutation applied while degraded (refused
-    /// appends, [`hg_journal::DegradedPolicy::ServeUnjournaled`] traffic)
-    /// is captured by the fresh image, so recovery no longer rolls back to
-    /// the quarantine offset.
+    /// journal's current offset. While quarantined every write is refused,
+    /// so the only state the fresh image carries beyond the durable prefix
+    /// is that of writes already admitted when the quarantine tripped
+    /// (each applied and reported as [`HgError::Journal`]); after healing,
+    /// recovery keeps them.
     ///
     /// # Errors
     ///
     /// [`HgError::Journal`] when no journal is attached, the journal is
     /// not quarantined, or the backend is still failing (the quarantine
     /// stands — call again once the disk recovers); [`HgError::Poisoned`]
-    /// when the snapshot hits a poisoned shard.
+    /// when the snapshot hits a poisoned shard; [`HgError::Degraded`] as
+    /// on [`Fleet::checkpoint`].
     pub fn heal_journal(&self) -> Result<CheckpointStats, HgError> {
-        let journal = self
-            .journal()
-            .ok_or_else(|| journal_err("no journal attached"))?
-            .clone();
-        let _cut = journal.gate_exclusive();
+        let (journal, _cut) = self.journal_cut()?;
         journal.heal(journal.next_offset(), self.snapshot()?)
     }
 }

@@ -24,7 +24,7 @@
 //! inside this file is retired in favor of that executor.)
 
 use hg_config::ConfigInfo;
-use hg_journal::{journal_err, Admission, Checkpoint, Journal, JournalRecord};
+use hg_journal::{journal_err, Checkpoint, Journal, JournalRecord};
 use hg_persist::FleetSnapshot;
 use hg_telemetry::{TelemetryBus, TelemetryEvent};
 use homeguard_core::{
@@ -33,7 +33,7 @@ use homeguard_core::{
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 type Shard = RwLock<BTreeMap<HomeId, Home>>;
@@ -104,9 +104,52 @@ pub struct Fleet {
     /// Unset, every telemetry branch below is a single pointer test.
     telemetry: OnceLock<Arc<TelemetryBus>>,
     /// Write-ahead lifecycle journal, attached at most once
-    /// ([`Fleet::attach_journal`]). Unset, every journal branch below is a
-    /// single pointer test — a detached journal costs nothing.
-    journal: OnceLock<Arc<Journal>>,
+    /// ([`Fleet::attach_journal`]). Unset, [`Fleet::write`] is a single
+    /// pointer test — a detached journal costs nothing.
+    journal: OnceLock<Attached>,
+}
+
+/// A fleet's journal and the [`Journal::timeline`] it was attached on.
+struct Attached {
+    journal: Arc<Journal>,
+    timeline: u64,
+}
+
+impl Attached {
+    /// The journal, unless a [`Journal::reset`] has since handed it to the
+    /// fleet that replaced this one. Call under either side of the gate,
+    /// which `reset` holds exclusively.
+    fn current(&self) -> Result<&Journal, HgError> {
+        let now = self.journal.timeline();
+        if now != self.timeline {
+            return Err(HgError::Degraded(format!(
+                "this fleet was replaced: its journal moved from timeline {} to {now}",
+                self.timeline
+            )));
+        }
+        Ok(&self.journal)
+    }
+}
+
+/// One admitted fleet write ([`Fleet::write`]): holds the journal's
+/// checkpoint gate shared from admission until the guard drops, so no
+/// checkpoint can cut between a mutation and its records. Without a
+/// journal it holds nothing and appends nothing.
+struct Write<'a>(Option<(&'a Journal, RwLockReadGuard<'a, ()>)>);
+
+impl Write<'_> {
+    /// Builds and appends one record — only when a journal is attached.
+    ///
+    /// # Errors
+    ///
+    /// [`HgError::Journal`] when the append fails: the mutation is
+    /// applied, its durability lapsed.
+    fn append(&self, record: impl FnOnce() -> JournalRecord) -> Result<(), HgError> {
+        match &self.0 {
+            Some((journal, _gate)) => journal.append(&record()).map(|_| ()),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The outcome of a fleet-wide upgrade rollout.
@@ -127,8 +170,8 @@ pub struct UpgradeRollout {
     /// Shards skipped because their lock was poisoned — their homes were
     /// not re-checked and still run the old version.
     pub poisoned_shards: usize,
-    /// Shards refused up front because the journal is quarantined under
-    /// [`hg_journal::DegradedPolicy::RefuseWrites`] — their homes were not
+    /// Shards refused up front because the journal refused writes (it is
+    /// quarantined, see [`Fleet::heal_journal`]) — their homes were not
     /// touched and still run the old version; retry after healing.
     pub refused_shards: usize,
     /// Per-shard journal append failures: the named homes **were**
@@ -145,8 +188,7 @@ pub struct UpgradeRollout {
 pub struct ShardRollout {
     /// The shard lock was poisoned; its homes were not visited.
     pub poisoned: bool,
-    /// The journal is quarantined and the degraded policy refuses writes;
-    /// no home in this shard was visited.
+    /// The journal refused the write; no home in this shard was visited.
     pub refused: bool,
     /// Homes upgraded cleanly in place.
     pub upgraded: Vec<HomeId>,
@@ -167,8 +209,7 @@ pub struct ShardRollout {
 pub struct ShardUninstall {
     /// The shard lock was poisoned; its homes were not visited.
     pub poisoned: bool,
-    /// The journal is quarantined and the degraded policy refuses writes;
-    /// no home in this shard was visited.
+    /// The journal refused the write; no home in this shard was visited.
     pub refused: bool,
     /// Per-home retraction reports, ascending `HomeId` order.
     pub removed: Vec<(HomeId, UninstallReport)>,
@@ -195,8 +236,8 @@ pub struct ForceUninstall {
     /// Shards skipped because their lock was poisoned — their homes still
     /// run the app.
     pub poisoned_shards: usize,
-    /// Shards refused up front by a quarantined journal refusing writes —
-    /// their homes still run the app; retry after healing.
+    /// Shards refused up front by a journal refusing writes — their homes
+    /// still run the app; retry after healing.
     pub refused_shards: usize,
     /// Per-shard journal append failures: the named homes **were**
     /// retracted but the sweep record never became durable.
@@ -312,8 +353,8 @@ impl Fleet {
         if self.telemetry.set(bus.clone()).is_err() {
             return false;
         }
-        if let Some(journal) = self.journal.get() {
-            journal.set_telemetry(bus.clone());
+        if let Some(attached) = self.journal.get() {
+            attached.journal.set_telemetry(bus.clone());
         }
         for shard in &self.shards {
             let mut shard = shard
@@ -344,6 +385,12 @@ impl Fleet {
     /// mutations racing the baseline capture are neither journaled nor in
     /// it.
     ///
+    /// From then on every lifecycle mutation is one admitted write: it is
+    /// refused with [`HgError::Degraded`] before touching state while the
+    /// journal is quarantined (until [`Fleet::heal_journal`]), and for
+    /// good once a [`Journal::reset`] hands the journal to another fleet
+    /// (`POST /restore` in `hg-api`).
+    ///
     /// # Errors
     ///
     /// [`HgError::Poisoned`] when the baseline snapshot hits a poisoned
@@ -355,19 +402,22 @@ impl Fleet {
         if let Some(bus) = self.telemetry.get() {
             journal.set_telemetry(bus.clone());
         }
-        if journal.checkpoint_count() == 0 {
+        let timeline = {
             let _cut = journal.gate_exclusive();
-            journal.checkpoint_write(&Checkpoint::Full {
-                offset: journal.next_offset(),
-                fleet: self.snapshot()?,
-            })?;
-        }
-        Ok(self.journal.set(journal).is_ok())
+            if journal.checkpoint_count() == 0 {
+                journal.checkpoint_write(&Checkpoint::Full {
+                    offset: journal.next_offset(),
+                    fleet: self.snapshot()?,
+                })?;
+            }
+            journal.timeline()
+        };
+        Ok(self.journal.set(Attached { journal, timeline }).is_ok())
     }
 
     /// The attached write-ahead journal, if any.
     pub fn journal(&self) -> Option<&Arc<Journal>> {
-        self.journal.get()
+        self.journal.get().map(|attached| &attached.journal)
     }
 
     /// The fleet's current id counter (checkpoint export).
@@ -451,9 +501,10 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// [`HgError::Degraded`] when a quarantined journal refuses writes
-    /// (nothing is created); [`HgError::Journal`] when the creation could
-    /// not be journaled (the home **is** created, durability lapsed).
+    /// [`HgError::Degraded`] when the journal refuses writes (nothing is
+    /// created — see [`Fleet::attach_journal`]); [`HgError::Journal`] when
+    /// the creation could not be journaled (the home **is** created,
+    /// durability lapsed).
     pub fn create_home(&self) -> Result<HomeId, HgError> {
         self.create_home_with(|builder| builder)
     }
@@ -473,23 +524,14 @@ impl Fleet {
         if count == 0 {
             return Ok(Vec::new());
         }
-        let Some(journal) = self.journal.get() else {
-            return Ok((0..count)
-                .map(|_| self.place(self.template.clone().build()))
-                .collect());
-        };
-        let _gate = journal.gate();
-        let admission = journal.admit()?;
-        let state = self.template.clone().build().export_state();
+        let write = self.write()?;
         let ids: Vec<HomeId> = (0..count)
             .map(|_| self.place(self.template.clone().build()))
             .collect();
-        if admission == Admission::Journaled {
-            journal.append(&JournalRecord::HomesCreated {
-                ids: ids.iter().map(|id| id.raw()).collect(),
-                state,
-            })?;
-        }
+        write.append(|| JournalRecord::HomesCreated {
+            ids: ids.iter().map(|id| id.raw()).collect(),
+            state: self.template.clone().build().export_state(),
+        })?;
         Ok(ids)
     }
 
@@ -511,20 +553,16 @@ impl Fleet {
         &self,
         customize: impl FnOnce(HomeBuilder) -> HomeBuilder,
     ) -> Result<HomeId, HgError> {
+        let write = self.write()?;
         let home = customize(self.template.clone()).build();
-        let Some(journal) = self.journal.get() else {
-            return Ok(self.place(home));
-        };
-        let _gate = journal.gate();
-        let admission = journal.admit()?;
-        let state = (admission == Admission::Journaled).then(|| home.export_state());
+        // Captured before `place` takes the home (a fresh home's state is
+        // a handful of short lists).
+        let state = home.export_state();
         let id = self.place(home);
-        if let Some(state) = state {
-            journal.append(&JournalRecord::HomeCreated {
-                id: id.raw(),
-                state,
-            })?;
-        }
+        write.append(|| JournalRecord::HomeCreated {
+            id: id.raw(),
+            state,
+        })?;
         Ok(id)
     }
 
@@ -567,32 +605,49 @@ impl Fleet {
     /// # Errors
     ///
     /// [`HgError::UnknownHome`]; [`HgError::Poisoned`] when the shard lock
-    /// is poisoned; [`HgError::Degraded`] when a quarantined journal
-    /// refuses writes (the home stays registered).
+    /// is poisoned; [`HgError::Degraded`] when the journal refuses writes
+    /// (the home stays registered).
     pub fn remove_home(&self, id: HomeId) -> Result<(), HgError> {
-        let _gate = self.journal.get().map(|journal| journal.gate());
-        let admission = self.admit()?;
-        {
-            let mut shard = self
-                .shard(id)
-                .write()
-                .map_err(|_| HgError::Poisoned("fleet shard"))?;
-            shard.remove(&id).ok_or(HgError::UnknownHome(id))?;
-        }
-        if let Some(journal) = self.journal.get() {
-            if admission == Admission::Journaled {
-                journal.append(&JournalRecord::HomeRemoved { id: id.raw() })?;
-            }
-        }
-        Ok(())
+        let write = self.write()?;
+        self.shard(id)
+            .write()
+            .map_err(|_| HgError::Poisoned("fleet shard"))?
+            .remove(&id)
+            .ok_or(HgError::UnknownHome(id))?;
+        write.append(|| JournalRecord::HomeRemoved { id: id.raw() })
     }
 
-    /// The attached journal's admission verdict for one write (trivially
-    /// [`Admission::Journaled`] with no journal attached).
-    fn admit(&self) -> Result<Admission, HgError> {
-        self.journal
+    /// Opens one journaled write — the only way a lifecycle mutation
+    /// touches state. With a journal attached it takes the checkpoint
+    /// gate shared and admits the write before anything changes; the
+    /// returned guard then appends the mutation's records
+    /// ([`Write::append`]) and releases the gate when dropped.
+    ///
+    /// # Errors
+    ///
+    /// [`HgError::Degraded`] when the journal is quarantined, or when a
+    /// [`Journal::reset`] has handed it to the fleet that replaced this
+    /// one. Nothing has been applied.
+    fn write(&self) -> Result<Write<'_>, HgError> {
+        let Some(attached) = self.journal.get() else {
+            return Ok(Write(None));
+        };
+        let gate = attached.journal.gate();
+        let journal = attached.current()?;
+        journal.admit()?;
+        Ok(Write(Some((journal, gate))))
+    }
+
+    /// The attached journal under its **exclusive** gate — the cut
+    /// [`Fleet::checkpoint`] and [`Fleet::heal_journal`] take. Refuses a
+    /// replaced fleet exactly as [`Fleet::write`] does.
+    pub(crate) fn journal_cut(&self) -> Result<(&Journal, RwLockWriteGuard<'_, ()>), HgError> {
+        let attached = self
+            .journal
             .get()
-            .map_or(Ok(Admission::Journaled), |journal| journal.admit())
+            .ok_or_else(|| journal_err("no journal attached"))?;
+        let cut = attached.journal.gate_exclusive();
+        Ok((attached.current()?, cut))
     }
 
     /// Runs `f` with shared access to a home (other readers of the same
@@ -666,7 +721,7 @@ impl Fleet {
         }
     }
 
-    /// Runs one install-shaped home operation under the journal gate,
+    /// Runs one install-shaped home operation as one journaled write,
     /// appending a [`JournalRecord::StoreIngested`] when the operation
     /// freshly persisted `(source, name)` into the shared store (even when
     /// the operation itself then failed — the store mutation is real
@@ -680,16 +735,7 @@ impl Fleet {
         as_name: bool,
         op: impl FnOnce(&mut Home) -> Result<InstallReport, HgError>,
     ) -> Result<InstallReport, HgError> {
-        let Some(journal) = self.journal.get() else {
-            return self.with_home_mut(id, op)?;
-        };
-        let _gate = journal.gate();
-        let admission = journal.admit()?;
-        if admission == Admission::Unjournaled {
-            // Quarantined but serving: apply the mutation, skip the
-            // appends (the journal counts the skip).
-            return self.with_home_mut(id, op)?;
-        }
+        let write = self.write()?;
         // The ingest epoch moves only when a fresh fingerprint persists,
         // so equal reads around the operation prove no store ingest
         // happened — the steady-state path (store app already ingested)
@@ -701,13 +747,11 @@ impl Fleet {
         let outcome = self.with_home_mut(id, op);
         let ingest_append =
             if self.store.ingest_epoch() != epoch && self.store.has_ingested(source, name) {
-                journal
-                    .append(&JournalRecord::StoreIngested {
-                        app: name.to_string(),
-                        source: source.to_string(),
-                        as_name,
-                    })
-                    .map(|_| ())
+                write.append(|| JournalRecord::StoreIngested {
+                    app: name.to_string(),
+                    source: source.to_string(),
+                    as_name,
+                })
             } else {
                 Ok(())
             };
@@ -715,7 +759,7 @@ impl Fleet {
         let report = outcome??;
         ingest_append?;
         if report.installed {
-            journal.append(&self.install_record(id, &report))?;
+            write.append(|| self.install_record(id, &report))?;
         }
         Ok(report)
     }
@@ -770,15 +814,9 @@ impl Fleet {
         id: HomeId,
         report: InstallReport,
     ) -> Result<InstallReport, HgError> {
-        let Some(journal) = self.journal.get() else {
-            return self.with_home_mut(id, |home| home.confirm_install(report))?;
-        };
-        let _gate = journal.gate();
-        let admission = journal.admit()?;
+        let write = self.write()?;
         let confirmed = self.with_home_mut(id, |home| home.confirm_install(report))??;
-        if admission == Admission::Journaled {
-            journal.append(&self.install_record(id, &confirmed))?;
-        }
+        write.append(|| self.install_record(id, &confirmed))?;
         Ok(confirmed)
     }
 
@@ -789,18 +827,12 @@ impl Fleet {
     /// Registry errors plus the session's own; [`HgError::Journal`] as on
     /// [`Fleet::install_app`].
     pub fn uninstall_app(&self, id: HomeId, app: &str) -> Result<UninstallReport, HgError> {
-        let Some(journal) = self.journal.get() else {
-            return self.with_home_mut(id, |home| home.uninstall_app(app))?;
-        };
-        let _gate = journal.gate();
-        let admission = journal.admit()?;
+        let write = self.write()?;
         let report = self.with_home_mut(id, |home| home.uninstall_app(app))??;
-        if admission == Admission::Journaled {
-            journal.append(&JournalRecord::UninstallCommitted {
-                id: id.raw(),
-                app: app.to_string(),
-            })?;
-        }
+        write.append(|| JournalRecord::UninstallCommitted {
+            id: id.raw(),
+            app: app.to_string(),
+        })?;
         Ok(report)
     }
 
@@ -833,8 +865,8 @@ impl Fleet {
     /// Unlike [`Fleet::install_many`] this does **not** pre-ingest: the
     /// caller ingests once for the whole request, not once per group.
     ///
-    /// When a journal is attached the group commits under **one** gate
-    /// hold and journals **one** [`JournalRecord::InstallSwept`] naming
+    /// When a journal is attached the group commits as **one** journaled
+    /// write and journals **one** [`JournalRecord::InstallSwept`] naming
     /// every home whose clean install auto-confirmed — batch durability at
     /// one append per group instead of one per home. Homes whose reports
     /// cannot ride the batch (an upgrade, a diverging app name or config,
@@ -850,15 +882,8 @@ impl Fleet {
         name: &str,
         config: Option<&ConfigInfo>,
     ) -> BulkOutcomes {
-        let Some(journal) = self.journal.get() else {
-            return home_ids
-                .iter()
-                .map(|&id| (id, self.plain_install(id, source, name, config)))
-                .collect();
-        };
-        let _gate = journal.gate();
-        let admission = match journal.admit() {
-            Ok(admission) => admission,
+        let write = match self.write() {
+            Ok(write) => write,
             // Refused up front: no home in the group was touched, every
             // outcome reports the same retryable degradation.
             Err(error) => {
@@ -869,16 +894,13 @@ impl Fleet {
                     .collect();
             }
         };
-        if admission == Admission::Unjournaled {
-            return home_ids
-                .iter()
-                .map(|&id| (id, self.plain_install(id, source, name, config)))
-                .collect();
-        }
         let epoch = self.store.ingest_epoch();
         let mut outcomes: BulkOutcomes = home_ids
             .iter()
-            .map(|&id| (id, self.plain_install(id, source, name, config)))
+            .map(|&id| {
+                let outcome = self.with_home_mut(id, |home| home.install_app(source, name, config));
+                (id, outcome.and_then(|report| report))
+            })
             .collect();
         // One epoch read covers the whole group: unchanged means no store
         // ingest landed anywhere during it, so every report's rules came
@@ -888,13 +910,11 @@ impl Fleet {
         let store_stable = self.store.ingest_epoch() == epoch;
         let mut appends: Result<(), HgError> =
             if !store_stable && self.store.has_ingested(source, name) {
-                journal
-                    .append(&JournalRecord::StoreIngested {
-                        app: name.to_string(),
-                        source: source.to_string(),
-                        as_name: false,
-                    })
-                    .map(|_| ())
+                write.append(|| JournalRecord::StoreIngested {
+                    app: name.to_string(),
+                    source: source.to_string(),
+                    as_name: false,
+                })
             } else {
                 Ok(())
             };
@@ -913,19 +933,15 @@ impl Fleet {
             if batchable {
                 swept.push(id.raw());
             } else {
-                appends = journal
-                    .append(&self.install_record(*id, report))
-                    .map(|_| ());
+                appends = write.append(|| self.install_record(*id, report));
             }
         }
         if appends.is_ok() && !swept.is_empty() {
-            appends = journal
-                .append(&JournalRecord::InstallSwept {
-                    app: name.to_string(),
-                    homes: swept,
-                    config: config.map(ConfigInfo::to_uri),
-                })
-                .map(|_| ());
+            appends = write.append(|| JournalRecord::InstallSwept {
+                app: name.to_string(),
+                homes: swept,
+                config: config.map(ConfigInfo::to_uri),
+            });
         }
         if let Err(e) = appends {
             // Every install that committed home state in this group now has
@@ -938,19 +954,6 @@ impl Fleet {
             }
         }
         outcomes
-    }
-
-    /// The registry install operation without journal bookkeeping — the
-    /// per-home body [`Fleet::install_group`] runs under its single gate
-    /// hold.
-    fn plain_install(
-        &self,
-        id: HomeId,
-        source: &str,
-        name: &str,
-        config: Option<&ConfigInfo>,
-    ) -> Result<InstallReport, HgError> {
-        self.with_home_mut(id, |home| home.install_app(source, name, config))?
     }
 
     /// Bulk install: extracts `source` **once** and installs it into every
@@ -1000,15 +1003,7 @@ impl Fleet {
     }
 
     fn journaled_ingest(&self, source: &str, name: &str, as_name: bool) -> Result<(), HgError> {
-        let Some(journal) = self.journal.get() else {
-            return if as_name {
-                self.store.ingest_as(source, name).map(|_| ())
-            } else {
-                self.store.ingest(source, name).map(|_| ())
-            };
-        };
-        let _gate = journal.gate();
-        let admission = journal.admit()?;
+        let write = self.write()?;
         let fresh = !self.store.has_ingested(source, name);
         let outcome = if as_name {
             self.store.ingest_as(source, name).map(|_| ())
@@ -1017,8 +1012,8 @@ impl Fleet {
         };
         let landed = fresh && self.store.has_ingested(source, name);
         outcome?;
-        if landed && admission == Admission::Journaled {
-            journal.append(&JournalRecord::StoreIngested {
+        if landed {
+            write.append(|| JournalRecord::StoreIngested {
                 app: name.to_string(),
                 source: source.to_string(),
                 as_name,
@@ -1064,10 +1059,9 @@ impl Fleet {
     ///
     /// If `index` is out of range (`>= self.shard_count()`).
     pub fn upgrade_shard(&self, index: usize, source: &str, name: &str) -> ShardRollout {
-        let _gate = self.journal.get().map(|journal| journal.gate());
         // Refused before any home is touched: the whole shard unit can be
         // retried verbatim after the journal heals.
-        let Ok(admission) = self.admit() else {
+        let Ok(write) = self.write() else {
             return ShardRollout {
                 refused: true,
                 ..ShardRollout::default()
@@ -1094,20 +1088,18 @@ impl Fleet {
         }
         let homes = shard.len() as u64;
         drop(shard);
-        if let Some(journal) = self.journal.get() {
-            if admission == Admission::Journaled && !part.upgraded.is_empty() {
-                // One compact record per shard unit, not one per home: the
-                // clean-upgrade outcome is fully re-derivable from the
-                // store's (already journaled) new version.
-                if let Err(error) = journal.append(&JournalRecord::UpgradeSwept {
-                    app: name.to_string(),
-                    homes: part.upgraded.iter().map(|id| id.raw()).collect(),
-                }) {
-                    // The sweep's signature is infallible (per-home work is
-                    // done and must be reported), so the lapse rides the
-                    // part instead of vanishing.
-                    part.journal_lapsed = Some(error.to_string());
-                }
+        if !part.upgraded.is_empty() {
+            // One compact record per shard unit, not one per home: the
+            // clean-upgrade outcome is fully re-derivable from the store's
+            // (already journaled) new version.
+            if let Err(error) = write.append(|| JournalRecord::UpgradeSwept {
+                app: name.to_string(),
+                homes: part.upgraded.iter().map(|id| id.raw()).collect(),
+            }) {
+                // The sweep's signature is infallible (per-home work is
+                // done and must be reported), so the lapse rides the part
+                // instead of vanishing.
+                part.journal_lapsed = Some(error.to_string());
             }
         }
         self.publish_sweep(index, "upgrade", homes, started);
@@ -1124,8 +1116,7 @@ impl Fleet {
     ///
     /// If `index` is out of range (`>= self.shard_count()`).
     pub fn uninstall_shard(&self, index: usize, app: &str) -> ShardUninstall {
-        let _gate = self.journal.get().map(|journal| journal.gate());
-        let Ok(admission) = self.admit() else {
+        let Ok(write) = self.write() else {
             return ShardUninstall {
                 refused: true,
                 ..ShardUninstall::default()
@@ -1151,14 +1142,12 @@ impl Fleet {
         }
         let homes = shard.len() as u64;
         drop(shard);
-        if let Some(journal) = self.journal.get() {
-            if admission == Admission::Journaled && !part.removed.is_empty() {
-                if let Err(error) = journal.append(&JournalRecord::UninstallSwept {
-                    app: app.to_string(),
-                    homes: part.removed.iter().map(|(id, _)| id.raw()).collect(),
-                }) {
-                    part.journal_lapsed = Some(error.to_string());
-                }
+        if !part.removed.is_empty() {
+            if let Err(error) = write.append(|| JournalRecord::UninstallSwept {
+                app: app.to_string(),
+                homes: part.removed.iter().map(|(id, _)| id.raw()).collect(),
+            }) {
+                part.journal_lapsed = Some(error.to_string());
             }
         }
         self.publish_sweep(index, "uninstall", homes, started);
@@ -1203,19 +1192,15 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// [`HgError::Degraded`] when a quarantined journal refuses writes
-    /// (the store is untouched); [`HgError::Journal`] when the retirement
-    /// could not be journaled (the store **did** retire the app — a
-    /// recovery before the next checkpoint resurrects it).
+    /// [`HgError::Degraded`] when the journal refuses writes (the store is
+    /// untouched); [`HgError::Journal`] when the retirement could not be
+    /// journaled (the store **did** retire the app — a recovery before the
+    /// next checkpoint resurrects it).
     pub fn retire_store_app(&self, app: &str) -> Result<bool, HgError> {
-        let Some(journal) = self.journal.get() else {
-            return Ok(self.store.retire_app(app));
-        };
-        let _gate = journal.gate();
-        let admission = journal.admit()?;
+        let write = self.write()?;
         let retired = self.store.retire_app(app);
-        if retired && admission == Admission::Journaled {
-            journal.append(&JournalRecord::StoreRetired {
+        if retired {
+            write.append(|| JournalRecord::StoreRetired {
                 app: app.to_string(),
             })?;
         }
@@ -1230,20 +1215,12 @@ impl Fleet {
     /// Registry errors; [`HgError::Journal`] when the change could not be
     /// journaled.
     pub fn set_handling_policy(&self, id: HomeId, table: PolicyTable) -> Result<(), HgError> {
-        let Some(journal) = self.journal.get() else {
-            return self.with_home_mut(id, |home| home.set_handling_policy(table));
-        };
-        let _gate = journal.gate();
-        let admission = journal.admit()?;
-        let record = (admission == Admission::Journaled).then(|| JournalRecord::PolicyChanged {
+        let write = self.write()?;
+        self.with_home_mut(id, |home| home.set_handling_policy(table.clone()))?;
+        write.append(|| JournalRecord::PolicyChanged {
             id: id.raw(),
-            table: table.clone(),
-        });
-        self.with_home_mut(id, |home| home.set_handling_policy(table))?;
-        if let Some(record) = record {
-            journal.append(&record)?;
-        }
-        Ok(())
+            table,
+        })
     }
 
     /// Records (or replaces) one home's collected configuration for an
@@ -1254,19 +1231,12 @@ impl Fleet {
     /// Registry errors plus the session's own; [`HgError::Journal`] when
     /// the change could not be journaled.
     pub fn record_config(&self, id: HomeId, info: &ConfigInfo) -> Result<(), HgError> {
-        let Some(journal) = self.journal.get() else {
-            return self.with_home_mut(id, |home| home.record_config(info));
-        };
-        let _gate = journal.gate();
-        let admission = journal.admit()?;
+        let write = self.write()?;
         self.with_home_mut(id, |home| home.record_config(info))?;
-        if admission == Admission::Journaled {
-            journal.append(&JournalRecord::ConfigRecorded {
-                id: id.raw(),
-                uri: info.to_uri(),
-            })?;
-        }
-        Ok(())
+        write.append(|| JournalRecord::ConfigRecorded {
+            id: id.raw(),
+            uri: info.to_uri(),
+        })
     }
 
     /// Re-seats a home under a **specific** id — the journal replay path
@@ -1392,23 +1362,16 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// [`HgError::Degraded`] when a quarantined journal refuses writes
-    /// (nothing is imported); [`HgError::Journal`] when the import could
-    /// not be journaled (the home **is** registered, durability lapsed).
+    /// [`HgError::Degraded`] when the journal refuses writes (nothing is
+    /// imported); [`HgError::Journal`] when the import could not be
+    /// journaled (the home **is** registered, durability lapsed).
     pub fn import_home(&self, state: HomeState) -> Result<HomeId, HgError> {
-        let Some(journal) = self.journal.get() else {
-            return Ok(self.place(Home::restore_state(self.store.clone(), state)));
-        };
-        let _gate = journal.gate();
-        let admission = journal.admit()?;
-        let record_state = (admission == Admission::Journaled).then(|| state.clone());
-        let id = self.place(Home::restore_state(self.store.clone(), state));
-        if let Some(state) = record_state {
-            journal.append(&JournalRecord::HomeImported {
-                id: id.raw(),
-                state,
-            })?;
-        }
+        let write = self.write()?;
+        let id = self.place(Home::restore_state(self.store.clone(), state.clone()));
+        write.append(|| JournalRecord::HomeImported {
+            id: id.raw(),
+            state,
+        })?;
         Ok(id)
     }
 

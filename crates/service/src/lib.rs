@@ -31,8 +31,8 @@
 //!   — see [`durability`]).
 //! * **Fault tolerance** — journal I/O failures are classified, retried
 //!   and, on exhaustion, quarantined: the fleet keeps serving reads and
-//!   decides writes by the journal's [`DegradedPolicy`] (refuse with
-//!   [`HgError::Degraded`], or serve unjournaled).
+//!   refuses every write with [`HgError::Degraded`] before it touches
+//!   state, so nothing commits that recovery would roll back.
 //!   [`Fleet::heal_journal`] re-arms a recovered backend with a fresh
 //!   full checkpoint; [`Fleet::poisoned_shards`] is the health-probe
 //!   signal. Deterministic chaos lives in [`FaultPlan`] /
@@ -81,8 +81,8 @@ pub use fleet::{
     BulkOutcomes, Fleet, FleetBuilder, ForceUninstall, ShardRollout, ShardUninstall, UpgradeRollout,
 };
 pub use hg_journal::{
-    Admission, CheckpointScheduler, CheckpointStats, DegradedPolicy, DirBackend, FaultBackend,
-    FaultKind, FaultPlan, Journal, JournalConfig, JournalRecord, JournalState, MemBackend,
+    CheckpointScheduler, CheckpointStats, DirBackend, FaultBackend, FaultKind, FaultPlan, Journal,
+    JournalConfig, JournalRecord, JournalState, MemBackend,
 };
 pub use hg_persist::FleetSnapshot;
 pub use hg_telemetry::{TelemetryBus, TelemetryEvent};

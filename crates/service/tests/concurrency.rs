@@ -1,15 +1,19 @@
 //! Fleet concurrency: 8 threads drive seeded install / uninstall /
-//! upgrade / check scripts across 256 homes through one shared `Fleet`,
-//! interleaving arbitrarily across shards. The run must (a) terminate —
-//! no deadlock between shard locks and the shared store — and (b) leave
-//! every home in exactly the state a serial replay of its script produces
-//! on a plain `homeguard-core` session.
+//! upgrade / check scripts across 256 homes through one shared, journaled
+//! `Fleet`, interleaving arbitrarily across shards while a background
+//! checkpointer takes the journal's exclusive gate every millisecond. The
+//! run must (a) terminate — no deadlock between shard locks, the shared
+//! store and the checkpoint gate — (b) leave every home in exactly the
+//! state a serial replay of its script produces on a plain
+//! `homeguard-core` session, and (c) recover from its journal to exactly
+//! the live fleet.
 //!
 //! Thread ownership is strided (thread t owns homes t, t+8, t+16, …)
 //! while shard routing is modular, so every thread hammers every shard.
 
-use hg_service::{Fleet, HgError, HomeId, RuleStore};
+use hg_service::{start_checkpointer, Fleet, HgError, HomeId, Journal, MemBackend, RuleStore};
 use std::sync::Arc;
+use std::time::Duration;
 
 const HOMES: usize = 256;
 const THREADS: usize = 8;
@@ -188,12 +192,16 @@ fn publish_palette(fleet: &Fleet, apps: &[(String, String)]) {
 fn eight_threads_over_256_homes_match_serial_replay() {
     let apps = Arc::new(palette());
 
-    // Concurrent run: one fleet, 8 shards, 8 threads with strided home
-    // ownership (every thread touches every shard).
+    // Concurrent run: one journaled fleet, 8 shards, 8 threads with
+    // strided home ownership (every thread touches every shard).
     let fleet = Arc::new(Fleet::builder(RuleStore::shared()).shards(THREADS).build());
     publish_palette(&fleet, &apps);
+    let mem = MemBackend::new();
+    let journal = Arc::new(Journal::open(Box::new(mem.clone())).unwrap());
+    assert!(fleet.attach_journal(journal).unwrap());
     let ids: Vec<HomeId> = (0..HOMES).map(|_| fleet.create_home().unwrap()).collect();
     assert_eq!(fleet.len(), HOMES);
+    let checkpointer = start_checkpointer(fleet.clone(), Duration::from_millis(1));
 
     let mut handles = Vec::new();
     for t in 0..THREADS {
@@ -214,6 +222,16 @@ fn eight_threads_over_256_homes_match_serial_replay() {
             concurrent[home] = digests;
         }
     }
+    checkpointer.stop();
+
+    // The checkpoints cut between journaled writes: the last checkpoint
+    // plus replay is exactly the live fleet.
+    let recovered = Fleet::recover(Arc::new(Journal::open(Box::new(mem.fork())).unwrap())).unwrap();
+    assert_eq!(
+        recovered.snapshot().unwrap().to_text(),
+        fleet.snapshot().unwrap().to_text(),
+        "journal recovery diverges from the live fleet"
+    );
 
     // Serial replay: same scripts against plain single-threaded sessions
     // in a fresh single-shard fleet.

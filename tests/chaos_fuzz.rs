@@ -13,10 +13,8 @@
 //!   operation boundary recovers **bit-identically** from a fork of the
 //!   true backend bytes; once quarantined, recovery lands exactly on the
 //!   durable prefix the quarantine named;
-//! * **degraded fleets keep serving** — reads and detection probes answer
-//!   while writes are refused, and under
-//!   [`DegradedPolicy::ServeUnjournaled`] writes keep committing without
-//!   appends;
+//! * **degraded fleets keep serving reads** — reads and detection probes
+//!   answer while every write is refused before it touches state;
 //! * **heal closes the gap** — [`Fleet::heal_journal`] over a recovered
 //!   backend re-arms the journal with a fresh full checkpoint, after
 //!   which a kill/recover is bit-identical to the live fleet again;
@@ -25,8 +23,7 @@
 
 use hg_config::ConfigInfo;
 use hg_journal::{
-    DegradedPolicy, FaultBackend, FaultKind, FaultPlan, Journal, JournalBackend, JournalConfig,
-    MemBackend,
+    FaultBackend, FaultKind, FaultPlan, Journal, JournalBackend, JournalConfig, MemBackend,
 };
 use hg_service::{Fleet, HomeId, PolicyTable, RuleStore};
 use homeguard_core::{HandlingPolicy, HgError};
@@ -92,11 +89,10 @@ def h(evt) {{ a.{cmd}() }}
 }
 
 /// Zero-backoff retry policy so exhaustion paths run at test speed.
-fn chaos_config(degraded: DegradedPolicy) -> JournalConfig {
+fn chaos_config() -> JournalConfig {
     JournalConfig {
         max_io_attempts: 3,
         backoff_micros: 0,
-        degraded,
         ..JournalConfig::default()
     }
 }
@@ -104,11 +100,10 @@ fn chaos_config(degraded: DegradedPolicy) -> JournalConfig {
 /// A journaled fleet whose backend can be sabotaged mid-flight. The fault
 /// layer starts **unarmed** so the attach-time baseline checkpoint always
 /// lands; `FaultBackend::arm` starts the scripted chaos afterwards.
-fn chaos_fleet(degraded: DegradedPolicy) -> (Fleet, Arc<Journal>, MemBackend, FaultBackend) {
+fn chaos_fleet() -> (Fleet, Arc<Journal>, MemBackend, FaultBackend) {
     let mem = MemBackend::new();
     let fault = FaultBackend::new(mem.clone());
-    let journal =
-        Arc::new(Journal::open_with(Box::new(fault.clone()), chaos_config(degraded)).unwrap());
+    let journal = Arc::new(Journal::open_with(Box::new(fault.clone()), chaos_config()).unwrap());
     let fleet = Fleet::builder(RuleStore::shared()).shards(4).build();
     assert!(fleet.attach_journal(journal.clone()).unwrap());
     (fleet, journal, mem, fault)
@@ -219,18 +214,13 @@ fn recover_fork(mem: &MemBackend) -> (Fleet, Arc<Journal>) {
     (fleet, journal)
 }
 
-/// The 24-plan sweep: seeded fault scripts over both degraded policies.
-/// Whatever the chaos did, the harness must come out the other side with
-/// a healable journal and a bit-identical recovery.
+/// The 24-plan sweep: seeded fault scripts. Whatever the chaos did, the
+/// harness must come out the other side with a healable journal and a
+/// bit-identical recovery.
 #[test]
 fn seeded_chaos_plans_never_panic_and_heal_to_bit_identical_recovery() {
     for seed in 1..=24u64 {
-        let policy = if seed % 2 == 0 {
-            DegradedPolicy::ServeUnjournaled
-        } else {
-            DegradedPolicy::RefuseWrites
-        };
-        let (fleet, journal, mem, fault) = chaos_fleet(policy);
+        let (fleet, journal, mem, fault) = chaos_fleet();
         // 5 faults over a 160-op horizon: most plans trip mid-script,
         // some never fire (fault-free runs ride the same assertions).
         fault.arm(FaultPlan::seeded(seed, 160, 5));
@@ -294,12 +284,12 @@ fn seeded_chaos_plans_never_panic_and_heal_to_bit_identical_recovery() {
     }
 }
 
-/// A permanent fault under `RefuseWrites`: writes answer
-/// [`HgError::Degraded`] without touching state, reads and detection
-/// probes keep serving, and the quarantine names the durable offset.
+/// A permanent fault: writes answer [`HgError::Degraded`] without
+/// touching state, reads and detection probes keep serving, and the
+/// quarantine names the durable offset.
 #[test]
 fn refuse_writes_degrades_writes_but_serves_detection_probes() {
-    let (fleet, journal, _mem, fault) = chaos_fleet(DegradedPolicy::RefuseWrites);
+    let (fleet, journal, _mem, fault) = chaos_fleet();
     let a = fleet.create_home().unwrap();
     let b = fleet.create_home().unwrap();
     fleet
@@ -351,44 +341,12 @@ fn refuse_writes_degrades_writes_but_serves_detection_probes() {
     assert_ne!(snapshot_text(&fleet), before);
 }
 
-/// Under `ServeUnjournaled` the same quarantine keeps committing writes —
-/// without appends — and healing folds the unjournaled tail into a fresh
-/// checkpoint that recovery honors.
-#[test]
-fn serve_unjournaled_commits_without_appends_until_heal() {
-    let (fleet, journal, mem, fault) = chaos_fleet(DegradedPolicy::ServeUnjournaled);
-    let a = fleet.create_home().unwrap();
-    fault.arm(FaultPlan::new().at(fault.ops(), FaultKind::Permanent));
-    assert!(fleet.create_home().is_err(), "tripping write lapses");
-    assert!(journal.is_quarantined());
-    let frozen = journal.next_offset();
-
-    // Writes keep landing; the journal's offset does not move.
-    let b = fleet.create_home().expect("unjournaled create serves");
-    fleet
-        .install_app(b, &palette_source(2, 2, 0), &palette_name(2, 2), None)
-        .expect("unjournaled install serves");
-    assert_eq!(journal.next_offset(), frozen, "no append while quarantined");
-    assert!(fleet.with_home(a, |_| ()).is_ok());
-
-    // Recovery before heal rolls back to the durable prefix — the
-    // unjournaled writes are exactly the divergence window…
-    let (rolled_back, _) = recover_fork(&mem);
-    assert_ne!(snapshot_text(&rolled_back), snapshot_text(&fleet));
-
-    // …and heal closes it: the fresh full checkpoint carries them.
-    fault.disarm();
-    fleet.heal_journal().unwrap();
-    let (recovered, _) = recover_fork(&mem);
-    assert_eq!(snapshot_text(&recovered), snapshot_text(&fleet));
-}
-
 /// Disk-full onset mid-script: appends quarantine after retries exhaust,
 /// the operator "frees space" (`disarm`), heal re-arms, and the journal
 /// keeps appending where the durable prefix ended.
 #[test]
 fn disk_full_quarantines_then_heal_rearms_appends() {
-    let (fleet, journal, mem, fault) = chaos_fleet(DegradedPolicy::RefuseWrites);
+    let (fleet, journal, mem, fault) = chaos_fleet();
     let a = fleet.create_home().unwrap();
     fault.arm(FaultPlan::new().at(fault.ops() + 2, FaultKind::DiskFull));
     // Two more write ops land, then ENOSPC onset: one create lapses.
@@ -422,7 +380,7 @@ fn disk_full_quarantines_then_heal_rearms_appends() {
 #[test]
 fn short_writes_repair_and_recover_cleanly() {
     for ops in [0u64, 1, 3, 5] {
-        let (fleet, journal, mem, fault) = chaos_fleet(DegradedPolicy::RefuseWrites);
+        let (fleet, journal, mem, fault) = chaos_fleet();
         fault.arm(FaultPlan::new().at(fault.ops() + ops, FaultKind::ShortWrite));
         let mut rng = Gen::new(ops ^ 0xdead);
         let mut homes: Vec<HomeId> = (0..2)
@@ -459,9 +417,7 @@ fn unarmed_fault_backend_is_bit_identical_pass_through() {
         } else {
             Box::new(mem.clone())
         };
-        let journal = Arc::new(
-            Journal::open_with(backend, chaos_config(DegradedPolicy::RefuseWrites)).unwrap(),
-        );
+        let journal = Arc::new(Journal::open_with(backend, chaos_config()).unwrap());
         let fleet = Fleet::builder(RuleStore::shared()).shards(4).build();
         fleet.attach_journal(journal.clone()).unwrap();
         let mut rng = Gen::new(99);

@@ -1,8 +1,8 @@
 //! Differential crash-consistency harness for the write-ahead journal
 //! (mirroring `persist_fuzz.rs`): seeded churn scripts drive a
-//! **journaled** fleet through creates, installs, confirms, uninstalls,
-//! upgrades, removals, policy changes, reconfigurations and fleet-wide
-//! sweeps, taking delta checkpoints mid-script. The journal's backing
+//! **journaled** fleet through creates, home imports, installs, confirms,
+//! uninstalls, upgrades, removals, policy changes, reconfigurations and
+//! fleet-wide sweeps, taking delta checkpoints mid-script. The journal's backing
 //! storage is then crashed at **every record boundary** (fork + truncate,
 //! some forks with torn-tail garbage appended) and recovered with
 //! [`Fleet::recover`]:
@@ -19,7 +19,7 @@
 //!   (checkpoint folding + segment drops) preserves all of it.
 
 use hg_config::ConfigInfo;
-use hg_journal::{Journal, MemBackend};
+use hg_journal::{Journal, JournalRecord, MemBackend};
 use hg_service::{Fleet, HomeId, PolicyTable, RuleStore};
 use homeguard_core::{HandlingPolicy, HgError};
 use std::collections::BTreeMap;
@@ -126,7 +126,10 @@ fn churn(seed: u64, steps: usize) -> (Fleet, Arc<Journal>, MemBackend, BTreeMap<
         let name = palette_name(sensor, actuator);
         let source = palette_source(sensor, actuator, command);
         match roll {
-            0..=9 => homes.push(fleet.create_home().unwrap()),
+            0..=7 => homes.push(fleet.create_home().unwrap()),
+            // A migration round trip within one fleet: the copy lands
+            // under a fresh id.
+            8..=9 => homes.push(fleet.import_home(fleet.export_home(id).unwrap()).unwrap()),
             10..=14 => homes.extend(fleet.create_homes(rng.range(1, 4)).unwrap()),
             15..=49 => install_accepting(&fleet, id, &source, &name),
             50..=59 => {
@@ -258,6 +261,14 @@ fn crash_at_every_record_boundary_recovers_exactly() {
         let (live, journal, backend, boundaries) = churn(seed, 36);
         let total = journal.next_offset();
         assert!(total > 20, "script must journal a real workload");
+        assert!(
+            journal
+                .records_from(0)
+                .unwrap()
+                .iter()
+                .any(|(_, record)| matches!(record, JournalRecord::HomeImported { .. })),
+            "seed {seed}: script must crash-test a home import"
+        );
         crash_everywhere(&backend, total, &boundaries);
 
         let full = Arc::new(Journal::open(Box::new(backend.fork())).unwrap());

@@ -15,8 +15,8 @@
 use hg_api::{ExecConfig, FleetExec};
 use hg_persist::FleetSnapshot;
 use hg_service::{
-    DegradedPolicy, FaultBackend, FaultKind, FaultPlan, Fleet, HomeId, Journal, JournalConfig,
-    MemBackend, RuleStore, TelemetryEvent,
+    FaultBackend, FaultKind, FaultPlan, Fleet, HomeId, Journal, JournalConfig, MemBackend,
+    RuleStore, TelemetryEvent,
 };
 use hg_telemetry::TelemetryHub;
 use homeguard_core::HgError;
@@ -207,7 +207,6 @@ fn fault_policy_events_reconcile_exactly_with_registry_totals() {
             JournalConfig {
                 max_io_attempts: 3,
                 backoff_micros: 0,
-                degraded: DegradedPolicy::RefuseWrites,
                 ..JournalConfig::default()
             },
         )
