@@ -44,6 +44,7 @@ use hg_persist::FleetSnapshot;
 use hg_rules::json::Json;
 use hg_service::{Fleet, HgError, HomeId, Journal, JournalState};
 use hg_telemetry::{TelemetryBus, TelemetryHub};
+use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
@@ -230,22 +231,28 @@ fn query_num(req: &Request, name: &str) -> Result<Option<u64>, ApiError> {
     }
 }
 
-/// `GET /metrics`: samples the pull-style gauges, then renders the
-/// registry as JSON (default) or Prometheus text (`?format=prometheus`).
+/// `GET /metrics`: samples the pull-style gauges of the live executor,
+/// then renders them with the registry as JSON (default) or Prometheus
+/// text (`?format=prometheus`).
 fn metrics_route(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
     let hub = need_hub(state)?;
     let exec = state.exec();
     let registry = hub.registry();
+    let mut gauges = BTreeMap::new();
     for (index, depth) in exec.shard_depths().into_iter().enumerate() {
-        registry.set_gauge(format!("shard_{index}_queue_depth"), depth as i64);
+        gauges.insert(format!("shard_{index}_queue_depth"), depth as i64);
     }
     let busy_shards = exec.shard_occupancy().iter().filter(|busy| **busy).count();
-    registry.set_gauge("shard_workers_busy", busy_shards as i64);
-    registry.set_gauge("store_queue_depth", exec.store_depth() as i64);
-    registry.set_gauge("store_workers_busy", exec.store_busy_workers() as i64);
-    registry.set_gauge("queue_capacity", exec.queue_capacity() as i64);
-    registry.set_gauge("bus_dropped_events", hub.bus().dropped_events() as i64);
-    registry.set_gauge("fleet_homes", exec.fleet().len() as i64);
+    for (name, value) in [
+        ("shard_workers_busy", busy_shards as i64),
+        ("store_queue_depth", exec.store_depth() as i64),
+        ("store_workers_busy", exec.store_busy_workers() as i64),
+        ("queue_capacity", exec.queue_capacity() as i64),
+        ("bus_dropped_events", hub.bus().dropped_events() as i64),
+        ("fleet_homes", exec.fleet().len() as i64),
+    ] {
+        gauges.insert(name.to_string(), value);
+    }
     match req.query_param("format") {
         Some("prometheus") => Ok(Response {
             status: 200,
@@ -253,10 +260,10 @@ fn metrics_route(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
                 "content-type".to_string(),
                 "text/plain; version=0.0.4".to_string(),
             )],
-            body: registry.render_prometheus().into_bytes(),
+            body: registry.render_prometheus(&gauges).into_bytes(),
         }
         .into()),
-        None | Some("json") => Ok(Response::json(200, &registry.to_json()).into()),
+        None | Some("json") => Ok(Response::json(200, &registry.to_json(&gauges)).into()),
         Some(other) => Err(ApiError::bad_request(format!(
             "unknown metrics format `{other}` (expected `json` or `prometheus`)"
         ))),

@@ -187,7 +187,6 @@ fn hg_error_ref_to_api(error: &HgError) -> ApiError {
         HgError::UnconfirmedInstall(_) => (409, "unconfirmed_install"),
         HgError::UpgradeRenames { .. } => (409, "upgrade_renames"),
         HgError::Extract { .. } => (422, "extract_failed"),
-        HgError::Parse { .. } => (500, "corrupt_rule_file"),
         HgError::Poisoned(_) => (503, "poisoned"),
         HgError::Snapshot(_) => (400, "bad_snapshot"),
         HgError::Journal(_) => (500, "journal_failed"),
@@ -398,13 +397,6 @@ mod tests {
                     new: "B".into(),
                 },
                 409,
-            ),
-            (
-                HgError::Parse {
-                    app: "X".into(),
-                    detail: "d".into(),
-                },
-                500,
             ),
             (HgError::Poisoned("shard"), 503),
             (HgError::Snapshot("bad".into()), 400),

@@ -448,6 +448,57 @@ fn restore_refuses_late_writes_from_the_replaced_fleet() {
     server.shutdown();
 }
 
+/// `/metrics` samples its queue gauges from the executor serving the
+/// scrape: after `POST /restore` swaps a 16-shard fleet for a 4-shard one,
+/// the gauges of the shards that no longer exist are gone from both
+/// renderings.
+#[test]
+fn metrics_gauges_follow_the_restored_fleets_shards() {
+    let fleet = Arc::new(Fleet::builder(RuleStore::shared()).shards(16).build());
+    let server = start(
+        fleet,
+        ExecConfig::default(),
+        Duration::from_secs(60),
+        Duration::from_secs(60),
+    );
+    let addr = server.addr();
+    let token = session(&server);
+    let shard_gauges = || {
+        let json = send(addr, "GET", "/metrics", None, None).json();
+        let Some(Json::Obj(gauges)) = json.get("gauges") else {
+            panic!("gauges object");
+        };
+        let names: Vec<String> = gauges
+            .keys()
+            .filter(|name| name.starts_with("shard_") && name.ends_with("_queue_depth"))
+            .cloned()
+            .collect();
+        let prom = send(addr, "GET", "/metrics?format=prometheus", None, None);
+        let text = String::from_utf8(prom.body).unwrap();
+        let lines = text
+            .lines()
+            .filter(|line| line.starts_with("hg_shard_") && line.contains("_queue_depth "))
+            .count();
+        assert_eq!(lines, names.len(), "both renderings carry the same gauges");
+        names
+    };
+    assert_eq!(shard_gauges().len(), 16);
+
+    let small = Fleet::builder(RuleStore::shared()).shards(4).build();
+    small.create_home().unwrap();
+    let restored = post_restore(
+        &server,
+        &token,
+        small.snapshot().unwrap().to_text().as_bytes(),
+    );
+    assert_eq!(restored.status, 200);
+    let expected: Vec<String> = (0..4)
+        .map(|index| format!("shard_{index}_queue_depth"))
+        .collect();
+    assert_eq!(shard_gauges(), expected);
+    server.shutdown();
+}
+
 #[test]
 fn saturated_shard_queue_answers_429_with_retry_after() {
     // One shard, queue bound 1: a wedged worker plus one queued job ⇒

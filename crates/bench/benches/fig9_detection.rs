@@ -11,7 +11,6 @@ use hg_bench::corpus_rules;
 use hg_detector::{Detector, PreparedRule, VerdictCache};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 fn pairs() -> Vec<(
     &'static str,
@@ -60,24 +59,6 @@ fn pairs() -> Vec<(
 
 fn bench_detection(c: &mut Criterion) {
     let detector = Detector::store_wide();
-
-    // Machine-readable per-pair timings (µs, mean of a fixed batch) for
-    // the BENCH_*.json trajectory, measured outside criterion so the
-    // summary exists in every run mode.
-    let mut summary: Vec<(&str, f64)> = Vec::new();
-    for (label, rules_a, rules_b) in pairs() {
-        if rules_a.is_empty() || rules_b.is_empty() {
-            continue;
-        }
-        let runs = 60u32;
-        let started = Instant::now();
-        for _ in 0..runs {
-            black_box(detector.detect_pair(black_box(&rules_a[0]), black_box(&rules_b[0])));
-        }
-        summary.push((label, started.elapsed().as_micros() as f64 / runs as f64));
-    }
-    hg_bench::emit_summary("fig9_detection_pair_us", &summary);
-
     let mut group = c.benchmark_group("fig9_detect_pair");
     for (label, rules_a, rules_b) in pairs() {
         if rules_a.is_empty() || rules_b.is_empty() {

@@ -1,5 +1,5 @@
 //! Parameterized synthetic fleet generator: seeded, heterogeneous home
-//! populations for soak tests and journal benches.
+//! populations for soak tests and the end-to-end benchmark (`homebench/`).
 //!
 //! The generator stands up fleets of 10⁵+ homes from a small shared app
 //! palette (so the store's ingest cache serves every home, exactly like a

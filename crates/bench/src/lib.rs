@@ -27,22 +27,6 @@ pub fn device_control_rules() -> Vec<Rule> {
         .collect()
 }
 
-/// Emits one machine-readable summary line for a bench run.
-///
-/// The format is grep-friendly and stable: `BENCH_SUMMARY {json}`, one
-/// object per bench, numeric fields only. `BENCH_*.json` trajectory files
-/// checked into the repo root are assembled from these lines, so future
-/// PRs can regress against recorded baselines without parsing criterion's
-/// human-readable output.
-pub fn emit_summary(bench: &str, fields: &[(&str, f64)]) {
-    let mut body = format!("{{\"bench\":\"{bench}\"");
-    for (key, value) in fields {
-        body.push_str(&format!(",\"{key}\":{value:.2}"));
-    }
-    body.push('}');
-    println!("BENCH_SUMMARY {body}");
-}
-
 /// The same population grouped per app, for incremental store audits.
 pub fn device_control_rule_sets() -> Vec<Vec<Rule>> {
     hg_corpus::device_control_apps()

@@ -5,7 +5,7 @@
 //! (`rules_from_text(..).ok()`). Every user-reachable entry point across
 //! `homeguard-core`, `hg-service` and the runtime surfaces now returns
 //! [`HgError`], so a caller driving thousands of homes can tell a missing
-//! app from a corrupt rule file from a poisoned shard — and react per home
+//! app from a failed extraction from a poisoned shard — and react per home
 //! instead of crashing the service.
 
 use hg_symexec::ExtractError;
@@ -49,14 +49,6 @@ pub enum HgError {
         app: String,
         /// The underlying extractor failure.
         error: ExtractError,
-    },
-    /// A stored rule file failed to parse back into rules — a corrupt
-    /// database entry, previously swallowed into "app has no rules".
-    Parse {
-        /// The app whose rule file is corrupt.
-        app: String,
-        /// The parser's diagnosis.
-        detail: String,
     },
     /// No home with this id is registered in the fleet.
     UnknownHome(HomeId),
@@ -113,9 +105,6 @@ impl fmt::Display for HgError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HgError::Extract { app, error } => write!(f, "extraction of `{app}` failed: {error}"),
-            HgError::Parse { app, detail } => {
-                write!(f, "stored rule file of `{app}` is corrupt: {detail}")
-            }
             HgError::UnknownHome(id) => write!(f, "no such home: {id}"),
             HgError::UnknownApp(app) => write!(f, "unknown app: `{app}`"),
             HgError::UnconfirmedInstall(app) => {
@@ -157,11 +146,6 @@ mod tests {
         assert!(e.to_string().contains("Ghost"));
         let e = HgError::UnknownHome(HomeId::new(7));
         assert!(e.to_string().contains("home-7"));
-        let e = HgError::Parse {
-            app: "Bad".into(),
-            detail: "not json".into(),
-        };
-        assert!(e.to_string().contains("corrupt"));
         let e = HgError::UpgradeRenames {
             installed: "A".into(),
             new: "B".into(),

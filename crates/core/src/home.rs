@@ -467,7 +467,7 @@ impl Home {
     ///
     /// # Errors
     ///
-    /// [`HgError::UnknownApp`] / [`HgError::Parse`] from the store lookup.
+    /// [`HgError::UnknownApp`] from the store lookup.
     pub fn check_install(&self, app: &str) -> Result<InstallReport, HgError> {
         let rules = self.store.rules_of(app)?;
         let (threats, stats) = self.engine.check(&rules);

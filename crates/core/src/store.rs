@@ -13,7 +13,7 @@
 
 use crate::error::HgError;
 use hg_detector::VerdictCache;
-use hg_rules::json::{rules_from_text, rules_to_text};
+use hg_rules::json::rules_to_text;
 use hg_rules::rule::Rule;
 use hg_symexec::{extract, AppAnalysis, ExtractorConfig};
 use std::collections::hash_map::DefaultHasher;
@@ -22,7 +22,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// The shared rule database: extraction backend + per-app rule files.
+/// The shared rule database: extraction backend + one analysis per app.
 pub struct RuleStore {
     /// Extractor configuration, fixed at store creation.
     config: ExtractorConfig,
@@ -46,16 +46,14 @@ pub struct RuleStore {
 
 #[derive(Default)]
 struct StoreInner {
-    /// `app name → serialized rule file` — what the backend persists.
-    database: BTreeMap<String, String>,
-    /// Cached full analyses (inputs, warnings) for the frontend.
+    /// `app name → analysis` (rules, inputs, warnings): the database, one
+    /// record per app.
     analyses: BTreeMap<String, Arc<AppAnalysis>>,
     /// `(source, fallback name) fingerprint → analysis`, the ingest dedup
-    /// cache. Invariant: every entry serves the analysis its app's
-    /// database entry currently round-trips to — when an upgrade replaces
-    /// an app's entry, the pre-upgrade fingerprints are retired (see
-    /// `app_fingerprints`), so a stale fingerprint can never answer an
-    /// ingest with a pre-upgrade analysis.
+    /// cache. Invariant: every entry serves its app's current analysis —
+    /// when an upgrade replaces an app's entry, the pre-upgrade
+    /// fingerprints are retired (see `app_fingerprints`), so a stale
+    /// fingerprint can never answer an ingest with a pre-upgrade analysis.
     by_fingerprint: BTreeMap<u64, Arc<AppAnalysis>>,
     /// `app name → live fingerprints` — the retirement index. Upgrade and
     /// retraction walk it to drop exactly the app's stale cache entries.
@@ -111,7 +109,7 @@ impl RuleStore {
         self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Extracts an app and stores its rule file (the offline part of
+    /// Extracts an app and stores its analysis (the offline part of
     /// HomeGuard). Returns the analysis.
     ///
     /// Ingest is idempotent per `(source, fallback name)`: a repeated
@@ -163,10 +161,10 @@ impl RuleStore {
         self.ingest_epoch.load(Ordering::Acquire)
     }
 
-    /// Whether `app`'s cached analysis holds exactly `rules`, without
+    /// Whether `app`'s stored analysis holds exactly `rules`, without
     /// cloning the rule set (unlike [`rules_of`](RuleStore::rules_of)).
-    /// Entries without a cached analysis answer `false` — callers that
-    /// dedup against the store fall back to carrying the rules inline.
+    /// An app not in the store answers `false` — callers that dedup
+    /// against the store fall back to carrying the rules inline.
     pub fn rules_eq(&self, app: &str, rules: &[Rule]) -> bool {
         self.read_inner()
             .analyses
@@ -237,9 +235,6 @@ impl RuleStore {
                 self.verdicts.evict_app(&app);
             }
         }
-        inner
-            .database
-            .insert(app.clone(), rules_to_text(&analysis.rules));
         inner.by_fingerprint.insert(fingerprint, analysis.clone());
         inner
             .app_fingerprints
@@ -250,15 +245,14 @@ impl RuleStore {
     }
 
     /// Removes a store-pulled (e.g. discovered-malicious) app from the
-    /// database entirely: its rule file, its cached analysis and every
-    /// live fingerprint, so neither a query nor a dedup-cache hit can
-    /// resurrect it. Returns whether the app was present. Homes keep
-    /// their installed rule copies — retraction from every session is the
-    /// fleet's job (`Fleet::force_uninstall` composes both).
+    /// database entirely: its analysis and every live fingerprint, so
+    /// neither a query nor a dedup-cache hit can resurrect it. Returns
+    /// whether the app was present. Homes keep their installed rule
+    /// copies — retraction from every session is the fleet's job
+    /// (`Fleet::force_uninstall` composes both).
     pub fn retire_app(&self, app: &str) -> bool {
         let mut inner = self.write_inner();
-        let present = inner.database.remove(app).is_some();
-        inner.analyses.remove(app);
+        let present = inner.analyses.remove(app).is_some();
         if let Some(fps) = inner.app_fingerprints.remove(app) {
             for fp in fps {
                 inner.by_fingerprint.remove(&fp);
@@ -270,40 +264,23 @@ impl RuleStore {
         present
     }
 
-    /// Queries the stored rules for `app` (the phone app's online request).
-    ///
-    /// Served from the cached analysis when one exists — every install of
-    /// a store app used to re-parse the serialized rule file, which
-    /// profiling showed was **more than half** the cost of a fleet-wide
-    /// install grid. The rule file is parsed only for entries without a
-    /// cached analysis (e.g. restored from a pre-analysis snapshot or
-    /// injected by hand); ingest keeps entry and analysis in lockstep, and
-    /// the serialization round-trip itself stays covered by the store
-    /// tests.
+    /// Queries the stored rules for `app` (the phone app's online request),
+    /// served from its analysis.
     ///
     /// # Errors
     ///
-    /// [`HgError::UnknownApp`] when `app` was never ingested;
-    /// [`HgError::Parse`] when the stored rule file is corrupt (previously
-    /// swallowed into an empty answer).
+    /// [`HgError::UnknownApp`] when `app` was never ingested.
     pub fn rules_of(&self, app: &str) -> Result<Vec<Rule>, HgError> {
-        let inner = self.read_inner();
-        if let Some(analysis) = inner.analyses.get(app) {
-            return Ok(analysis.rules.clone());
-        }
-        let text = inner
-            .database
+        self.read_inner()
+            .analyses
             .get(app)
-            .ok_or_else(|| HgError::UnknownApp(app.to_string()))?;
-        rules_from_text(text).map_err(|detail| HgError::Parse {
-            app: app.to_string(),
-            detail,
-        })
+            .map(|analysis| analysis.rules.clone())
+            .ok_or_else(|| HgError::UnknownApp(app.to_string()))
     }
 
     /// Whether `app` has been ingested into the database.
     pub fn has_app(&self, app: &str) -> bool {
-        self.read_inner().database.contains_key(app)
+        self.read_inner().analyses.contains_key(app)
     }
 
     /// The stored analysis for `app`.
@@ -312,24 +289,25 @@ impl RuleStore {
     }
 
     /// The serialized rule-file size in bytes for `app` (§VIII-C measures
-    /// an average of ~6.2 KB per app).
+    /// an average of ~6.2 KB per app), computed from its analysis.
     pub fn rule_file_size(&self, app: &str) -> Option<usize> {
-        self.read_inner().database.get(app).map(String::len)
+        let analysis = self.analysis_of(app)?;
+        Some(rules_to_text(&analysis.rules).len())
     }
 
     /// Names of every ingested app.
     pub fn app_names(&self) -> Vec<String> {
-        self.read_inner().database.keys().cloned().collect()
+        self.read_inner().analyses.keys().cloned().collect()
     }
 
     /// Number of apps in the database.
     pub fn len(&self) -> usize {
-        self.read_inner().database.len()
+        self.read_inner().analyses.len()
     }
 
     /// Whether the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.read_inner().database.is_empty()
+        self.read_inner().analyses.is_empty()
     }
 
     /// How many ingests were served from cache (same source, no
@@ -343,22 +321,20 @@ impl RuleStore {
         &self.config
     }
 
-    /// Extracts the persistable state: every database entry with its
-    /// cached analysis and live fingerprints, plus the extractor
-    /// configuration. This is the raw material `hg-persist` serializes;
-    /// the effort counters (`cache_hits`) are statistics, not state, and
-    /// are deliberately not part of it.
+    /// Extracts the persistable state: every app's analysis with its live
+    /// fingerprints, plus the extractor configuration. This is the raw
+    /// material `hg-persist` serializes; the effort counters (`cache_hits`)
+    /// are statistics, not state, and are deliberately not part of it.
     pub fn export_state(&self) -> StoreState {
         let inner = self.read_inner();
         StoreState {
             config: self.config.clone(),
             apps: inner
-                .database
+                .analyses
                 .iter()
-                .map(|(name, rule_file)| StoreAppState {
+                .map(|(name, analysis)| StoreAppState {
                     name: name.clone(),
-                    rule_file: rule_file.clone(),
-                    analysis: inner.analyses.get(name).cloned(),
+                    analysis: analysis.clone(),
                     fingerprints: inner
                         .app_fingerprints
                         .get(name)
@@ -379,16 +355,13 @@ impl RuleStore {
         {
             let mut inner = store.write_inner();
             for app in state.apps {
-                inner.database.insert(app.name.clone(), app.rule_file);
-                if let Some(analysis) = app.analysis {
-                    for &fp in &app.fingerprints {
-                        inner.by_fingerprint.insert(fp, analysis.clone());
-                    }
-                    inner
-                        .app_fingerprints
-                        .insert(app.name.clone(), app.fingerprints);
-                    inner.analyses.insert(app.name, analysis);
+                for &fp in &app.fingerprints {
+                    inner.by_fingerprint.insert(fp, app.analysis.clone());
                 }
+                inner
+                    .app_fingerprints
+                    .insert(app.name.clone(), app.fingerprints);
+                inner.analyses.insert(app.name, app.analysis);
             }
         }
         store
@@ -400,11 +373,8 @@ impl RuleStore {
 pub struct StoreAppState {
     /// The app name (database key).
     pub name: String,
-    /// The serialized rule file exactly as the database holds it.
-    pub rule_file: String,
-    /// The cached full analysis, when one exists (a corrupt or manually
-    /// injected entry may have none; queries still serve the rule file).
-    pub analysis: Option<Arc<AppAnalysis>>,
+    /// The app's analysis: its rules, inputs and warnings.
+    pub analysis: Arc<AppAnalysis>,
     /// The live `(source, fallback name)` fingerprints serving `analysis`.
     pub fingerprints: Vec<u64>,
 }
@@ -421,6 +391,7 @@ pub struct StoreState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hg_rules::json::rules_from_text;
     use std::sync::Arc;
 
     const APP: &str = r#"
@@ -474,21 +445,6 @@ def h(evt) { lamp.on() }
     }
 
     #[test]
-    fn corrupt_rule_file_surfaces_as_parse_error() {
-        // A corrupt database entry used to be swallowed into `None`; now it
-        // is a typed `Parse` error naming the app.
-        let store = RuleStore::new();
-        store
-            .write_inner()
-            .database
-            .insert("Bad".to_string(), "not json".to_string());
-        assert!(matches!(
-            store.rules_of("Bad"),
-            Err(HgError::Parse { app, .. }) if app == "Bad"
-        ));
-    }
-
-    #[test]
     fn poisoned_store_recovers_instead_of_panicking() {
         let store = RuleStore::shared();
         store.ingest(APP, "Mini").unwrap();
@@ -510,32 +466,15 @@ def h(evt) { lamp.on() }
 
     #[test]
     fn database_round_trips_through_json() {
-        // `rules_of` serves the cached analysis, so parse the stored rule
-        // file explicitly: the serialized entry must reproduce the
-        // analysis exactly (the invariant that makes the fast path safe).
+        // A snapshot persists each app's rules as the rule file of its
+        // analysis and parses them back on restore: the rule file must
+        // reproduce the analysis exactly.
         let store = RuleStore::new();
         let analysis_rules = store.ingest(APP, "Mini").unwrap().rules.clone();
-        let text = {
-            let inner = store.read_inner();
-            inner.database.get("Mini").unwrap().clone()
-        };
-        let from_db = rules_from_text(&text).unwrap();
-        assert_eq!(from_db, analysis_rules);
+        let text = rules_to_text(&analysis_rules);
+        assert_eq!(store.rule_file_size("Mini"), Some(text.len()));
+        assert_eq!(rules_from_text(&text).unwrap(), analysis_rules);
         assert_eq!(store.rules_of("Mini").unwrap(), analysis_rules);
-    }
-
-    #[test]
-    fn rules_of_parses_entries_without_a_cached_analysis() {
-        // A database entry with no analysis (snapshot from an older
-        // process, manual injection) still answers through the parser.
-        let store = RuleStore::new();
-        let rules = store.ingest(APP, "Mini").unwrap().rules.clone();
-        let text = rules_to_text(&rules);
-        store
-            .write_inner()
-            .database
-            .insert("Orphan".to_string(), text);
-        assert_eq!(store.rules_of("Orphan").unwrap(), rules);
     }
 
     #[test]

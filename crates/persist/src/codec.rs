@@ -9,8 +9,8 @@
 use hg_capability::domains::EnvProperty;
 use hg_detector::{Threat, ThreatKind};
 use hg_rules::json::{
-    rule_from_json, rule_to_json, rules_from_text, value_from_json, value_to_json, varid_from_json,
-    varid_to_json, Json,
+    rule_from_json, rule_to_json, rules_from_text, rules_to_text, value_from_json, value_to_json,
+    varid_from_json, varid_to_json, Json,
 };
 use hg_rules::rule::RuleId;
 use hg_runtime::{HandlingPolicy, PolicyTable};
@@ -374,9 +374,8 @@ fn input_decl_from_json(j: &Json) -> Result<InputDecl, HgError> {
     })
 }
 
-/// Encodes an analysis *without* its rules — the store app's rule file is
-/// the single source of truth for those, so a snapshot cannot carry an
-/// analysis whose rules disagree with the database entry next to it.
+/// Encodes an analysis *without* its rules — the entry's `ruleFile` next to
+/// it carries those, so a snapshot holds each app's rules exactly once.
 fn analysis_to_json(a: &AppAnalysis) -> Json {
     Json::obj([
         ("name", Json::str(&a.name)),
@@ -436,7 +435,7 @@ fn extractor_config_from_json(j: &Json) -> Result<ExtractorConfig, HgError> {
 // ----- store state ------------------------------------------------------------
 
 /// Encodes the exported rule-store database (config, apps, rule files,
-/// fingerprints).
+/// analyses, fingerprints).
 pub fn store_state_to_json(state: &StoreState) -> Json {
     Json::obj([
         ("config", extractor_config_to_json(&state.config)),
@@ -449,14 +448,8 @@ pub fn store_state_to_json(state: &StoreState) -> Json {
                     .map(|app| {
                         Json::obj([
                             ("name", Json::str(&app.name)),
-                            ("ruleFile", Json::str(&app.rule_file)),
-                            (
-                                "analysis",
-                                app.analysis
-                                    .as_deref()
-                                    .map(analysis_to_json)
-                                    .unwrap_or(Json::Null),
-                            ),
+                            ("ruleFile", Json::Str(rules_to_text(&app.analysis.rules))),
+                            ("analysis", analysis_to_json(&app.analysis)),
                             (
                                 "fingerprints",
                                 // u64 fingerprints bit-cast through i64: the
@@ -482,22 +475,15 @@ pub fn store_state_from_json(j: &Json) -> Result<StoreState, HgError> {
     let mut apps = Vec::new();
     for entry in arr_field(j, "apps")? {
         let name = str_field(entry, "name")?;
-        let rule_file = str_field(entry, "ruleFile")?;
-        let analysis = match entry.get("analysis") {
-            None | Some(Json::Null) => None,
-            Some(a) => {
-                // The analysis' rules are not serialized: re-parse them
-                // from the rule file so snapshot and database agree by
-                // construction.
-                let rules = rules_from_text(&rule_file)
-                    .map_err(|e| snap_err(format!("rule file of `{name}`: {e}")))?;
-                Some(Arc::new(analysis_from_json(a, rules)?))
-            }
-        };
+        let rules = rules_from_text(&str_field(entry, "ruleFile")?)
+            .map_err(|e| snap_err(format!("rule file of `{name}`: {e}")))?;
+        let analysis = entry
+            .get("analysis")
+            .filter(|a| **a != Json::Null)
+            .ok_or_else(|| snap_err(format!("store app `{name}` has no analysis")))?;
         apps.push(StoreAppState {
+            analysis: Arc::new(analysis_from_json(analysis, rules)?),
             name,
-            rule_file,
-            analysis,
             fingerprints: arr_field(entry, "fingerprints")?
                 .iter()
                 .map(|fp| {

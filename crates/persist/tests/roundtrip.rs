@@ -211,6 +211,29 @@ fn negative_numeric_fields_are_refused_not_bitcast() {
 }
 
 #[test]
+fn store_entries_need_an_analysis_and_a_parsable_rule_file() {
+    // A store app is restored as one record, its analysis, with the rules
+    // parsed from the entry's rule file: an entry missing either refuses
+    // the whole snapshot.
+    let fleet = Fleet::new(RuleStore::shared());
+    let id = fleet.create_home().unwrap();
+    fleet.install_app(id, ON_APP, "OnApp", None).unwrap();
+    let text = fleet.snapshot().unwrap().to_text();
+
+    let start = text.find("\"analysis\":{").expect("store entry analysis");
+    let end = start + text[start..].find(",\"fingerprints\":").unwrap();
+    let no_analysis = format!("{}\"analysis\":null{}", &text[..start], &text[end..]);
+    let corrupt_rules = text.replacen("\"ruleFile\":\"", "\"ruleFile\":\"x", 1);
+    assert_ne!(corrupt_rules, text);
+    for doc in [no_analysis, corrupt_rules] {
+        match FleetSnapshot::from_text(&doc) {
+            Err(HgError::Snapshot(detail)) => assert!(detail.contains("OnApp"), "{detail}"),
+            other => panic!("expected Snapshot error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
 fn wrong_version_and_kind_are_refused() {
     let fleet = Fleet::new(RuleStore::shared());
     let text = fleet.snapshot().unwrap().to_text();

@@ -123,7 +123,6 @@ fn digest_install(report: &Result<hg_service::InstallReport, HgError>) -> String
 fn variant(e: &HgError) -> &'static str {
     match e {
         HgError::Extract { .. } => "extract",
-        HgError::Parse { .. } => "parse",
         HgError::UnknownHome(_) => "unknown-home",
         HgError::UnknownApp(_) => "unknown-app",
         HgError::UnconfirmedInstall(_) => "unconfirmed",

@@ -202,6 +202,8 @@ impl TelemetryBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hg_rules::json::Json;
+    use std::collections::BTreeMap;
     use std::sync::atomic::AtomicBool;
     use std::sync::{Arc, Barrier};
 
@@ -340,7 +342,7 @@ mod tests {
                     while !done.load(Ordering::Acquire) {
                         let homes = bus.registry().counter("homes_created_total");
                         assert!(homes <= bus.published(), "a fold never runs ahead");
-                        bus.registry().render_prometheus();
+                        bus.registry().render_prometheus(&BTreeMap::new());
                         scrapes += 1;
                     }
                     scrapes
@@ -391,5 +393,104 @@ mod tests {
                 assert_eq!(seqs, (total - out.len() as u64..total).collect::<Vec<_>>());
             }
         }
+    }
+
+    /// `installs_total` and the per-app interference rows count the same
+    /// installs, so every rendered body must agree on them.
+    fn installs_json(body: &Json) -> (i64, i64) {
+        let total = body
+            .get("counters")
+            .and_then(|c| c.get("installs_total"))
+            .and_then(Json::as_num)
+            .unwrap_or(0);
+        let rows = body
+            .get("interference")
+            .and_then(Json::as_arr)
+            .expect("interference rows")
+            .iter()
+            .map(|row| row.get("installs").and_then(Json::as_num).unwrap())
+            .sum();
+        (total, rows)
+    }
+
+    fn installs_prometheus(text: &str) -> (i64, i64) {
+        let (mut total, mut rows) = (0, 0);
+        for line in text.lines() {
+            let value = || line.rsplit(' ').next().unwrap().parse::<i64>().unwrap();
+            if line.starts_with("hg_installs_total ") {
+                total = value();
+            } else if line.starts_with("hg_app_installs_total{") {
+                rows += value();
+            }
+        }
+        (total, rows)
+    }
+
+    /// Publishers fold installs while a scraper renders the registry as
+    /// JSON and as Prometheus text: each body is one consistent cut, never
+    /// a counter read before a publish next to rows read after it.
+    #[test]
+    fn scrapes_are_never_torn_by_concurrent_publishers() {
+        const PUBLISHERS: u64 = 4;
+        const INSTALLS: u64 = 10_000;
+        let bus = Arc::new(TelemetryBus::new());
+        let start = Arc::new(Barrier::new(PUBLISHERS as usize + 1));
+        let done = Arc::new(AtomicBool::new(false));
+        let scraper = {
+            let (bus, done) = (bus.clone(), done.clone());
+            std::thread::spawn(move || {
+                let gauges = BTreeMap::new();
+                let (mut bodies, mut torn) = (0u64, Vec::new());
+                while !done.load(Ordering::Acquire) {
+                    let json = installs_json(&bus.registry().to_json(&gauges));
+                    let prometheus =
+                        installs_prometheus(&bus.registry().render_prometheus(&gauges));
+                    for (format, (total, rows)) in [("json", json), ("prometheus", prometheus)] {
+                        if total != rows {
+                            torn.push(format!("{format}: installs_total {total}, rows {rows}"));
+                        }
+                    }
+                    bodies += 2;
+                }
+                (bodies, torn)
+            })
+        };
+        let publishers: Vec<_> = (0..PUBLISHERS)
+            .map(|p| {
+                let (bus, start) = (bus.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for n in 0..INSTALLS {
+                        bus.publish(TelemetryEvent::InstallCompleted {
+                            home: n,
+                            app: format!("App{}", (p + n) % 8),
+                            installed: n % 3 != 0,
+                            upgrade: false,
+                            threats: 0,
+                            pairs: 1,
+                            solves: 1,
+                            cache_hits: 0,
+                            cache_misses: 1,
+                            micros: n,
+                        });
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        for publisher in publishers {
+            publisher.join().unwrap();
+        }
+        done.store(true, Ordering::Release);
+        let (bodies, torn) = scraper.join().unwrap();
+        assert!(bodies > 0, "the scraper ran");
+        assert!(
+            torn.is_empty(),
+            "{} of {bodies} bodies torn: {torn:?}",
+            torn.len()
+        );
+        let last = bus.registry().to_json(&BTreeMap::new());
+        let installs = (PUBLISHERS * INSTALLS) as i64;
+        assert_eq!(installs_json(&last), (installs, installs));
     }
 }

@@ -10,9 +10,9 @@
 //!   and retains its events under one lock in a single ring; overflow
 //!   drops the oldest event from the ring and counts it, so a slow
 //!   `/events/stream` reader costs history, never throughput.
-//! * [`MetricsRegistry`] — counters, gauges, fixed-bucket histograms and
-//!   the paper's fleet analytics (per-app interference table, latency
-//!   splits). The bus folds every event into its registry as it is
+//! * [`MetricsRegistry`] — counters, fixed-bucket histograms and the
+//!   paper's fleet analytics (per-app interference table, latency
+//!   splits); it renders them with gauges the scraper samples. The bus folds every event into its registry as it is
 //!   published, so totals are exact the moment an operation returns.
 //!   Counters live in memory and reset on restart.
 //! * [`TelemetryHub`] — the thread-free handle a server keeps: the bus

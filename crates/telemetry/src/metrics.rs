@@ -1,5 +1,5 @@
-//! The metrics registry: bus events folded into counters, gauges,
-//! fixed-bucket histograms and the paper's fleet-scale analytics.
+//! The metrics registry: bus events folded into counters, fixed-bucket
+//! histograms and the paper's fleet-scale analytics.
 //!
 //! Every [`TelemetryBus`](crate::TelemetryBus) owns one
 //! [`MetricsRegistry`] and folds each event into it while publishing,
@@ -8,6 +8,12 @@
 //! a handful of map bumps on `&'static str` keys; an app that already has
 //! an interference row costs no allocation. Counters live in memory only
 //! and reset when the process restarts, as Prometheus counters do.
+//!
+//! A scrape copies the aggregates under one lock acquisition, so every
+//! rendered body is one consistent cut, and sorts and formats after
+//! releasing the lock publishers need. Pull-style gauges (queue depths,
+//! fleet size) are sampled by the scraper and passed into the render
+//! calls; the registry stores none.
 //!
 //! The derived tables answer the paper's fleet questions directly:
 //! the per-app interference table is Fig. 8 at fleet scale (which store
@@ -137,15 +143,13 @@ impl AppInterference {
 }
 
 /// The aggregates behind the registry's lock.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct Inner {
     counters: BTreeMap<&'static str, u64>,
     /// Threats by kind acronym.
     threat_kinds: BTreeMap<&'static str, u64>,
     /// Mediation decisions by final verdict.
     verdicts: BTreeMap<&'static str, u64>,
-    /// Pull-style gauges, set by whoever scrapes (queue depths, bus drops).
-    gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<&'static str, Histogram>,
     interference: BTreeMap<String, AppInterference>,
 }
@@ -329,17 +333,6 @@ impl MetricsRegistry {
         self.lock().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Sets a pull-style gauge (queue depths, occupancy, bus drop counts —
-    /// sampled by the scraper at render time, not event-driven).
-    pub fn set_gauge(&self, name: impl Into<String>, value: i64) {
-        self.lock().gauges.insert(name.into(), value);
-    }
-
-    /// One gauge's last sampled value.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.lock().gauges.get(name).copied()
-    }
-
     /// One histogram's current shape.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
         self.lock().histograms.get(name).cloned()
@@ -348,20 +341,10 @@ impl MetricsRegistry {
     /// The interference table, highest rate first (rate ties break toward
     /// more attempts, then app name — a stable, meaningful leaderboard).
     pub fn interference_table(&self) -> Vec<(String, AppInterference)> {
-        let inner = self.lock();
-        let mut rows: Vec<(String, AppInterference)> = inner
-            .interference
-            .iter()
-            .map(|(app, row)| (app.clone(), *row))
-            .collect();
-        rows.sort_by(|(app_a, a), (app_b, b)| {
-            b.rate()
-                .partial_cmp(&a.rate())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(b.installs.cmp(&a.installs))
-                .then(app_a.cmp(app_b))
-        });
-        rows
+        // Copied in its own statement, so the guard is released before
+        // the sort: publishers need this lock.
+        let rows = self.lock().interference.clone();
+        leaderboard(rows)
     }
 
     /// The interference table as JSON rows, highest rate first (the
@@ -392,9 +375,10 @@ impl MetricsRegistry {
         )
     }
 
-    /// The full registry as flat JSON (the `GET /metrics` body).
-    pub fn to_json(&self) -> Json {
-        let inner = self.lock();
+    /// The full registry as flat JSON (the `GET /metrics` body), with the
+    /// scraper's sampled `gauges`.
+    pub fn to_json(&self, gauges: &BTreeMap<String, i64>) -> Json {
+        let inner = self.lock().clone();
         let counters = Json::Obj(
             inner
                 .counters
@@ -403,8 +387,7 @@ impl MetricsRegistry {
                 .collect(),
         );
         let gauges = Json::Obj(
-            inner
-                .gauges
+            gauges
                 .iter()
                 .map(|(k, v)| (k.clone(), Json::Num(*v)))
                 .collect(),
@@ -430,9 +413,8 @@ impl MetricsRegistry {
                 .map(|(name, h)| ((*name).to_string(), histogram_json(h)))
                 .collect(),
         );
-        drop(inner);
         let interference = Json::Arr(
-            self.interference_table()
+            leaderboard(inner.interference)
                 .into_iter()
                 .map(|(app, row)| interference_row_json(&app, &row))
                 .collect(),
@@ -448,10 +430,11 @@ impl MetricsRegistry {
     }
 
     /// A Prometheus-style text rendering (`GET /metrics?format=prometheus`):
-    /// `hg_`-prefixed counters and gauges, cumulative `_bucket{le=…}`
-    /// histogram series, and the interference table as labeled gauges.
-    pub fn render_prometheus(&self) -> String {
-        let inner = self.lock();
+    /// `hg_`-prefixed counters and the scraper's sampled `gauges`,
+    /// cumulative `_bucket{le=…}` histogram series, and the interference
+    /// table as labeled gauges.
+    pub fn render_prometheus(&self, gauges: &BTreeMap<String, i64>) -> String {
+        let inner = self.lock().clone();
         let mut out = String::new();
         for (name, value) in &inner.counters {
             out.push_str(&format!("# TYPE hg_{name} counter\nhg_{name} {value}\n"));
@@ -466,7 +449,7 @@ impl MetricsRegistry {
                 "hg_mediation_by_verdict_total{{verdict=\"{verdict}\"}} {value}\n"
             ));
         }
-        for (name, value) in &inner.gauges {
+        for (name, value) in gauges {
             out.push_str(&format!("# TYPE hg_{name} gauge\nhg_{name} {value}\n"));
         }
         for (name, h) in &inner.histograms {
@@ -482,8 +465,7 @@ impl MetricsRegistry {
             out.push_str(&format!("hg_{name}_sum {}\n", h.sum));
             out.push_str(&format!("hg_{name}_count {}\n", h.count));
         }
-        drop(inner);
-        for (app, row) in self.interference_table() {
+        for (app, row) in leaderboard(inner.interference) {
             out.push_str(&format!(
                 "hg_app_interference_rate{{app=\"{app}\"}} {:.6}\n",
                 row.rate()
@@ -495,6 +477,20 @@ impl MetricsRegistry {
         }
         out
     }
+}
+
+/// The interference rows highest rate first (rate ties break toward more
+/// attempts, then app name — a stable, meaningful leaderboard).
+fn leaderboard(rows: BTreeMap<String, AppInterference>) -> Vec<(String, AppInterference)> {
+    let mut rows: Vec<(String, AppInterference)> = rows.into_iter().collect();
+    rows.sort_by(|(app_a, a), (app_b, b)| {
+        b.rate()
+            .partial_cmp(&a.rate())
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(b.installs.cmp(&a.installs))
+            .then(app_a.cmp(app_b))
+    });
+    rows
 }
 
 fn histogram_json(h: &Histogram) -> Json {
@@ -580,11 +576,20 @@ mod tests {
         assert!((table[0].1.rate() - 0.5).abs() < 1e-9);
         assert_eq!(table[0].1.threats, 1);
         assert_eq!(table[1].1.threats, 1, "both pair members are charged");
-        // Renders in both formats without panicking, with the data present.
-        let json = reg.to_json();
+        // Renders in both formats without panicking, with the data and
+        // the scraper's gauges present.
+        let gauges = BTreeMap::from([("fleet_homes".to_string(), 2)]);
+        let json = reg.to_json(&gauges);
         assert!(json.get("counters").is_some());
-        let prom = reg.render_prometheus();
+        assert_eq!(
+            json.get("gauges")
+                .and_then(|g| g.get("fleet_homes"))
+                .and_then(Json::as_num),
+            Some(2)
+        );
+        let prom = reg.render_prometheus(&gauges);
         assert!(prom.contains("hg_installs_total 3"));
+        assert!(prom.contains("# TYPE hg_fleet_homes gauge\nhg_fleet_homes 2\n"));
         assert!(prom.contains("hg_app_interference_rate{app=\"A\"} 0.5"));
     }
 

@@ -6,8 +6,8 @@
 //! concurrently the whole time.
 //!
 //! Sized by `HG_SOAK_HOMES` (default 300, so the suite stays a fast CI
-//! smoke; the recorded BENCH_PR8.json datapoint runs 100 000 through the
-//! `journal_wal` bench, which shares the same generator).
+//! smoke; set it higher for a long soak). `homebench/`'s `fleet_rollout`
+//! workload builds its 5k-home fleet with the same generator.
 
 use hg_bench::fleet_gen::{populate, relay_ladder, FleetSpec};
 use hg_journal::{DirBackend, Journal, MemBackend};

@@ -285,6 +285,12 @@ fn exec_dispatched_rollouts_reconcile_with_no_wait() {
     for (_, result) in fleet.install_many(&ids, ON_APP, "OnApp", None).unwrap() {
         result.unwrap();
     }
+    let registry = hub.registry();
+    let counter = |name: &str| registry.counter(name);
+    // The bulk install commits as one group, yet counts each home's
+    // install exactly once.
+    assert_eq!(counter("installs_total"), ids.len() as u64);
+    assert_eq!(counter("installs_clean_total"), ids.len() as u64);
     // Every third home also runs the conflicting app, so part of each
     // rollout comes back dirty with threats.
     for id in ids.iter().step_by(3) {
@@ -292,8 +298,6 @@ fn exec_dispatched_rollouts_reconcile_with_no_wait() {
             .install_app_forced(*id, OFF_APP, "OffApp", None)
             .unwrap();
     }
-    let registry = hub.registry();
-    let counter = |name: &str| registry.counter(name);
     let exec = FleetExec::start(fleet.clone(), ExecConfig::default());
     let (upgrades, dirty, threats, sweeps, swept) = (
         counter("upgrades_total"),
