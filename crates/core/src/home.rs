@@ -32,7 +32,8 @@ use crate::error::HgError;
 use crate::store::RuleStore;
 use hg_config::ConfigInfo;
 use hg_detector::{
-    find_chains, Chain, DetectStats, DetectionEngine, Detector, Edge, Threat, Unification,
+    find_chains, Chain, DetectStats, DetectionEngine, Detector, Edge, PreparedRule, Threat,
+    Unification,
 };
 use hg_rules::rule::{Rule, RuleId};
 use hg_rules::value::Value;
@@ -211,6 +212,14 @@ pub struct Home {
     /// per-run enforcer; without a shared sink its counters would die with
     /// it). Observability state only — never persisted.
     mediation_sink: Arc<Mutex<MediationStats>>,
+}
+
+/// A session's configuration recorders and engine from before a staged
+/// configuration (see [`Home::stage_config`]).
+struct StagedConfig {
+    bindings: BTreeMap<(String, String), String>,
+    values: BTreeMap<(String, String), Value>,
+    engine: DetectionEngine,
 }
 
 /// The outcome of an installation attempt, shown to the user by the
@@ -469,10 +478,17 @@ impl Home {
     ///
     /// [`HgError::UnknownApp`] from the store lookup.
     pub fn check_install(&self, app: &str) -> Result<InstallReport, HgError> {
+        self.check(app).map(|(report, _)| report)
+    }
+
+    /// [`Home::check_install`], also returning the prepared forms of the
+    /// report's rules, which its confirmation installs.
+    fn check(&self, app: &str) -> Result<(InstallReport, Vec<Arc<PreparedRule>>), HgError> {
         let rules = self.store.rules_of(app)?;
-        let (threats, stats) = self.engine.check(&rules);
+        let forms = self.prepare(app, &rules);
+        let (threats, stats) = self.engine.check_prepared(&forms, None);
         let chains = self.chains_for(app, &threats, None);
-        Ok(InstallReport {
+        let report = InstallReport {
             app: app.to_string(),
             rules,
             threats,
@@ -482,7 +498,24 @@ impl Home {
             config: None,
             replaces: None,
             dropped_ranks: Vec::new(),
-        })
+        };
+        Ok((report, forms))
+    }
+
+    /// Prepared forms of `rules`, the rules of `app`: the store's shared
+    /// by-type forms when this home unifies by type and the store's
+    /// current analysis of `app` holds exactly `rules`, else forms
+    /// prepared for this home alone. Both are what
+    /// [`PreparedRule::prepare`] returns under the engine's unification.
+    fn prepare(&self, app: &str, rules: &[Rule]) -> Vec<Arc<PreparedRule>> {
+        if matches!(self.engine.detector().unification, Unification::ByType) {
+            if let Ok((analysis, forms)) = self.store.prepared_of(app) {
+                if analysis.rules == rules {
+                    return forms;
+                }
+            }
+        }
+        self.engine.prepare(rules)
     }
 
     /// Chained detection through the Allowed list (§VI-D): edges from the
@@ -491,13 +524,9 @@ impl Home {
     /// to rules that will be retired on confirmation.
     fn chains_for(&self, app: &str, threats: &[Threat], exclude: Option<&str>) -> Vec<Chain> {
         let mut edges = Edge::from_threats(threats);
-        let historical: Vec<Threat> = self
-            .allowed
-            .iter()
-            .filter(|t| exclude.is_none_or(|gone| t.source.app != gone && t.target.app != gone))
-            .cloned()
-            .collect();
-        edges.extend(Edge::from_threats(&historical));
+        edges.extend(Edge::from_threats(self.allowed.iter().filter(|t| {
+            exclude.is_none_or(|gone| t.source.app != gone && t.target.app != gone)
+        })));
         find_chains(&edges, self.chain_depth)
             .into_iter()
             .filter(|c| c.rules.iter().any(|r| r.app == app))
@@ -517,7 +546,18 @@ impl Home {
     /// duplicate rules under one identity);
     /// [`HgError::UnconfirmedInstall`] when an upgrade report's app was
     /// uninstalled meanwhile (confirming would resurrect it).
-    pub fn confirm_install(&mut self, mut report: InstallReport) -> Result<InstallReport, HgError> {
+    pub fn confirm_install(&mut self, report: InstallReport) -> Result<InstallReport, HgError> {
+        self.confirm(report, None)
+    }
+
+    /// [`Home::confirm_install`] installing `staged`, the forms the report
+    /// was checked with, when the caller still holds them: staging and
+    /// confirming under one `&mut self` borrow see the same unification.
+    fn confirm(
+        &mut self,
+        mut report: InstallReport,
+        staged: Option<Vec<Arc<PreparedRule>>>,
+    ) -> Result<InstallReport, HgError> {
         let mut replaced_rules = None;
         match report.replaces.clone() {
             Some(old) => {
@@ -544,7 +584,11 @@ impl Home {
         if let Some(info) = &report.config {
             self.record_config(info);
         }
-        self.engine.install_rules(report.rules.iter());
+        let forms = match staged {
+            Some(forms) => forms,
+            None => self.prepare(&report.app, &report.rules),
+        };
+        self.engine.install_prepared(forms);
         self.allowed.extend(report.threats.iter().cloned());
         if !self.apps.contains(&report.app) {
             self.apps.push(report.app.clone());
@@ -641,9 +685,9 @@ impl Home {
         config: Option<&ConfigInfo>,
     ) -> Result<InstallReport, HgError> {
         let started = self.telemetry.as_ref().map(|_| Instant::now());
-        let report = self.stage_upgrade(source, name, config)?;
+        let (report, forms) = self.stage_upgrade(source, name, config)?;
         let report = if report.is_clean() {
-            self.confirm_install(report)?
+            self.confirm(report, Some(forms))?
         } else {
             report
         };
@@ -664,8 +708,8 @@ impl Home {
         config: Option<&ConfigInfo>,
     ) -> Result<InstallReport, HgError> {
         let started = self.telemetry.as_ref().map(|_| Instant::now());
-        let report = self.stage_upgrade(source, name, config)?;
-        let report = self.confirm_install(report)?;
+        let (report, forms) = self.stage_upgrade(source, name, config)?;
+        let report = self.confirm(report, Some(forms))?;
         self.publish_install(&report, started);
         Ok(report)
     }
@@ -675,7 +719,7 @@ impl Home {
         source: &str,
         name: &str,
         config: Option<&ConfigInfo>,
-    ) -> Result<InstallReport, HgError> {
+    ) -> Result<(InstallReport, Vec<Arc<PreparedRule>>), HgError> {
         if !self.is_installed(name) {
             // Checked before ingest so a *misdirected* upgrade cannot
             // publish v2 store-wide. A well-directed upgrade does publish
@@ -687,24 +731,16 @@ impl Home {
         }
         let analysis = self.store.ingest_as(source, name)?;
         // Stage under the upgrade's configuration, against the live
-        // population with the old version masked out — no engine clone,
-        // no mutation: rejecting the dirty report leaves the session
-        // untouched by construction.
-        let saved = config.map(|info| {
-            let snapshot = (self.bindings.clone(), self.values.clone());
-            self.record_config(info);
-            snapshot
-        });
+        // population with the old version masked out, then put the
+        // recorders and engine back: rejecting the dirty report leaves the
+        // session untouched.
+        let saved = self.stage_config(config);
         let rules = analysis.rules.clone();
-        let (threats, stats) = self.engine.check_excluding(&rules, name);
+        let forms = self.prepare(name, &rules);
+        let (threats, stats) = self.engine.check_prepared(&forms, Some(name));
         let chains = self.chains_for(name, &threats, Some(name));
-        if let Some((bindings, values)) = saved {
-            self.bindings = bindings;
-            self.values = values;
-            self.engine.reconfigure(self.detector());
-            self.mediation = None;
-        }
-        Ok(InstallReport {
+        self.unstage_config(saved);
+        let report = InstallReport {
             app: name.to_string(),
             rules,
             threats,
@@ -714,7 +750,8 @@ impl Home {
             config: config.cloned(),
             replaces: Some(name.to_string()),
             dropped_ranks: Vec::new(),
-        })
+        };
+        Ok((report, forms))
     }
 
     /// Retracts an app's rules from the engine, retires its Allowed
@@ -759,9 +796,9 @@ impl Home {
         config: Option<&ConfigInfo>,
     ) -> Result<InstallReport, HgError> {
         let started = self.telemetry.as_ref().map(|_| Instant::now());
-        let report = self.stage_install(source, name, config)?;
+        let (report, forms) = self.stage_install(source, name, config)?;
         let report = if report.is_clean() {
-            self.confirm_install(report)?
+            self.confirm(report, Some(forms))?
         } else {
             report
         };
@@ -784,14 +821,14 @@ impl Home {
         config: Option<&ConfigInfo>,
     ) -> Result<InstallReport, HgError> {
         let started = self.telemetry.as_ref().map(|_| Instant::now());
-        let report = self.stage_install(source, name, config)?;
-        let report = self.confirm_install(report)?;
+        let (report, forms) = self.stage_install(source, name, config)?;
+        let report = self.confirm(report, Some(forms))?;
         self.publish_install(&report, started);
         Ok(report)
     }
 
     /// Ingests and checks under the staged configuration, then restores
-    /// the recorder: recording becomes permanent only on confirmation, so
+    /// the recorders: recording becomes permanent only on confirmation, so
     /// a rejected install cannot leave bindings behind (which would change
     /// how *other* apps' slots unify from then on).
     fn stage_install(
@@ -799,7 +836,7 @@ impl Home {
         source: &str,
         name: &str,
         config: Option<&ConfigInfo>,
-    ) -> Result<InstallReport, HgError> {
+    ) -> Result<(InstallReport, Vec<Arc<PreparedRule>>), HgError> {
         if self.is_installed(name) {
             // Checked before ingest, like stage_upgrade: a refused
             // re-install must not silently replace the app's rule file in
@@ -813,21 +850,36 @@ impl Home {
             // submitted under, and THAT app is installed here.
             return Err(HgError::AlreadyInstalled(app_name));
         }
-        let saved = config.map(|info| {
-            let snapshot = (self.bindings.clone(), self.values.clone());
-            self.record_config(info);
-            snapshot
-        });
-        let report = self.check_install(&app_name);
-        if let Some((bindings, values)) = saved {
-            self.bindings = bindings;
-            self.values = values;
-            self.engine.reconfigure(self.detector());
+        let saved = self.stage_config(config);
+        let checked = self.check(&app_name);
+        self.unstage_config(saved);
+        let (mut report, forms) = checked?;
+        report.config = config.cloned();
+        Ok((report, forms))
+    }
+
+    /// Records `config` for a staged check, returning the recorders and
+    /// engine it replaced.
+    fn stage_config(&mut self, config: Option<&ConfigInfo>) -> Option<StagedConfig> {
+        let info = config?;
+        let saved = StagedConfig {
+            bindings: self.bindings.clone(),
+            values: self.values.clone(),
+            engine: self.engine.clone(),
+        };
+        self.record_config(info);
+        Some(saved)
+    }
+
+    /// Puts back what [`Home::stage_config`] replaced. The engine returns
+    /// with its prepared forms, so nothing is re-prepared.
+    fn unstage_config(&mut self, saved: Option<StagedConfig>) {
+        if let Some(saved) = saved {
+            self.bindings = saved.bindings;
+            self.values = saved.values;
+            self.engine = saved.engine;
             self.mediation = None;
         }
-        let mut report = report?;
-        report.config = config.cloned();
-        Ok(report)
     }
 
     /// All installed rules, in install order.
@@ -963,7 +1015,11 @@ impl Home {
             mediation_sink: Arc::new(Mutex::new(MediationStats::default())),
         };
         home.engine = DetectionEngine::new(home.detector());
-        home.engine.install_rules(state.rules.iter());
+        // An app's rules sit together in install order.
+        for run in state.rules.chunk_by(|a, b| a.id.app == b.id.app) {
+            let forms = home.prepare(&run[0].id.app, run);
+            home.engine.install_prepared(forms);
+        }
         home
     }
 

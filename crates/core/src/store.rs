@@ -9,10 +9,12 @@
 //! mutability (an `RwLock` around the database) so the store can keep
 //! absorbing newly-published apps while homes hold references to it, and
 //! re-ingesting an unchanged source is a cache hit — one extraction serves
-//! every home installing the same store app.
+//! every home installing the same store app. Likewise one by-type
+//! preparation of an app's rules ([`RuleStore::prepared_of`]) serves every
+//! home that unifies by type.
 
 use crate::error::HgError;
-use hg_detector::VerdictCache;
+use hg_detector::{PreparedRule, Unification, VerdictCache};
 use hg_rules::json::rules_to_text;
 use hg_rules::rule::Rule;
 use hg_symexec::{extract, AppAnalysis, ExtractorConfig};
@@ -20,7 +22,11 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
+
+/// The fewest entries [`StoreInner::prepared`] holds before it drops its
+/// dead ones.
+const PREPARED_SWEEP_FLOOR: usize = 64;
 
 /// The shared rule database: extraction backend + one analysis per app.
 pub struct RuleStore {
@@ -58,6 +64,33 @@ struct StoreInner {
     /// `app name → live fingerprints` — the retirement index. Upgrade and
     /// retraction walk it to drop exactly the app's stale cache entries.
     app_fingerprints: BTreeMap<String, Vec<u64>>,
+    /// `app name → by-type prepared forms of its current analysis`, one
+    /// per rule. Held weakly: a form lives only while some home's engine
+    /// or an in-flight check holds it. Replacing or retiring the app's
+    /// analysis drops its entry.
+    prepared: BTreeMap<String, Vec<Weak<PreparedRule>>>,
+    /// The `prepared` size at which the next insert first drops entries
+    /// whose forms all died (an app no home runs keeps none), so dead
+    /// entries never outnumber live ones by more than the floor.
+    prepared_sweep_at: usize,
+}
+
+impl StoreInner {
+    /// The cached forms of `app`'s current analysis, if every one is
+    /// still alive.
+    fn live_forms(&self, app: &str) -> Option<Vec<Arc<PreparedRule>>> {
+        self.prepared.get(app)?.iter().map(Weak::upgrade).collect()
+    }
+
+    fn cache_forms(&mut self, app: &str, forms: &[Arc<PreparedRule>]) {
+        if self.prepared.len() >= self.prepared_sweep_at {
+            self.prepared
+                .retain(|_, forms| forms.iter().any(|form| form.strong_count() > 0));
+            self.prepared_sweep_at = (2 * self.prepared.len()).max(PREPARED_SWEEP_FLOOR);
+        }
+        self.prepared
+            .insert(app.to_string(), forms.iter().map(Arc::downgrade).collect());
+    }
 }
 
 impl Default for RuleStore {
@@ -235,6 +268,7 @@ impl RuleStore {
                 self.verdicts.evict_app(&app);
             }
         }
+        inner.prepared.remove(&app);
         inner.by_fingerprint.insert(fingerprint, analysis.clone());
         inner
             .app_fingerprints
@@ -253,6 +287,7 @@ impl RuleStore {
     pub fn retire_app(&self, app: &str) -> bool {
         let mut inner = self.write_inner();
         let present = inner.analyses.remove(app).is_some();
+        inner.prepared.remove(app);
         if let Some(fps) = inner.app_fingerprints.remove(app) {
             for fp in fps {
                 inner.by_fingerprint.remove(&fp);
@@ -276,6 +311,59 @@ impl RuleStore {
             .get(app)
             .map(|analysis| analysis.rules.clone())
             .ok_or_else(|| HgError::UnknownApp(app.to_string()))
+    }
+
+    /// `app`'s current analysis with its rules prepared under
+    /// [`Unification::ByType`], the forms every by-type home installs and
+    /// checks. Each form is what [`PreparedRule::prepare`] returns; the
+    /// store prepares an analysis' rules once for as long as any home or
+    /// in-flight check holds the forms, and then forgets them.
+    ///
+    /// # Errors
+    ///
+    /// [`HgError::UnknownApp`] when `app` was never ingested.
+    pub fn prepared_of(
+        &self,
+        app: &str,
+    ) -> Result<(Arc<AppAnalysis>, Vec<Arc<PreparedRule>>), HgError> {
+        let analysis = {
+            let inner = self.read_inner();
+            let Some(analysis) = inner.analyses.get(app).cloned() else {
+                return Err(HgError::UnknownApp(app.to_string()));
+            };
+            if let Some(forms) = inner.live_forms(app) {
+                return Ok((analysis, forms));
+            }
+            analysis
+        };
+        // Prepared outside the lock; the analysis is immutable.
+        let forms: Vec<Arc<PreparedRule>> = analysis
+            .rules
+            .iter()
+            .map(|rule| Arc::new(PreparedRule::prepare(rule, &Unification::ByType)))
+            .collect();
+        let mut inner = self.write_inner();
+        // Cached only while `analysis` is still the app's current one.
+        if inner
+            .analyses
+            .get(app)
+            .is_some_and(|current| Arc::ptr_eq(current, &analysis))
+        {
+            match inner.live_forms(app) {
+                // A concurrent caller cached this analysis' forms first.
+                Some(shared) => return Ok((analysis, shared)),
+                None => inner.cache_forms(app, &forms),
+            }
+        }
+        Ok((analysis, forms))
+    }
+
+    /// How many of the forms [`prepared_of`](RuleStore::prepared_of)
+    /// handed out for `app`'s current analysis are still alive.
+    pub fn live_forms(&self, app: &str) -> usize {
+        self.read_inner().prepared.get(app).map_or(0, |forms| {
+            forms.iter().filter(|form| form.strong_count() > 0).count()
+        })
     }
 
     /// Whether `app` has been ingested into the database.
@@ -575,6 +663,82 @@ def h(evt) { lamp.off() }
         // ...and store retirement reclaims them too.
         store.retire_app("Other");
         assert!(store.verdict_cache().is_empty());
+    }
+
+    #[test]
+    fn prepared_forms_live_only_while_a_home_or_check_holds_them() {
+        use crate::home::Home;
+
+        const RACER: &str = r#"
+definition(name: "Racer")
+input "m", "capability.motionSensor"
+input "lamp", "capability.switch", title: "lamp"
+def installed() { subscribe(m, "motion.active", h) }
+def h(evt) { lamp.off() }
+"#;
+        let store = RuleStore::shared();
+        let mut alice = Home::new(store.clone());
+        let mut bob = Home::new(store.clone());
+        assert!(alice.install_app(APP, "Mini", None).unwrap().installed);
+        assert!(bob.install_app(APP, "Mini", None).unwrap().installed);
+        // Both by-type homes run the one form the store prepared.
+        let form = |home: &Home| home.engine().installed_prepared().next().unwrap().clone();
+        assert!(Arc::ptr_eq(&form(&alice), &form(&bob)));
+        assert_eq!(store.live_forms("Mini"), 1);
+
+        alice.uninstall_app("Mini").unwrap();
+        assert_eq!(store.live_forms("Mini"), 1, "bob still runs Mini");
+        bob.uninstall_app("Mini").unwrap();
+        assert_eq!(store.live_forms("Mini"), 0, "no home runs Mini");
+
+        // A vetting candidate that races with an installed app is rejected
+        // by dropping its report: the app stays in the store, its forms
+        // die with the check.
+        alice.install_app(APP, "Mini", None).unwrap();
+        let report = alice.install_app(RACER, "Racer", None).unwrap();
+        assert!(!report.installed);
+        drop(report);
+        assert!(store.has_app("Racer"));
+        assert_eq!(store.live_forms("Racer"), 0);
+
+        // Entries whose forms all died are dropped once they pile up.
+        for n in 0..3 * PREPARED_SWEEP_FLOOR {
+            let name = format!("Vetted{n}");
+            store.ingest(&RACER.replace("Racer", &name), &name).unwrap();
+            alice.check_install(&name).unwrap();
+            assert!(store.read_inner().prepared.len() <= PREPARED_SWEEP_FLOOR);
+        }
+    }
+
+    #[test]
+    fn prepared_forms_follow_the_current_analysis() {
+        let store = RuleStore::new();
+        store.ingest(APP, "Mini").unwrap();
+        let (v1, v1_forms) = store.prepared_of("Mini").unwrap();
+        let (again, again_forms) = store.prepared_of("Mini").unwrap();
+        assert!(Arc::ptr_eq(&v1, &again));
+        assert!(Arc::ptr_eq(&v1_forms[0], &again_forms[0]), "prepared once");
+        assert_eq!(
+            v1_forms[0].fingerprint(),
+            PreparedRule::prepare(&v1.rules[0], &Unification::ByType).fingerprint()
+        );
+
+        // An upgrade re-ingest drops the old analysis' forms.
+        store
+            .ingest(&APP.replace("lamp.on()", "lamp.off()"), "Mini")
+            .unwrap();
+        assert_eq!(store.live_forms("Mini"), 0);
+        let (v2, v2_forms) = store.prepared_of("Mini").unwrap();
+        assert_eq!(v2_forms[0].orig, v2.rules[0]);
+        assert_eq!(v2_forms[0].orig.actions[0].command, "off");
+        assert_eq!(v1_forms[0].orig.actions[0].command, "on");
+
+        store.retire_app("Mini");
+        assert_eq!(store.live_forms("Mini"), 0);
+        assert!(matches!(
+            store.prepared_of("Mini"),
+            Err(HgError::UnknownApp(_))
+        ));
     }
 
     #[test]

@@ -25,9 +25,9 @@ pub struct Edge {
 impl Edge {
     /// Extracts chainable edges from pairwise threats. Only the directed,
     /// execution-propagating kinds form chains.
-    pub fn from_threats(threats: &[Threat]) -> Vec<Edge> {
+    pub fn from_threats<'a>(threats: impl IntoIterator<Item = &'a Threat>) -> Vec<Edge> {
         threats
-            .iter()
+            .into_iter()
             .filter(|t| {
                 matches!(
                     t.kind,

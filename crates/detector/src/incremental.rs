@@ -23,14 +23,18 @@ use crate::index::{CandidateIndex, PreparedRule};
 use crate::report::{DetectStats, Threat};
 use hg_rules::rule::{Rule, RuleId};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Per-home incremental CAI detection state.
 #[derive(Debug, Clone, Default)]
 pub struct DetectionEngine {
     detector: Detector,
     /// Slot-addressed installed rules; `None` marks a retracted slot whose
-    /// postings have been removed from the index.
-    installed: Vec<Option<PreparedRule>>,
+    /// postings have been removed from the index. A prepared form depends
+    /// only on its rule and the unification, so homes that unify alike
+    /// can share one `Arc` per rule (the rule store hands out by-type
+    /// forms this way).
+    installed: Vec<Option<Arc<PreparedRule>>>,
     index: CandidateIndex,
     /// Number of live (non-tombstone) slots.
     live: usize,
@@ -53,32 +57,56 @@ impl DetectionEngine {
         &self.detector
     }
 
-    /// Replaces the detector and re-prepares every installed rule against
-    /// the new unification/solver context (device bindings recorded after
-    /// installation change how slots resolve, which invalidates both the
-    /// unified forms and the index postings).
+    /// Replaces the detector. When the unification changes (device
+    /// bindings recorded after installation change how slots resolve),
+    /// every installed rule is re-prepared and re-posted; otherwise the
+    /// prepared forms and postings stay, because a form depends on nothing
+    /// else the detector carries.
     pub fn reconfigure(&mut self, detector: Detector) {
+        let rebind = detector.unification != self.detector.unification;
         self.detector = detector;
-        let rules: Vec<Rule> = self.installed.drain(..).flatten().map(|p| p.orig).collect();
+        if !rebind {
+            return;
+        }
+        let rules: Vec<Rule> = self
+            .installed
+            .drain(..)
+            .flatten()
+            .map(|p| p.orig.clone())
+            .collect();
         self.index.clear();
         self.live = 0;
-        for rule in &rules {
-            self.install_rule(rule);
-        }
+        self.install_prepared(self.prepare(&rules));
+    }
+
+    /// Prepares `rules` under this engine's unification.
+    pub fn prepare(&self, rules: &[Rule]) -> Vec<Arc<PreparedRule>> {
+        rules
+            .iter()
+            .map(|r| Arc::new(PreparedRule::prepare(r, &self.detector.unification)))
+            .collect()
     }
 
     /// Prepares and posts one rule as installed.
     pub fn install_rule(&mut self, rule: &Rule) {
-        let prepared = PreparedRule::prepare(rule, &self.detector.unification);
-        self.index.insert(self.installed.len(), &prepared);
-        self.installed.push(Some(prepared));
-        self.live += 1;
+        self.install_prepared(self.prepare(std::slice::from_ref(rule)));
     }
 
     /// Prepares and posts a batch of rules as installed.
     pub fn install_rules<'a>(&mut self, rules: impl IntoIterator<Item = &'a Rule>) {
         for rule in rules {
             self.install_rule(rule);
+        }
+    }
+
+    /// Posts already-prepared rules as installed, in order. Each form must
+    /// be what [`PreparedRule::prepare`] returns for its rule under this
+    /// engine's unification.
+    pub fn install_prepared(&mut self, forms: impl IntoIterator<Item = Arc<PreparedRule>>) {
+        for prepared in forms {
+            self.index.insert(self.installed.len(), &prepared);
+            self.installed.push(Some(prepared));
+            self.live += 1;
         }
     }
 
@@ -126,7 +154,7 @@ impl DetectionEngine {
         if dead <= 32 || dead <= self.live {
             return;
         }
-        let survivors: Vec<PreparedRule> = self.installed.drain(..).flatten().collect();
+        let survivors: Vec<Arc<PreparedRule>> = self.installed.drain(..).flatten().collect();
         self.index.clear();
         for (slot, prepared) in survivors.iter().enumerate() {
             self.index.insert(slot, prepared);
@@ -147,7 +175,12 @@ impl DetectionEngine {
     /// The installed rules in install order (original, pre-unification
     /// forms).
     pub fn installed_rules(&self) -> impl Iterator<Item = &Rule> {
-        self.installed.iter().flatten().map(|p| &p.orig)
+        self.installed_prepared().map(|p| &p.orig)
+    }
+
+    /// The installed rules' prepared forms, in install order.
+    pub fn installed_prepared(&self) -> impl Iterator<Item = &Arc<PreparedRule>> {
+        self.installed.iter().flatten()
     }
 
     /// Indexed incremental detection: checks `new_rules` against the
@@ -155,7 +188,7 @@ impl DetectionEngine {
     /// internal to `new_rules` are also checked (a multi-rule app can
     /// interfere with itself).
     pub fn check(&self, new_rules: &[Rule]) -> (Vec<Threat>, DetectStats) {
-        self.check_masked(new_rules, None)
+        self.check_prepared(&self.prepare(new_rules), None)
     }
 
     /// [`check`](DetectionEngine::check) against the installed population
@@ -167,20 +200,18 @@ impl DetectionEngine {
         new_rules: &[Rule],
         exclude_app: &str,
     ) -> (Vec<Threat>, DetectStats) {
-        self.check_masked(new_rules, Some(exclude_app))
+        self.check_prepared(&self.prepare(new_rules), Some(exclude_app))
     }
 
-    /// [`check`](DetectionEngine::check) with an optional app whose
-    /// installed rules are masked out.
-    fn check_masked(
+    /// [`check`](DetectionEngine::check) of already-prepared rules (see
+    /// [`install_prepared`](DetectionEngine::install_prepared)), with an
+    /// optional app whose installed rules are masked out as in
+    /// [`check_excluding`](DetectionEngine::check_excluding).
+    pub fn check_prepared(
         &self,
-        new_rules: &[Rule],
+        new_rules: &[Arc<PreparedRule>],
         exclude_app: Option<&str>,
     ) -> (Vec<Threat>, DetectStats) {
-        let new_rules: Vec<PreparedRule> = new_rules
-            .iter()
-            .map(|r| PreparedRule::prepare(r, &self.detector.unification))
-            .collect();
         // The population an exhaustive filterless detector would visit:
         // live rules minus the masked app's.
         let population = match exclude_app {
@@ -239,10 +270,7 @@ impl DetectionEngine {
     /// population (and within the batch): the ground truth the candidate
     /// index is differentially tested against.
     pub fn check_exhaustive(&self, new_rules: &[Rule]) -> (Vec<Threat>, DetectStats) {
-        let prepared: Vec<PreparedRule> = new_rules
-            .iter()
-            .map(|r| PreparedRule::prepare(r, &self.detector.unification))
-            .collect();
+        let prepared = self.prepare(new_rules);
         let mut threats = Vec::new();
         let mut stats = DetectStats::default();
         for (i, new_rule) in prepared.iter().enumerate() {

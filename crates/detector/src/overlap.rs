@@ -89,7 +89,7 @@ fn slot_get<'m, V>(map: &'m BTreeMap<(String, String), V>, app: &str, slot: &str
 }
 
 /// How device slots are resolved to concrete devices.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Unification {
     /// Use collected configuration: `(app, input) → device id`.
     Bindings(BTreeMap<(String, String), String>),

@@ -10,9 +10,17 @@
 //!
 //! Thread ownership is strided (thread t owns homes t, t+8, t+16, …)
 //! while shard routing is modular, so every thread hammers every shard.
+//!
+//! A second case races shard upgrades against bulk installs of one app,
+//! whose versions keep replacing each other in the store, and checks that
+//! every home's prepared rules are still exactly what a fresh preparation
+//! gives.
 
-use hg_service::{start_checkpointer, Fleet, HgError, HomeId, Journal, MemBackend, RuleStore};
-use std::sync::Arc;
+use hg_detector::{PreparedRule, Unification};
+use hg_service::{
+    start_checkpointer, Fleet, HgError, Home, HomeId, Journal, MemBackend, RuleStore,
+};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const HOMES: usize = 256;
@@ -262,4 +270,133 @@ fn eight_threads_over_256_homes_match_serial_replay() {
     // One extraction per palette app + v2 variants; everything else came
     // from the shared ingest cache.
     assert!(fleet.store().cache_hits() > HOMES as u64);
+}
+
+/// Version `v` of the raced app: each version guards the command on a
+/// different location mode, so consecutive versions extract to different
+/// rules.
+fn raced_version(v: usize) -> String {
+    let mode = ["Home", "Away", "Night"][v % 3];
+    format!(
+        r#"
+definition(name: "Raced")
+input "t", "capability.motionSensor"
+input "a", "capability.switch", title: "lamp"
+def installed() {{ subscribe(t, "motion.active", h) }}
+def h(evt) {{ if (location.mode == "{mode}") {{ a.on() }} }}
+"#
+    )
+}
+
+/// Every slot of `home` is what `PreparedRule::prepare` returns for its
+/// rule under the home's unification.
+fn assert_slots_fresh(home: &Home) {
+    let unification = &home.engine().detector().unification;
+    for slot in home.engine().installed_prepared() {
+        let fresh = PreparedRule::prepare(&slot.orig, unification);
+        assert_eq!(slot.fingerprint(), fresh.fingerprint(), "{}", slot.orig.id);
+        assert_eq!(slot.unified, fresh.unified, "{}", slot.orig.id);
+    }
+}
+
+#[test]
+fn shard_upgrades_race_bulk_installs_on_shared_forms() {
+    const SHARDS: usize = 4;
+    const ROUNDS: usize = 12;
+    let fleet = Arc::new(Fleet::builder(RuleStore::shared()).shards(SHARDS).build());
+    let ids = fleet.create_homes(64).unwrap();
+    let mut by_shard: Vec<Vec<HomeId>> = vec![Vec::new(); SHARDS];
+    for &id in &ids {
+        by_shard[fleet.shard_of(id)].push(id);
+    }
+    // Shards 0 and 1 run v0 and upgrade it; shards 2 and 3 install and
+    // uninstall it in bulk. Every thread publishes the version it works
+    // on, so the store's current analysis of the app keeps changing under
+    // the others.
+    let runners: Vec<HomeId> = by_shard[0].iter().chain(&by_shard[1]).copied().collect();
+    for outcome in fleet
+        .install_many(&runners, &raced_version(0), "Raced", None)
+        .unwrap()
+    {
+        assert!(outcome.1.unwrap().installed);
+    }
+    let start = Arc::new(Barrier::new(SHARDS));
+    let handles: Vec<_> = (0..SHARDS)
+        .map(|shard| {
+            let fleet = fleet.clone();
+            let homes = by_shard[shard].clone();
+            let start = start.clone();
+            std::thread::spawn(move || {
+                start.wait();
+                for round in 1..=ROUNDS {
+                    let source = raced_version(round);
+                    if shard < 2 {
+                        fleet.ingest_app_as(&source, "Raced").unwrap();
+                        let part = fleet.upgrade_shard(shard, &source, "Raced");
+                        assert!(part.failed.is_empty() && part.pending.is_empty());
+                    } else {
+                        fleet.ingest_app(&source, "Raced").unwrap();
+                        for (_, outcome) in fleet.install_group(&homes, &source, "Raced", None) {
+                            assert!(outcome.unwrap().installed);
+                        }
+                        if round < ROUNDS {
+                            let part = fleet.uninstall_shard(shard, "Raced");
+                            assert_eq!(part.removed.len(), homes.len());
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    for handle in handles {
+        handle.join().expect("no thread may die");
+    }
+
+    // Every home runs some version of the app, prepared exactly.
+    let versions: Vec<_> = (0..3)
+        .map(|v| {
+            RuleStore::new()
+                .ingest(&raced_version(v), "Raced")
+                .unwrap()
+                .rules
+                .clone()
+        })
+        .collect();
+    for &id in &ids {
+        fleet
+            .with_home(id, |home| {
+                assert!(home.is_installed("Raced"));
+                let rules: Vec<_> = home.installed_rules().into_iter().cloned().collect();
+                assert!(versions.contains(&rules), "home {id}: {rules:?}");
+                assert_slots_fresh(home);
+            })
+            .unwrap();
+    }
+
+    // A serial rollout afterwards leaves every home on one shared form
+    // of the new version.
+    let last = raced_version(ROUNDS + 1);
+    let rollout = fleet.propagate_upgrade(&last, "Raced").unwrap();
+    assert_eq!(rollout.upgraded.len(), ids.len());
+    let last_rules = fleet.store().rules_of("Raced").unwrap();
+    let mut forms = Vec::new();
+    for &id in &ids {
+        fleet
+            .with_home(id, |home| {
+                assert_slots_fresh(home);
+                assert_eq!(
+                    home.engine().installed_rules().cloned().collect::<Vec<_>>(),
+                    last_rules
+                );
+                assert!(matches!(
+                    home.engine().detector().unification,
+                    Unification::ByType
+                ));
+                forms.extend(home.engine().installed_prepared().cloned());
+            })
+            .unwrap();
+    }
+    assert_eq!(forms.len(), ids.len());
+    assert!(forms.iter().all(|form| Arc::ptr_eq(form, &forms[0])));
+    assert_eq!(fleet.store().live_forms("Raced"), 1);
 }

@@ -13,12 +13,19 @@
 //!   installs, uninstalls, forced upgrades) must leave installed rules,
 //!   the Allowed list *and the compiled mediation points* identical to a
 //!   fresh session that only ever saw the surviving apps — in particular,
-//!   an uninstalled app's rules produce **zero** mediation points.
+//!   an uninstalled app's rules produce **zero** mediation points;
+//! * shared forms — homes on one store install the store's prepared
+//!   rules; after every op each slot must equal a fresh preparation, and
+//!   each home must match a twin on a store of its own.
 
-use hg_detector::{DetectionEngine, Detector, Threat, ThreatKind};
+use hg_config::ConfigInfo;
+use hg_detector::{DetectionEngine, Detector, PreparedRule, Threat, ThreatKind, Unification};
+use hg_persist::home_to_text;
 use hg_rules::rule::Rule;
 use hg_symexec::{extract, ExtractorConfig};
-use homeguard_core::{Home, PolicyTable, RuleStore};
+use homeguard_core::{HgError, Home, InstallReport, PolicyTable, RuleStore};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// SplitMix64, as in `tests/properties.rs`.
 struct Gen {
@@ -545,4 +552,290 @@ fn home_lifecycle_matches_fresh_session_replay() {
         nonempty_mediation >= 4,
         "only {nonempty_mediation} seeds ended with live mediation points"
     );
+}
+
+/// Every installed slot of `home` is what `PreparedRule::prepare` returns
+/// for its rule under the home's current unification.
+fn assert_slots_fresh(home: &Home, context: &str) {
+    let unification = &home.engine().detector().unification;
+    for slot in home.engine().installed_prepared() {
+        let fresh = PreparedRule::prepare(&slot.orig, unification);
+        assert_eq!(
+            slot.fingerprint(),
+            fresh.fingerprint(),
+            "{context}: stale form for {}",
+            slot.orig.id
+        );
+        assert_eq!(
+            slot.unified, fresh.unified,
+            "{context}: wrongly unified form for {}",
+            slot.orig.id
+        );
+    }
+}
+
+fn assert_same_report(a: &InstallReport, b: &InstallReport, context: &str) {
+    assert_eq!(a.rules, b.rules, "{context}: rules");
+    assert_eq!(a.threats, b.threats, "{context}: threats");
+    assert_eq!(a.chains, b.chains, "{context}: chains");
+    assert_eq!(a.stats.logical(), b.stats.logical(), "{context}: stats");
+    assert_eq!(a.installed, b.installed, "{context}: installed");
+    assert_eq!(a.replaces, b.replaces, "{context}: replaces");
+    assert_eq!(a.dropped_ranks, b.dropped_ranks, "{context}: dropped ranks");
+}
+
+/// A confirmed report's rules are the rules `home` now runs for its app.
+fn assert_runs(home: &Home, report: &InstallReport, context: &str) {
+    if report.installed {
+        let running: Vec<&Rule> = home
+            .installed_rules()
+            .into_iter()
+            .filter(|rule| rule.id.app == report.app)
+            .collect();
+        let confirmed: Vec<&Rule> = report.rules.iter().collect();
+        assert_eq!(
+            running, confirmed,
+            "{context}: runs other rules than confirmed"
+        );
+    }
+}
+
+/// `home` rebuilt on `store` from its exported state, which the rebuilt
+/// home must export unchanged.
+fn restore(store: &Arc<RuleStore>, home: &Home, context: &str) -> Home {
+    let state = home.export_state();
+    let restored = Home::restore_state(store.clone(), state.clone());
+    assert_eq!(
+        restored.export_state(),
+        state,
+        "{context}: restore changed the state"
+    );
+    restored
+}
+
+/// Both outcomes agree; returns the pair of reports when both succeeded.
+fn same_outcome(
+    a: Result<InstallReport, HgError>,
+    b: Result<InstallReport, HgError>,
+    context: &str,
+) -> Option<(InstallReport, InstallReport)> {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            assert_same_report(&a, &b, context);
+            Some((a, b))
+        }
+        (Err(a), Err(b)) => {
+            assert_eq!(a.to_string(), b.to_string(), "{context}: errors");
+            None
+        }
+        (a, b) => panic!("{context}: outcomes diverge: {a:?} vs {b:?}"),
+    }
+}
+
+/// One home on the shared store, its twin on a store of its own, and the
+/// dirty reports the pair has not confirmed yet, oldest first.
+struct Side {
+    home: Home,
+    twin: Home,
+    pending: Vec<(InstallReport, InstallReport)>,
+}
+
+#[test]
+fn shared_forms_match_fresh_preparation_over_seeded_churn() {
+    // Two by-type homes on one store run the store's prepared forms, so
+    // one home's install, upgrade, uninstall or restore changes which
+    // forms the other one shares. Each home has a twin on a store of its
+    // own, with verdict sharing off, that sees every store publication in
+    // the same order, so its forms and verdicts are never another home's.
+    // The script installs (clean installs auto-confirm, dirty ones wait,
+    // some stage a device binding), confirms waiting reports that may have
+    // gone stale, uninstalls, upgrades (a re-ingest under the app's name),
+    // rebinds devices (moving a home from by-type to bindings unification;
+    // uninstalling the bound app moves it back), and restores one home or
+    // the whole store. After every op each slot must equal a fresh
+    // preparation, and each home must export the same snapshot text as its
+    // twin.
+    const POOL: usize = 4;
+    let mut shared_slots = 0usize;
+    let mut to_bindings = 0usize;
+    let mut to_by_type = 0usize;
+    let mut stale_confirms = 0usize;
+    let mut restores = 0usize;
+    let mut recovers = 0usize;
+    for seed in 0..16 {
+        let mut g = Gen::new(0xf0f0 ^ seed);
+        let mut store = RuleStore::shared();
+        let mut twin_stores = [RuleStore::shared(), RuleStore::shared()];
+        let mut sides: Vec<Side> = (0..2)
+            .map(|i| Side {
+                home: Home::new(store.clone()),
+                twin: Home::builder(twin_stores[i].clone())
+                    .verdict_sharing(false)
+                    .build(),
+                pending: Vec::new(),
+            })
+            .collect();
+        let mut published: BTreeMap<String, String> = BTreeMap::new();
+        let draw_source = |g: &mut Gen, name: &str| {
+            let (sensor, actuator, command, guard) =
+                (g.range(0, 3), g.range(0, 3), g.range(0, 2), g.range(0, 4));
+            conditional_palette_source(name, sensor, actuator, command, guard)
+        };
+        let bind = |g: &mut Gen, app: &str| {
+            ConfigInfo::new(app)
+                .bind_device("t", &format!("sensor-{}", g.range(0, 2)))
+                .bind_device("a", &format!("actuator-{}", g.range(0, 2)))
+        };
+
+        for step in 0..40 {
+            let s = g.range(0, 2);
+            let context = format!("seed {seed} step {step} home {s}");
+            let by_type =
+                |home: &Home| matches!(home.engine().detector().unification, Unification::ByType);
+            let was_by_type = by_type(&sides[s].home);
+            match g.range(0, 100) {
+                0..=44 => {
+                    // Mostly the store's current version, so the other
+                    // home may already hold its forms.
+                    let name = format!("App{}", g.range(0, POOL));
+                    let source = match published.get(&name) {
+                        Some(source) if g.range(0, 4) > 0 => source.clone(),
+                        _ => draw_source(&mut g, &name),
+                    };
+                    published.insert(name.clone(), source.clone());
+                    let staged = (g.range(0, 8) == 0).then(|| bind(&mut g, &name));
+                    for target in std::iter::once(&store).chain(&twin_stores) {
+                        target.ingest(&source, &name).unwrap();
+                    }
+                    let side = &mut sides[s];
+                    let a = side.home.install_app(&source, &name, staged.as_ref());
+                    let b = side.twin.install_app(&source, &name, staged.as_ref());
+                    if let Some((a, b)) = same_outcome(a, b, &context) {
+                        assert_runs(&side.home, &a, &context);
+                        if !a.installed {
+                            side.pending.push((a, b));
+                        }
+                    }
+                }
+                45..=59 => {
+                    let side = &mut sides[s];
+                    if side.pending.is_empty() {
+                        continue;
+                    }
+                    let (a, b) = side.pending.remove(0);
+                    stale_confirms += usize::from(!store.rules_eq(&a.app, &a.rules));
+                    let a = side.home.confirm_install(a);
+                    let b = side.twin.confirm_install(b);
+                    if let Some((a, _)) = same_outcome(a, b, &context) {
+                        assert_runs(&side.home, &a, &context);
+                    }
+                }
+                60..=69 => {
+                    let side = &mut sides[s];
+                    let apps = side.home.installed_apps();
+                    if apps.is_empty() {
+                        continue;
+                    }
+                    let name = &apps[g.range(0, apps.len())];
+                    let a = side.home.uninstall_app(name).unwrap();
+                    let b = side.twin.uninstall_app(name).unwrap();
+                    assert_eq!(a.removed_rules, b.removed_rules, "{context}");
+                    assert_eq!(a.retired_threats, b.retired_threats, "{context}");
+                }
+                70..=79 => {
+                    let apps = sides[s].home.installed_apps();
+                    if apps.is_empty() {
+                        continue;
+                    }
+                    let name = apps[g.range(0, apps.len())].clone();
+                    let source = draw_source(&mut g, &name);
+                    published.insert(name.clone(), source.clone());
+                    for target in std::iter::once(&store).chain(&twin_stores) {
+                        target.ingest_as(&source, &name).unwrap();
+                    }
+                    let side = &mut sides[s];
+                    let a = side.home.upgrade_app(&source, &name, None);
+                    let b = side.twin.upgrade_app(&source, &name, None);
+                    if let Some((a, b)) = same_outcome(a, b, &context) {
+                        assert_runs(&side.home, &a, &context);
+                        if !a.installed {
+                            side.pending.push((a, b));
+                        }
+                    }
+                }
+                80..=83 => {
+                    let side = &mut sides[s];
+                    let apps = side.home.installed_apps();
+                    if apps.is_empty() {
+                        continue;
+                    }
+                    let app = apps[g.range(0, apps.len())].clone();
+                    let info = bind(&mut g, &app);
+                    side.home.record_config(&info);
+                    side.twin.record_config(&info);
+                }
+                84..=93 => {
+                    let side = &mut sides[s];
+                    side.home = restore(&store, &side.home, &context);
+                    side.twin = restore(&twin_stores[s], &side.twin, &context);
+                    restores += 1;
+                }
+                _ => {
+                    // Recovery: a new store from the exported one, with no
+                    // prepared form cached, and every home restored onto it.
+                    store = Arc::new(RuleStore::restore_state(store.export_state()));
+                    for (i, side) in sides.iter_mut().enumerate() {
+                        twin_stores[i] =
+                            Arc::new(RuleStore::restore_state(twin_stores[i].export_state()));
+                        side.home = restore(&store, &side.home, &context);
+                        side.twin = restore(&twin_stores[i], &side.twin, &context);
+                    }
+                    recovers += 1;
+                }
+            }
+            let is_by_type = by_type(&sides[s].home);
+            to_bindings += usize::from(was_by_type && !is_by_type);
+            to_by_type += usize::from(!was_by_type && is_by_type);
+
+            // A probe check of a store app agrees too.
+            let probe = format!("App{}", g.range(0, POOL));
+            for (i, side) in sides.iter().enumerate() {
+                let context = format!("{context}: home {i}");
+                assert_slots_fresh(&side.home, &context);
+                assert_slots_fresh(&side.twin, &format!("{context} twin"));
+                assert_eq!(
+                    home_to_text(&side.home.export_state()),
+                    home_to_text(&side.twin.export_state()),
+                    "{context}: snapshot text diverges from the twin's"
+                );
+                same_outcome(
+                    side.home.check_install(&probe),
+                    side.twin.check_install(&probe),
+                    &format!("{context}: probe {probe}"),
+                );
+            }
+            shared_slots += sides[0]
+                .home
+                .engine()
+                .installed_prepared()
+                .filter(|mine| {
+                    sides[1]
+                        .home
+                        .engine()
+                        .installed_prepared()
+                        .any(|theirs| Arc::ptr_eq(mine, theirs))
+                })
+                .count();
+        }
+    }
+    // Not vacuous: the homes really shared forms, moved between
+    // unifications both ways, confirmed reports the store had moved past,
+    // and were restored and recovered (measured: 79 shared slots, 31 and
+    // 10 moves, 5 stale confirms, 60 restores, 30 recoveries).
+    assert!(shared_slots >= 40, "only {shared_slots} shared slots seen");
+    assert!(to_bindings >= 15, "only {to_bindings} moves to bindings");
+    assert!(to_by_type >= 5, "only {to_by_type} moves back to by-type");
+    assert!(stale_confirms >= 3, "only {stale_confirms} stale confirms");
+    assert!(restores >= 30, "only {restores} restores");
+    assert!(recovers >= 15, "only {recovers} recoveries");
 }
