@@ -6,7 +6,7 @@
 mod common;
 
 use common::{app_body, send, OFF_APP, ON_APP};
-use hg_api::{ApiServer, ExecConfig, ServerConfig, TelemetryEvent};
+use hg_api::{ApiServer, ExecConfig, Limits, ServerConfig, TelemetryEvent};
 use hg_rules::json::Json;
 use hg_service::{Fleet, HgError, HomeId, Journal, MemBackend, RuleStore};
 use std::io::{Read, Write};
@@ -404,6 +404,76 @@ fn snapshot_restore_round_trips_over_http() {
         1
     );
     server.shutdown();
+}
+
+/// A snapshot over the default 1 MiB `Limits::max_body` is refused by
+/// `POST /restore` with a typed 413, and the same bytes restore once
+/// `ServerConfig::limits.max_body` is raised — the documented upgrade path
+/// for a large fleet.
+#[test]
+fn restoring_a_snapshot_over_the_body_limit_needs_a_raised_limit() {
+    let fleet = Fleet::builder(RuleStore::shared()).shards(2).build();
+    let ids = fleet.create_homes(1_200).unwrap();
+    fleet.install_many(&ids, ON_APP, "OnApp", None).unwrap();
+    let server = start(
+        Arc::new(fleet),
+        ExecConfig::default(),
+        Duration::from_secs(60),
+        Duration::from_secs(60),
+    );
+    let token = session(&server);
+    let snapshot = send(server.addr(), "GET", "/snapshot", Some(&token), None);
+    assert_eq!(snapshot.status, 200);
+    let text = snapshot.body;
+    let default_limit = Limits::default().max_body;
+    assert!(
+        text.len() > default_limit,
+        "{} B snapshot is within the default limit",
+        text.len()
+    );
+
+    // The head alone: the server answers 413 before reading a byte of
+    // the body and closes, so body bytes still in flight would reset the
+    // connection and could cost the reply.
+    let head = format!(
+        "POST /restore HTTP/1.1\r\nconnection: close\r\nx-session: {token}\r\ncontent-length: {}\r\n\r\n",
+        text.len()
+    );
+    let refused = common::parse_reply(&common::send_raw(server.addr(), head.as_bytes()));
+    assert_eq!(refused.status, 413);
+    let error = refused.json();
+    let message = error
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .expect("typed error body");
+    assert!(message.contains(&default_limit.to_string()), "{message}");
+    server.shutdown();
+
+    let raised = ApiServer::start(
+        Arc::new(Fleet::new(RuleStore::shared())),
+        ServerConfig {
+            limits: Limits {
+                max_body: 4 * default_limit,
+                ..Limits::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind loopback");
+    let token = session(&raised);
+    let restored = post_restore(&raised, &token, &text);
+    assert_eq!(restored.status, 200);
+    assert_eq!(
+        restored.json().get("homes").and_then(Json::as_num),
+        Some(ids.len() as i64)
+    );
+    let round_trip = send(raised.addr(), "GET", "/snapshot", Some(&token), None);
+    assert!(
+        round_trip.body == text,
+        "restored fleet snapshots differently"
+    );
+    raised.shutdown();
 }
 
 /// `POST /restore` starts a new journal timeline. The replaced fleet stays

@@ -9,18 +9,20 @@
 //! covers, and replaying journal records at offsets `>= offset` on top of
 //! it reproduces the live fleet.
 
-use hg_persist::codec::{
-    homes_from_json, homes_to_json, store_state_from_json, store_state_to_json,
-};
+use hg_persist::codec::{homes_from_json, store_state_from_json, write_homes, write_store};
 use hg_persist::FleetSnapshot;
 use hg_rules::json::Json;
 use homeguard_core::{HgError, HomeId, HomeState, StoreState};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::record::journal_err;
 
 /// Checkpoint document format version, checked on decode.
 pub const CHECKPOINT_VERSION: i64 = 2;
+
+/// The checkpoint document's `kind` tag.
+const KIND: &str = "journal-checkpoint";
 
 /// One checkpoint document: the fleet's ground truth (full) or the
 /// dirtied part of it (delta) as of a journal offset. Every record at an
@@ -58,41 +60,46 @@ impl Checkpoint {
         }
     }
 
-    /// Serializes to the checkpoint document text.
+    /// Serializes to the checkpoint document text, written one home (and
+    /// one store app) at a time with keys in [`Json::to_text`]'s byte
+    /// order.
     pub fn to_text(&self) -> String {
-        let mut fields = vec![
-            ("version", Json::Num(CHECKPOINT_VERSION)),
-            ("kind", Json::str("journal-checkpoint")),
-            ("offset", Json::Num(self.offset() as i64)),
-        ];
+        let mut out = String::new();
         match self {
-            Checkpoint::Full { fleet, .. } => {
-                fields.extend([("full", Json::Bool(true)), ("fleet", fleet.to_json())])
+            Checkpoint::Full { offset, fleet } => {
+                out.push_str("{\"fleet\":");
+                fleet.write_payload(&mut out);
+                let _ = write!(
+                    out,
+                    ",\"full\":true,\"kind\":\"{KIND}\",\"offset\":{},\"version\":{CHECKPOINT_VERSION}}}",
+                    *offset as i64
+                );
             }
             Checkpoint::Delta {
+                offset,
                 next_id,
                 store,
                 homes,
                 removed,
-                ..
-            } => fields.extend([
-                ("full", Json::Bool(false)),
-                ("nextId", Json::Num(*next_id as i64)),
-                (
-                    "store",
-                    store
-                        .as_ref()
-                        .map(store_state_to_json)
-                        .unwrap_or(Json::Null),
-                ),
-                ("homes", homes_to_json(homes)),
-                (
-                    "removed",
-                    Json::Arr(removed.iter().map(|&r| Json::Num(r as i64)).collect()),
-                ),
-            ]),
+            } => {
+                out.push_str("{\"full\":false,\"homes\":");
+                write_homes(homes, &mut out);
+                let _ = write!(
+                    out,
+                    ",\"kind\":\"{KIND}\",\"nextId\":{},\"offset\":{},\"removed\":",
+                    *next_id as i64, *offset as i64
+                );
+                Json::Arr(removed.iter().map(|&r| Json::Num(r as i64)).collect())
+                    .write_to(&mut out);
+                out.push_str(",\"store\":");
+                match store {
+                    Some(store) => write_store(store, &mut out),
+                    None => out.push_str("null"),
+                }
+                let _ = write!(out, ",\"version\":{CHECKPOINT_VERSION}}}");
+            }
         }
-        Json::obj(fields).to_text()
+        out
     }
 
     /// Decodes a checkpoint document.
@@ -107,7 +114,7 @@ impl Checkpoint {
             }
             None => return Err(journal_err("checkpoint missing `version`")),
         }
-        if j.get("kind").and_then(Json::as_str) != Some("journal-checkpoint") {
+        if j.get("kind").and_then(Json::as_str) != Some(KIND) {
             return Err(journal_err("not a journal checkpoint document"));
         }
         let field = |name: &str| {
@@ -255,6 +262,9 @@ mod tests {
         };
         for ckpt in [&full, &delta] {
             let text = ckpt.to_text();
+            // Written straight into text, the document is still exactly
+            // what its `Json` tree prints: sorted keys, compact.
+            assert_eq!(Json::parse(&text).unwrap().to_text(), text);
             let back = Checkpoint::from_text(&text).unwrap();
             assert_eq!(back.offset(), ckpt.offset());
             // Every field is encoded, so a field lost in decoding breaks
@@ -269,6 +279,15 @@ mod tests {
         // Document-level refusals, including a version-1 document.
         assert!(Checkpoint::from_text("garbage").is_err());
         assert!(Checkpoint::from_text("{\"version\":2,\"kind\":\"store\"}").is_err());
+        // A full checkpoint naming an absurd shard count is refused at
+        // decode, before anything is allocated per shard.
+        let absurd = full
+            .to_text()
+            .replacen("\"shards\":4", "\"shards\":1000000", 1);
+        match Checkpoint::from_text(&absurd) {
+            Err(HgError::Journal(detail)) => assert!(detail.contains("shard count"), "{detail}"),
+            other => panic!("expected a typed journal error, got {other:?}"),
+        }
         match Checkpoint::from_text(&text.replacen("\"version\":2", "\"version\":1", 1)) {
             Err(HgError::Journal(detail)) => {
                 assert!(

@@ -18,6 +18,7 @@ use hg_solver::Assignment;
 use hg_symexec::{AppAnalysis, ExtractorConfig, InputDecl, InputType};
 use homeguard_core::{HgError, HomeId, HomeState, StoreAppState, StoreState, UnificationPolicy};
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Builds the crate's uniform decode failure, [`HgError::Snapshot`].
@@ -70,6 +71,19 @@ fn str_arr_field(j: &Json, field: &str) -> Result<Vec<String>, HgError> {
                 .ok_or_else(|| snap_err(format!("non-string entry in `{field}`")))
         })
         .collect()
+}
+
+/// Appends `items` to `out` as a JSON array, each element written by
+/// `write`, so an element's document lives only while it is written.
+fn write_each<T>(items: &[T], out: &mut String, mut write: impl FnMut(&T, &mut String)) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(item, out);
+    }
+    out.push(']');
 }
 
 // ----- rule identities and threats -------------------------------------------
@@ -434,43 +448,35 @@ fn extractor_config_from_json(j: &Json) -> Result<ExtractorConfig, HgError> {
 
 // ----- store state ------------------------------------------------------------
 
-/// Encodes the exported rule-store database (config, apps, rule files,
-/// analyses, fingerprints).
-pub fn store_state_to_json(state: &StoreState) -> Json {
-    Json::obj([
-        ("config", extractor_config_to_json(&state.config)),
-        (
-            "apps",
-            Json::Arr(
-                state
-                    .apps
-                    .iter()
-                    .map(|app| {
-                        Json::obj([
-                            ("name", Json::str(&app.name)),
-                            ("ruleFile", Json::Str(rules_to_text(&app.analysis.rules))),
-                            ("analysis", analysis_to_json(&app.analysis)),
-                            (
-                                "fingerprints",
-                                // u64 fingerprints bit-cast through i64: the
-                                // codec's number type is i64, and the cast
-                                // round-trips exactly.
-                                Json::Arr(
-                                    app.fingerprints
-                                        .iter()
-                                        .map(|&fp| Json::Num(fp as i64))
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
+/// Appends the exported rule-store database (config, apps, rule files,
+/// analyses, fingerprints) to `out` as compact JSON, one app at a time.
+pub fn write_store(state: &StoreState, out: &mut String) {
+    out.push_str("{\"apps\":");
+    write_each(&state.apps, out, |app, out| {
+        Json::obj([
+            ("name", Json::str(&app.name)),
+            ("ruleFile", Json::Str(rules_to_text(&app.analysis.rules))),
+            ("analysis", analysis_to_json(&app.analysis)),
+            (
+                "fingerprints",
+                // u64 fingerprints bit-cast through i64: the codec's number
+                // type is i64, and the cast round-trips exactly.
+                Json::Arr(
+                    app.fingerprints
+                        .iter()
+                        .map(|&fp| Json::Num(fp as i64))
+                        .collect(),
+                ),
             ),
-        ),
-    ])
+        ])
+        .write_to(out)
+    });
+    out.push_str(",\"config\":");
+    extractor_config_to_json(&state.config).write_to(out);
+    out.push('}');
 }
 
-/// Decodes a [`store_state_to_json`] document.
+/// Decodes a [`write_store`] document.
 pub fn store_state_from_json(j: &Json) -> Result<StoreState, HgError> {
     let mut apps = Vec::new();
     for entry in arr_field(j, "apps")? {
@@ -625,23 +631,18 @@ pub fn home_state_from_json(j: &Json) -> Result<HomeState, HgError> {
     })
 }
 
-/// Encodes a list of homes as `[{"id", "home"}, ...]` — the home list of
-/// a fleet snapshot and of a delta checkpoint.
-pub fn homes_to_json(homes: &[(HomeId, HomeState)]) -> Json {
-    Json::Arr(
-        homes
-            .iter()
-            .map(|(id, state)| {
-                Json::obj([
-                    ("id", Json::Num(id.raw() as i64)),
-                    ("home", home_state_to_json(state)),
-                ])
-            })
-            .collect(),
-    )
+/// Appends a list of homes to `out` as `[{"home", "id"}, ...]` — the home
+/// list of a fleet snapshot and of a delta checkpoint — one home at a
+/// time: each home's document is dropped before the next is built.
+pub fn write_homes(homes: &[(HomeId, HomeState)], out: &mut String) {
+    write_each(homes, out, |(id, state), out| {
+        out.push_str("{\"home\":");
+        home_state_to_json(state).write_to(out);
+        let _ = write!(out, ",\"id\":{}}}", id.raw() as i64);
+    });
 }
 
-/// Decodes a [`homes_to_json`] list, refusing a home id listed twice.
+/// Decodes a [`write_homes`] list, refusing a home id listed twice.
 pub fn homes_from_json(j: &Json) -> Result<Vec<(HomeId, HomeState)>, HgError> {
     let mut seen = BTreeSet::new();
     j.as_arr()

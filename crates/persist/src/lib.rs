@@ -17,8 +17,8 @@
 //!   every home and the registry routing parameters, produced and
 //!   consumed by `hg_service::Fleet::{snapshot, restore}`. It is the only
 //!   whole-fleet image: `hg-journal`'s full checkpoints embed its payload
-//!   ([`FleetSnapshot::to_json`]), and its delta checkpoints reuse the
-//!   home-list codec ([`codec::homes_to_json`]).
+//!   ([`FleetSnapshot::write_payload`]), and its delta checkpoints reuse the
+//!   home-list codec ([`codec::write_homes`]).
 //!
 //! ## What is (deliberately) not serialized
 //!
@@ -33,7 +33,10 @@
 //!
 //! Snapshots are a single JSON document in the same hand-rolled codec the
 //! rule-store database uses ([`hg_rules::json`]); an app's rules appear in
-//! a snapshot as *exactly* the rule-file bytes the database holds. Every
+//! a snapshot as *exactly* the rule-file bytes the database holds. A
+//! whole-fleet document is written straight into its output text one home
+//! (and one store app) at a time, never built as one tree of the fleet, so
+//! encoding needs about the text's size in extra heap. Every
 //! document carries `{"version": N, "kind": "home"|"fleet"}`;
 //! readers refuse an unknown version or kind — and any corrupt or garbage
 //! input — with a typed [`HgError::Snapshot`](homeguard_core::HgError),
@@ -71,4 +74,4 @@
 pub mod codec;
 pub mod snapshot;
 
-pub use snapshot::{home_from_text, home_to_text, FleetSnapshot};
+pub use snapshot::{home_from_text, home_to_text, FleetSnapshot, MAX_SHARDS};

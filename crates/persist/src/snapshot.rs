@@ -10,13 +10,22 @@
 use crate::codec;
 use hg_rules::json::{Json, SCHEMA_VERSION};
 use homeguard_core::{HgError, HomeId, HomeState, StoreState};
+use std::fmt::Write as _;
 
-fn envelope(kind: &'static str, payload: Json) -> Json {
-    Json::obj([
-        ("version", Json::Num(SCHEMA_VERSION)),
-        ("kind", Json::str(kind)),
-        ("payload", payload),
-    ])
+/// The largest shard count a fleet snapshot may name. A restored fleet
+/// allocates one shard lock per shard and a server spawns one worker
+/// thread per shard, so a forged or corrupt document must not choose the
+/// count freely.
+pub const MAX_SHARDS: usize = 1024;
+
+/// The `{"kind", "payload", "version"}` envelope text around the payload
+/// `write_payload` appends, keys in [`Json::to_text`]'s byte order.
+fn envelope(kind: &'static str, write_payload: impl FnOnce(&mut String)) -> String {
+    let mut out = String::new();
+    let _ = write!(out, "{{\"kind\":\"{kind}\",\"payload\":");
+    write_payload(&mut out);
+    let _ = write!(out, ",\"version\":{SCHEMA_VERSION}}}");
+    out
 }
 
 fn open_envelope(text: &str, kind: &str) -> Result<Json, HgError> {
@@ -47,7 +56,7 @@ fn open_envelope(text: &str, kind: &str) -> Result<Json, HgError> {
 /// Serializes one home session's exported state — the migration unit: a
 /// home exported here can be imported into a different process's fleet.
 pub fn home_to_text(state: &HomeState) -> String {
-    envelope("home", codec::home_state_to_json(state)).to_text()
+    envelope("home", |out| codec::home_state_to_json(state).write_to(out))
 }
 
 /// Parses a home snapshot back.
@@ -77,7 +86,7 @@ pub fn home_from_text(text: &str) -> Result<HomeState, HgError> {
 #[derive(Debug, Clone)]
 pub struct FleetSnapshot {
     /// Shard count — preserved so restored home ids route to the same
-    /// shard they lived in.
+    /// shard they lived in. Decoding refuses a count above [`MAX_SHARDS`].
     pub shards: usize,
     /// The id counter, so post-restore `create_home` never reissues a
     /// handle a restored home already holds.
@@ -90,9 +99,9 @@ pub struct FleetSnapshot {
 
 impl FleetSnapshot {
     /// Serializes the snapshot to its durable text form: the `fleet`
-    /// envelope around [`to_json`](FleetSnapshot::to_json).
+    /// envelope around [`write_payload`](FleetSnapshot::write_payload).
     pub fn to_text(&self) -> String {
-        envelope("fleet", self.to_json()).to_text()
+        envelope("fleet", |out| self.write_payload(out))
     }
 
     /// Parses a fleet snapshot back.
@@ -105,19 +114,23 @@ impl FleetSnapshot {
         FleetSnapshot::from_json(&open_envelope(text, "fleet")?)
     }
 
-    /// The snapshot's payload — shard count, next id, store and homes —
-    /// without the envelope. A full journal checkpoint embeds this same
-    /// object.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("shards", Json::Num(self.shards as i64)),
-            ("nextId", Json::Num(self.next_id as i64)),
-            ("store", codec::store_state_to_json(&self.store)),
-            ("homes", codec::homes_to_json(&self.homes)),
-        ])
+    /// Appends the snapshot's payload — homes, next id, shard count and
+    /// store — to `out` without the envelope, one home and one store app
+    /// at a time, so encoding holds about one home's document beside the
+    /// text. A full journal checkpoint embeds this same object.
+    pub fn write_payload(&self, out: &mut String) {
+        out.push_str("{\"homes\":");
+        codec::write_homes(&self.homes, out);
+        let _ = write!(
+            out,
+            ",\"nextId\":{},\"shards\":{},\"store\":",
+            self.next_id as i64, self.shards as i64
+        );
+        codec::write_store(&self.store, out);
+        out.push('}');
     }
 
-    /// Decodes a [`to_json`](FleetSnapshot::to_json) payload.
+    /// Decodes a [`write_payload`](FleetSnapshot::write_payload) object.
     ///
     /// # Errors
     ///
@@ -128,10 +141,14 @@ impl FleetSnapshot {
             .get("shards")
             .and_then(Json::as_num)
             .filter(|&n| n > 0)
-            .ok_or_else(|| codec::snap_err("missing or invalid shard count"))?
-            as usize;
+            .ok_or_else(|| codec::snap_err("missing or invalid shard count"))?;
+        if shards > MAX_SHARDS as i64 {
+            return Err(codec::snap_err(format!(
+                "shard count {shards} exceeds the limit of {MAX_SHARDS}"
+            )));
+        }
         Ok(FleetSnapshot {
-            shards,
+            shards: shards as usize,
             next_id: codec::nonneg_field(payload, "nextId")? as u64,
             store: codec::store_state_from_json(
                 payload

@@ -3,7 +3,8 @@
 //! input must surface as a typed [`HgError`], never a panic or a
 //! half-applied restore.
 
-use hg_persist::{home_from_text, home_to_text, FleetSnapshot};
+use hg_persist::{home_from_text, home_to_text, FleetSnapshot, MAX_SHARDS};
+use hg_rules::json::Json;
 use hg_service::{Fleet, HgError, RuleStore};
 use std::sync::Arc;
 
@@ -125,6 +126,9 @@ fn snapshot_format_is_pinned_by_a_fixture() {
     let fleet = Fleet::restore(FleetSnapshot::from_text(FLEET_V1).unwrap()).unwrap();
     assert_eq!(fleet.len(), 2);
     assert_eq!(fleet.snapshot().unwrap().to_text(), FLEET_V1);
+    // The streamed encoder writes what the document's `Json` tree prints:
+    // sorted keys, compact.
+    assert_eq!(Json::parse(FLEET_V1).unwrap().to_text(), FLEET_V1);
 }
 
 #[test]
@@ -208,6 +212,32 @@ fn negative_numeric_fields_are_refused_not_bitcast() {
         home_from_text(&forged),
         Err(HgError::Snapshot(detail)) if detail.contains("negative")
     ));
+}
+
+#[test]
+fn shard_counts_above_the_ceiling_are_refused_at_decode() {
+    // A restored fleet allocates one lock per shard and a server one
+    // worker thread per shard, so a forged count is refused while the
+    // document is decoded. Decode only: nothing here restores or serves
+    // a large count.
+    let fleet = Fleet::builder(RuleStore::shared()).shards(2).build();
+    let text = fleet.snapshot().unwrap().to_text();
+    assert!(text.contains("\"shards\":2"), "{text}");
+    let at = |n: usize| text.replacen("\"shards\":2", &format!("\"shards\":{n}"), 1);
+
+    let ceiling = FleetSnapshot::from_text(&at(MAX_SHARDS)).unwrap();
+    assert_eq!(ceiling.shards, MAX_SHARDS);
+    for forged in [MAX_SHARDS + 1, 1_000_000] {
+        match FleetSnapshot::from_text(&at(forged)) {
+            Err(HgError::Snapshot(detail)) => {
+                assert!(
+                    detail.contains(&format!("shard count {forged}")),
+                    "{detail}"
+                )
+            }
+            other => panic!("{forged} shards must be refused, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -12,6 +12,7 @@ use crate::varid::{DeviceRef, VarId};
 use hg_capability::device_kind::DeviceKind;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Version of the rule-file / snapshot schema this codec writes.
 ///
@@ -84,15 +85,20 @@ impl Json {
     /// Serializes to compact JSON text.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write_to(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact JSON text [`to_text`](Json::to_text) returns to
+    /// `out`, so an encoder can write a large document one small tree at a
+    /// time instead of building the whole document as one tree.
+    pub fn write_to(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&n.to_string()),
+            Json::Num(n) => {
+                let _ = write!(out, "{n}");
+            }
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -100,7 +106,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    item.write_to(out);
                 }
                 out.push(']');
             }
@@ -112,7 +118,7 @@ impl Json {
                     }
                     write_escaped(k, out);
                     out.push(':');
-                    v.write(out);
+                    v.write_to(out);
                 }
                 out.push('}');
             }
@@ -152,7 +158,7 @@ fn write_escaped(s: &str, out: &mut String) {
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

@@ -13,7 +13,10 @@
 //! * and a restored-then-upgraded home stays clean — no stale store
 //!   fingerprints, no dangling `Priority` ranks.
 
+use hg_bench::fleet_gen::{populate, FleetSpec};
+use hg_journal::Checkpoint;
 use hg_persist::FleetSnapshot;
+use hg_rules::json::Json;
 use hg_rules::rule::{ActionSubject, Rule, RuleId, Trigger};
 use hg_rules::value::Value;
 use hg_rules::varid::DeviceRef;
@@ -73,6 +76,15 @@ def installed() {{ subscribe(t, "{s_attr}.{s_val}", h) }}
 def h(evt) {{ a.{cmd}() }}
 "#
     )
+}
+
+/// Whole-fleet documents are written one home at a time, straight into
+/// their text, and must be the very bytes their own `Json` tree prints:
+/// keys byte-sorted, no whitespace. Parsing and printing back is then the
+/// identity.
+fn assert_canonical(text: &str) {
+    let reprinted = Json::parse(text).expect("document parses").to_text();
+    assert!(reprinted == text, "document is not canonical JSON");
 }
 
 /// Canonical, comparable threat key (as in `tests/differential.rs`).
@@ -276,6 +288,7 @@ fn restored_fleet_is_behaviorally_identical_to_the_live_one() {
 
         // Restart: only the snapshot text crosses the process boundary.
         let text = fleet.snapshot().unwrap().to_text();
+        assert_canonical(&text);
         let restored = Fleet::restore(FleetSnapshot::from_text(&text).unwrap()).unwrap();
         assert_eq!(restored.home_ids(), fleet.home_ids());
         assert_eq!(restored.store().len(), fleet.store().len());
@@ -470,4 +483,61 @@ fn restored_fleet_is_behaviorally_identical_to_the_live_one() {
         mediated_runs >= 4,
         "only {mediated_runs} replays actually mediated anything"
     );
+}
+
+/// The streamed encoders over a generated population with device rebinds
+/// and relay-ladder homes (confirmed threats with witnesses, chains): the
+/// fleet snapshot and full and delta checkpoints are canonical JSON and
+/// fixed points of decoding and re-encoding.
+#[test]
+fn streamed_fleet_documents_are_canonical() {
+    let spec = FleetSpec {
+        shards: 4,
+        ..FleetSpec::sized(60)
+    };
+    let fleet = Fleet::builder(RuleStore::shared())
+        .shards(spec.shards)
+        .build();
+    let (ids, stats) = populate(&fleet, &spec);
+    assert!(
+        stats.failures == 0 && stats.configs_recorded > 0 && stats.chained_reports > 0,
+        "{stats:?}"
+    );
+    let snapshot = fleet.snapshot().unwrap();
+
+    let text = snapshot.to_text();
+    assert_canonical(&text);
+    let again = FleetSnapshot::from_text(&text).unwrap().to_text();
+    assert!(again == text, "snapshot re-encodes differently");
+
+    let checkpoints = [
+        Checkpoint::Full {
+            offset: 40,
+            fleet: snapshot.clone(),
+        },
+        Checkpoint::Delta {
+            offset: 41,
+            next_id: snapshot.next_id,
+            store: Some(snapshot.store.clone()),
+            homes: snapshot.homes[..10].to_vec(),
+            removed: ids[50..].iter().map(|id| id.raw()).collect(),
+        },
+        Checkpoint::Delta {
+            offset: 42,
+            next_id: snapshot.next_id,
+            store: None,
+            homes: Vec::new(),
+            removed: Vec::new(),
+        },
+    ];
+    for ckpt in checkpoints {
+        let text = ckpt.to_text();
+        assert_canonical(&text);
+        let again = Checkpoint::from_text(&text).unwrap().to_text();
+        assert!(
+            again == text,
+            "checkpoint at offset {} re-encodes differently",
+            ckpt.offset()
+        );
+    }
 }

@@ -1,0 +1,126 @@
+//! Heap guard for whole-fleet encoding. `FleetSnapshot::to_text` and a
+//! full `Checkpoint::to_text` write their document one home at a time
+//! straight into the output text, so encoding one may raise the heap by
+//! a few times the text's length at most. Building the document as one
+//! `Json` tree of the fleet first costs about 19 times the text.
+//!
+//! The counting allocator is process-wide, so this file is its own test
+//! binary holding a single test: nothing else allocates while it counts.
+
+use hg_bench::fleet_gen::{populate, FleetSpec};
+use hg_journal::Checkpoint;
+use hg_service::{Fleet, RuleStore};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The system allocator, counting live heap bytes and their high-water
+/// mark. A `realloc` that moves its block holds the old and the new block
+/// at once, so it counts as both until it returns.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
+    PEAK.fetch_max(live, Ordering::SeqCst);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::SeqCst);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters only observe
+// the sizes and never touch the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's `layout` contract passes through unchanged.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: as in `alloc`.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) };
+        shrink(layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as in `dealloc`; `new_size` passes through unchanged.
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if moved.is_null() {
+            return moved;
+        }
+        if moved == ptr {
+            if new_size >= layout.size() {
+                grow(new_size - layout.size());
+            } else {
+                shrink(layout.size() - new_size);
+            }
+        } else {
+            grow(new_size);
+            shrink(layout.size());
+        }
+        moved
+    }
+}
+
+#[global_allocator]
+static HEAP: Counting = Counting;
+
+/// Runs `encode` and returns its text with the peak heap rise above the
+/// bytes live when it started.
+fn heap_rise(encode: impl FnOnce() -> String) -> (String, usize) {
+    let before = LIVE.load(Ordering::SeqCst);
+    PEAK.store(before, Ordering::SeqCst);
+    let text = encode();
+    (text, PEAK.load(Ordering::SeqCst) - before)
+}
+
+#[test]
+fn fleet_documents_encode_within_four_times_their_text() {
+    let spec = FleetSpec {
+        shards: 4,
+        ..FleetSpec::sized(500)
+    };
+    let fleet = Fleet::builder(RuleStore::shared())
+        .shards(spec.shards)
+        .build();
+    let (_, stats) = populate(&fleet, &spec);
+    assert_eq!(stats.failures, 0, "{stats:?}");
+    let snapshot = fleet.snapshot().expect("live snapshot");
+    let full = Checkpoint::Full {
+        offset: 1,
+        fleet: snapshot.clone(),
+    };
+
+    let (text, rise) = heap_rise(|| snapshot.to_text());
+    assert!(
+        rise <= 4 * text.len(),
+        "snapshot encoding raised the heap by {rise} B for {} B of text ({:.1}x)",
+        text.len(),
+        rise as f64 / text.len() as f64
+    );
+    drop(text);
+    let (text, rise) = heap_rise(|| full.to_text());
+    assert!(
+        rise <= 4 * text.len(),
+        "full checkpoint encoding raised the heap by {rise} B for {} B of text ({:.1}x)",
+        text.len(),
+        rise as f64 / text.len() as f64
+    );
+}
