@@ -20,9 +20,9 @@
 //! | `POST /restore` | token | revive a fleet from a snapshot |
 //! | `GET /health` | — | liveness: always 200, body says `ok`/`degraded` |
 //! | `GET /ready` | — | readiness: 503 when quarantined or poisoned |
-//! | `POST /journal/heal` | token | re-arm a quarantined journal (fresh full checkpoint) |
+//! | `POST /journal/heal` | token | re-arm a quarantined journal (fresh checkpoint) |
 //! | `GET /stats` | — | fleet + queue + session gauges |
-//! | `GET /journal/stats` | — | journal offsets, segments, dirty set |
+//! | `GET /journal/stats` | — | journal offsets, segment and checkpoint counts |
 //! | `GET /metrics` | — | metrics registry (JSON; `?format=prometheus`) |
 //! | `GET /analytics/interference` | — | per-app interference-rate table |
 //! | `GET /analytics/hot-pairs` | — | verdict-cache hot-pair leaderboard |

@@ -18,13 +18,13 @@ use crate::wire::{rollout_json, shard_part_json, ApiError};
 use hg_rules::json::Json;
 use hg_service::{Fleet, Journal};
 use hg_telemetry::TelemetryHub;
-use std::io::{BufReader, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -302,7 +302,9 @@ fn serve_connection(
             Ok(None) => return,
             Err(refusal) => {
                 let error = ApiError::new(refusal.status, "malformed_request", refusal.message);
-                let _ = error_response(&error).write_to(&mut writer, false);
+                if error_response(&error).write_to(&mut writer, false).is_ok() {
+                    linger(&mut reader, &writer, config.io_timeout);
+                }
                 return;
             }
         };
@@ -325,6 +327,38 @@ fn serve_connection(
         }
         if !keep_alive {
             return;
+        }
+    }
+}
+
+/// Most bytes of a refused request [`linger`] reads and discards.
+const LINGER_BYTES: usize = 16 << 20;
+
+/// Longest [`linger`] waits for them (capped by the I/O timeout).
+const LINGER_TIME: Duration = Duration::from_secs(2);
+
+/// Closes a connection whose request was refused without losing the
+/// refusal. Closing a socket with unread input makes the kernel reset the
+/// connection, and the reset can destroy the response before the client
+/// reads it: a client posting a body over the limit is still sending it.
+/// So end the response with a shutdown of the write half, then read and
+/// discard what the peer still sends until it closes, up to
+/// [`LINGER_BYTES`] or [`LINGER_TIME`] (at most `io_timeout`).
+fn linger(reader: &mut BufReader<TcpStream>, writer: &TcpStream, io_timeout: Duration) {
+    if writer.shutdown(std::net::Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + LINGER_TIME.min(io_timeout);
+    let mut discarded = 0;
+    let mut buf = [0u8; 8192];
+    while discarded < LINGER_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || reader.get_ref().set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match reader.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => discarded += n,
         }
     }
 }

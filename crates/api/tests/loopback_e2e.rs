@@ -432,22 +432,20 @@ fn restoring_a_snapshot_over_the_body_limit_needs_a_raised_limit() {
         text.len()
     );
 
-    // The head alone: the server answers 413 before reading a byte of
-    // the body and closes, so body bytes still in flight would reset the
-    // connection and could cost the reply.
-    let head = format!(
-        "POST /restore HTTP/1.1\r\nconnection: close\r\nx-session: {token}\r\ncontent-length: {}\r\n\r\n",
-        text.len()
-    );
-    let refused = common::parse_reply(&common::send_raw(server.addr(), head.as_bytes()));
-    assert_eq!(refused.status, 413);
-    let error = refused.json();
-    let message = error
-        .get("error")
-        .and_then(|e| e.get("message"))
-        .and_then(Json::as_str)
-        .expect("typed error body");
-    assert!(message.contains(&default_limit.to_string()), "{message}");
+    // Head and body in one write: the server answers 413 from the head,
+    // then reads and discards the body the client is still sending, so
+    // the refusal is never lost to a connection reset.
+    for attempt in 0..10 {
+        let refused = post_restore(&server, &token, &text);
+        assert_eq!(refused.status, 413, "attempt {attempt}");
+        let error = refused.json();
+        let message = error
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .unwrap_or_else(|| panic!("attempt {attempt}: no typed error body"));
+        assert!(message.contains(&default_limit.to_string()), "{message}");
+    }
     server.shutdown();
 
     let raised = ApiServer::start(

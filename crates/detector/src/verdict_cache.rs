@@ -308,25 +308,10 @@ impl VerdictCache {
             let Some(keys) = shard.by_app.remove(app) else {
                 continue;
             };
-            for key in keys {
-                let Some(dead) = shard.entries.remove(&key) else {
-                    continue;
-                };
-                dropped += 1;
-                // Unregister the key from the partner app's eviction list
-                // too: a long-lived app repeatedly paired against churned
-                // partners must not accumulate dead keys forever.
-                for partner in &dead.apps {
-                    if partner != app {
-                        if let Some(partner_keys) = shard.by_app.get_mut(partner) {
-                            partner_keys.retain(|k| *k != key);
-                            if partner_keys.is_empty() {
-                                shard.by_app.remove(partner);
-                            }
-                        }
-                    }
-                }
-            }
+            // Purging unregisters each key from the partner app's eviction
+            // list too: a long-lived app repeatedly paired against churned
+            // partners must not accumulate dead keys forever.
+            dropped += keys.iter().filter(|key| shard.purge_key(key)).count();
         }
         self.evicted.fetch_add(dropped as u64, Ordering::Relaxed);
         dropped

@@ -85,7 +85,7 @@ pub trait JournalBackend: Send + Sync {
     fn append_segment(&self, start: u64, bytes: &[u8]) -> Result<(), BackendError>;
     /// Truncates a segment to `len` bytes (torn-tail repair).
     fn truncate_segment(&self, start: u64, len: u64) -> Result<(), BackendError>;
-    /// Deletes a segment (compaction).
+    /// Deletes a segment (one a checkpoint covers).
     fn remove_segment(&self, start: u64) -> Result<(), BackendError>;
     /// Offsets of all stored checkpoint documents, ascending.
     fn checkpoints(&self) -> Result<Vec<u64>, BackendError>;
@@ -93,7 +93,7 @@ pub trait JournalBackend: Send + Sync {
     fn read_checkpoint(&self, offset: u64) -> Result<String, BackendError>;
     /// Writes (or overwrites) a checkpoint document.
     fn write_checkpoint(&self, offset: u64, text: &str) -> Result<(), BackendError>;
-    /// Deletes a checkpoint document (compaction).
+    /// Deletes a checkpoint document (one a newer checkpoint replaced).
     fn remove_checkpoint(&self, offset: u64) -> Result<(), BackendError>;
     /// Flushes buffered data to stable storage, where the backend has any.
     fn sync(&self) -> Result<(), BackendError> {
@@ -137,38 +137,38 @@ impl MemBackend {
         }
     }
 
-    /// Crash-test helper: keeps only the first `records` journal records,
+    /// Crash-test helper: keeps only the journal records at offsets below
+    /// `records` (a segment's key is its first record's offset),
     /// discarding later frames at exact frame boundaries, appends
-    /// `garbage` raw bytes (a torn half-written frame), and drops every
-    /// checkpoint covering an offset beyond the surviving records.
+    /// `garbage` raw bytes (a torn half-written frame) where the cut
+    /// lands, and drops every checkpoint covering an offset beyond the
+    /// surviving records.
     pub fn truncate_to_records(&self, records: u64, garbage: &[u8]) {
         let mut inner = self.lock();
-        let mut remaining = records;
-        let mut cut_from: Option<u64> = None;
+        let mut cut = false;
         let starts: Vec<u64> = inner.segments.keys().copied().collect();
         for start in starts {
-            if cut_from.is_some() {
+            if cut || start > records {
                 inner.segments.remove(&start);
                 continue;
             }
-            let bytes = inner.segments.get(&start).cloned().unwrap_or_default();
-            let scan = crate::frame::scan_frames(&bytes);
-            if (scan.payloads.len() as u64) <= remaining {
-                remaining -= scan.payloads.len() as u64;
+            let seg = inner.segments.get_mut(&start).expect("segment present");
+            let keep = (records - start) as usize;
+            let scan = crate::frame::scan_frames(seg);
+            if scan.payloads.len() <= keep {
                 continue;
             }
             // The cut lands inside this segment: re-measure the byte
             // length of the surviving frame prefix.
-            let mut keep = 0usize;
-            for payload in scan.payloads.iter().take(remaining as usize) {
-                keep += crate::frame::FRAME_HEADER + payload.len();
-            }
-            let seg = inner.segments.get_mut(&start).expect("segment present");
-            seg.truncate(keep);
+            let len: usize = scan.payloads[..keep]
+                .iter()
+                .map(|payload| crate::frame::FRAME_HEADER + payload.len())
+                .sum();
+            seg.truncate(len);
             seg.extend_from_slice(garbage);
-            cut_from = Some(start);
+            cut = true;
         }
-        if cut_from.is_none() {
+        if !cut {
             // Records beyond the last segment: garbage lands on the tail.
             if let Some(seg) = inner.segments.values_mut().next_back() {
                 seg.extend_from_slice(garbage);
@@ -413,6 +413,14 @@ mod tests {
         assert_eq!(scan.payloads.len(), 1);
         assert!(!scan.is_clean(), "garbage tail must read as a tear");
         assert_eq!(cut.checkpoints().unwrap(), vec![1]);
+        // Once a checkpoint dropped the first segment, offsets still
+        // count from the segment keys: cutting to 3 keeps record 2 only.
+        let dropped = mem.fork();
+        dropped.remove_segment(0).unwrap();
+        dropped.truncate_to_records(3, b"");
+        assert_eq!(dropped.segments().unwrap(), vec![2]);
+        let kept = crate::frame::scan_frames(&dropped.read_segment(2).unwrap());
+        assert_eq!(kept.payloads, vec![b"{\"n\":2}".to_vec()]);
         // Cutting to zero drops everything (first segment emptied, rest gone).
         let zero = mem.fork();
         zero.truncate_to_records(0, b"");

@@ -1,13 +1,12 @@
-//! The journal core: ordered durable appends, delta-checkpoint
-//! bookkeeping, compaction, torn-tail recovery and the I/O failure
-//! policy.
+//! The journal core: ordered durable appends, checkpoints that replace
+//! their predecessors, torn-tail recovery and the I/O failure policy.
 //!
 //! ## Consistency model
 //!
 //! A [`Journal`] owns a **checkpoint gate** (`RwLock<()>`). Journaled
 //! fleet mutations hold the gate *shared* across their
 //! apply-then-append window; a checkpoint holds it *exclusively* while it
-//! exports the dirty set. That makes a checkpoint a consistent cut: no
+//! exports the fleet image. That makes a checkpoint a consistent cut: no
 //! operation can be applied-but-not-yet-journaled while the export runs.
 //! The gate is only ever taken in **leaf** operations (never nested), so
 //! shared acquisitions cannot deadlock against a queued writer.
@@ -17,7 +16,10 @@
 //! Every record has a global offset: the count of records appended before
 //! it. A segment is named by the offset of its first record, so segment
 //! record counts need no side index — `next segment start − this start`.
-//! Checkpoints cover a prefix `[0, offset)`; replay resumes at `offset`.
+//! A checkpoint covers the prefix `[0, offset)`; replay resumes at
+//! `offset`. Writing one removes every older checkpoint and every segment
+//! but the tail whose records all precede `offset`, so the journal holds
+//! one image plus the records since (and the tail segment).
 //!
 //! ## Failure policy
 //!
@@ -31,13 +33,13 @@
 //! refuses every fleet write before it touches state, so nothing commits
 //! that recovery would roll back. [`Journal::heal`] re-arms a
 //! quarantined journal by repairing the tail and cutting a fresh
-//! **full** checkpoint onto the recovered backend, so replay never
-//! crosses the quarantine gap.
+//! checkpoint onto the recovered backend, so replay never crosses the
+//! quarantine gap.
 
 use hg_persist::FleetSnapshot;
 use hg_telemetry::{TelemetryBus, TelemetryEvent};
 use homeguard_core::HgError;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{
     Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
@@ -45,7 +47,7 @@ use std::sync::{
 use std::time::{Duration, Instant};
 
 use crate::backend::{BackendError, JournalBackend};
-use crate::checkpoint::{materialize, Checkpoint};
+use crate::checkpoint::Checkpoint;
 use crate::frame::{encode_frame, scan_frames};
 use crate::record::{journal_err, JournalRecord};
 
@@ -93,18 +95,16 @@ impl Default for JournalConfig {
 struct JournalInner {
     /// Global offset of the next record to append.
     next_offset: u64,
-    /// Start offset of the active (tail) segment.
+    /// Start offset of the active (tail) segment. It joins `segments`
+    /// when its first record lands.
     tail_start: u64,
-    /// Byte length of the active segment.
-    tail_bytes: u64,
-    /// Offsets of stored checkpoints, ascending.
+    /// Start offset → byte length of every stored segment, kept in step
+    /// with the backend by open, appends, checkpoints and reset.
+    segments: BTreeMap<u64, u64>,
+    /// Offsets of stored checkpoints, ascending: one, unless a crash or
+    /// an I/O failure came between a checkpoint and its predecessors'
+    /// removal.
     checkpoints: Vec<u64>,
-    /// Homes dirtied since the last checkpoint.
-    dirty: BTreeSet<u64>,
-    /// Homes removed since the last checkpoint.
-    removed: BTreeSet<u64>,
-    /// Whether the store changed since the last checkpoint.
-    store_dirty: bool,
     /// `Some((durable offset, reason))` once retries were exhausted.
     quarantined: Option<(u64, String)>,
     /// `next_offset` as of the last successful sync.
@@ -119,6 +119,13 @@ struct JournalInner {
     heals: u64,
 }
 
+impl JournalInner {
+    /// Byte length of the active segment (0 until its first record).
+    fn tail_bytes(&self) -> u64 {
+        self.segments.get(&self.tail_start).copied().unwrap_or(0)
+    }
+}
+
 /// Summary returned by [`Journal::checkpoint_write`].
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointStats {
@@ -126,36 +133,18 @@ pub struct CheckpointStats {
     pub offset: u64,
     /// Homes exported into the document.
     pub homes: u64,
-    /// Whether it was a full image.
-    pub full: bool,
     /// Wall-clock write time in microseconds.
     pub micros: u64,
 }
 
 impl CheckpointStats {
     fn of(ckpt: &Checkpoint, started: Instant) -> CheckpointStats {
-        let (full, homes) = match ckpt {
-            Checkpoint::Full { fleet, .. } => (true, fleet.homes.len()),
-            Checkpoint::Delta { homes, .. } => (false, homes.len()),
-        };
         CheckpointStats {
-            offset: ckpt.offset(),
-            homes: homes as u64,
-            full,
+            offset: ckpt.offset,
+            homes: ckpt.fleet.homes.len() as u64,
             micros: started.elapsed().as_micros() as u64,
         }
     }
-}
-
-/// Summary returned by [`Journal::compact`].
-#[derive(Debug, Clone, Copy)]
-pub struct CompactStats {
-    /// Checkpoint documents folded away.
-    pub checkpoints_folded: u64,
-    /// Segments deleted.
-    pub segments_dropped: u64,
-    /// The single surviving checkpoint's offset.
-    pub offset: u64,
 }
 
 fn berr(e: BackendError) -> HgError {
@@ -185,16 +174,16 @@ impl Journal {
     ///
     /// A torn tail (half-written frame from a crash) is **truncated away**,
     /// never a panic: the journal resumes at the last fully-checksummed
-    /// record. Any segments beyond a tear, and any checkpoints covering
-    /// offsets beyond the surviving records, are discarded. The dirty-home
-    /// bookkeeping is re-seeded by decoding the records after the newest
-    /// surviving checkpoint, so delta checkpoints stay correct across a
-    /// reopen with no write to the backend.
+    /// record, and any segments beyond the tear are discarded. Stored
+    /// checkpoints are trusted as they are, even one covering offsets
+    /// beyond the surviving records: a checkpoint is self-contained, and
+    /// appends then resume at the newest one's offset (offsets are never
+    /// reused).
     ///
     /// # Errors
     ///
-    /// [`HgError::Journal`] when the backend fails or a surviving
-    /// checkpoint/record no longer decodes.
+    /// [`HgError::Journal`] when the backend fails or two segments
+    /// overlap.
     pub fn open_with(
         backend: Box<dyn JournalBackend>,
         config: JournalConfig,
@@ -215,7 +204,7 @@ impl Journal {
                 )));
             }
             // `start > next_offset` is a forward gap: the records between
-            // were compacted away under a checkpoint.
+            // were dropped under a checkpoint.
             let bytes = backend.read_segment(start).map_err(berr)?;
             let scan = scan_frames(&bytes);
             if !scan.is_clean() {
@@ -226,41 +215,26 @@ impl Journal {
                 torn = true;
             }
             inner.tail_start = start;
-            inner.tail_bytes = scan.clean_len as u64;
+            inner.segments.insert(start, scan.clean_len as u64);
             inner.next_offset = start + scan.payloads.len() as u64;
         }
         inner.checkpoints = backend.checkpoints().map_err(berr)?;
         inner.checkpoints.sort_unstable();
         if let Some(&last) = inner.checkpoints.last() {
             if last > inner.next_offset {
-                // A checkpoint is atomic and self-contained, so it is
-                // trusted even when the records it folded are gone
-                // (compaction deleted them). Appends resume past it —
-                // offsets are never reused.
                 inner.next_offset = last;
                 inner.tail_start = last;
-                inner.tail_bytes = 0;
             }
         }
         inner.synced_offset = inner.next_offset;
-        let journal = Journal {
+        Ok(Journal {
             backend,
             gate: RwLock::new(()),
             inner: Mutex::new(inner),
             timeline: AtomicU64::new(0),
             telemetry: OnceLock::new(),
             config,
-        };
-        // Re-seed dirty bookkeeping from the un-checkpointed tail.
-        let replay_from = journal.last_checkpoint_offset().unwrap_or(0);
-        let tail = journal.records_from(replay_from)?;
-        {
-            let mut inner = journal.lock();
-            for (_, record) in &tail {
-                note_dirty(&mut inner, record);
-            }
-        }
-        Ok(journal)
+        })
     }
 
     fn lock(&self) -> MutexGuard<'_, JournalInner> {
@@ -287,7 +261,7 @@ impl Journal {
     }
 
     /// Takes the checkpoint gate **exclusively** — held by a checkpoint
-    /// while it exports the dirty set.
+    /// while it exports the fleet image.
     pub fn gate_exclusive(&self) -> RwLockWriteGuard<'_, ()> {
         self.gate.write().unwrap_or_else(PoisonError::into_inner)
     }
@@ -371,29 +345,29 @@ impl Journal {
     /// is bad.
     pub fn append(&self, record: &JournalRecord) -> Result<u64, HgError> {
         let frame = encode_frame(&record.to_payload());
+        let len = frame.len() as u64;
         let mut inner = self.lock();
         if let Some((durable, reason)) = &inner.quarantined {
             let msg = format!("journal quarantined at durable offset {durable}: {reason}");
             inner.refused += 1;
             return Err(journal_err(msg));
         }
-        if inner.tail_bytes > 0
-            && inner.tail_bytes + frame.len() as u64 > self.config.max_segment_bytes
-        {
+        let mut good_len = inner.tail_bytes();
+        if good_len > 0 && good_len + len > self.config.max_segment_bytes {
             inner.tail_start = inner.next_offset;
-            inner.tail_bytes = 0;
+            good_len = 0;
         }
+        let start = inner.tail_start;
         let offset = inner.next_offset;
         let mut retries = 0u32;
         let failure = loop {
-            match self.backend.append_segment(inner.tail_start, &frame) {
+            match self.backend.append_segment(start, &frame) {
                 Ok(()) => break None,
                 Err(e) => {
                     inner.append_failures += 1;
                     // A failed append may have left a partial frame on
                     // the tail; repair before retrying or giving up.
-                    let repaired = self.repair_tail(inner.tail_start, inner.tail_bytes);
-                    match repaired {
+                    match self.repair_tail(start, good_len) {
                         Ok(()) if e.transient && retries + 1 < self.config.max_io_attempts => {
                             retries += 1;
                             inner.io_retries += 1;
@@ -411,11 +385,10 @@ impl Journal {
         };
         match failure {
             None => {
-                inner.tail_bytes += frame.len() as u64;
+                *inner.segments.entry(start).or_insert(0) += len;
                 inner.next_offset += 1;
                 inner.appends += 1;
-                inner.append_bytes += frame.len() as u64;
-                note_dirty(&mut inner, record);
+                inner.append_bytes += len;
                 drop(inner);
                 if retries > 0 {
                     self.publish(TelemetryEvent::IoRetry {
@@ -425,7 +398,7 @@ impl Journal {
                 }
                 self.publish(TelemetryEvent::JournalAppended {
                     records: 1,
-                    bytes: frame.len() as u64,
+                    bytes: len,
                 });
                 Ok(offset)
             }
@@ -469,47 +442,24 @@ impl Journal {
             }
             inner.next_offset
         };
-        let mut retries = 0u32;
-        let failure = loop {
-            match self.backend.sync() {
-                Ok(()) => break None,
-                Err(e) if e.transient && retries + 1 < self.config.max_io_attempts => {
-                    retries += 1;
-                    self.backoff(retries);
-                }
-                Err(e) => break Some(e),
-            }
-        };
+        let outcome = self.retrying("sync", || self.backend.sync());
         let mut inner = self.lock();
-        inner.io_retries += retries as u64;
-        match failure {
-            None => {
+        match outcome {
+            Ok(()) => {
                 inner.synced_offset = inner.synced_offset.max(covered);
                 drop(inner);
-                if retries > 0 {
-                    self.publish(TelemetryEvent::IoRetry {
-                        op: "sync".into(),
-                        attempts: retries as u64,
-                    });
-                }
                 self.publish(TelemetryEvent::JournalSynced {
                     micros: started.elapsed().as_micros() as u64,
                 });
                 Ok(())
             }
-            Some(e) => {
+            Err(e) => {
                 let durable = inner.synced_offset;
                 let reason = format!("sync: {e}");
                 if inner.quarantined.is_none() {
                     inner.quarantined = Some((durable, reason.clone()));
                 }
                 drop(inner);
-                if retries > 0 {
-                    self.publish(TelemetryEvent::IoRetry {
-                        op: "sync".into(),
-                        attempts: retries as u64,
-                    });
-                }
                 self.publish(TelemetryEvent::JournalDegraded {
                     offset: durable,
                     reason: reason.clone(),
@@ -528,11 +478,12 @@ impl Journal {
     /// [`next_offset`](Journal::next_offset) (the fleet-side wrapper is
     /// `Fleet::heal_journal`). Heal first repairs the tail segment —
     /// proving the backend works again and cutting any bytes a failed
-    /// append left behind — then writes the snapshot as a full
-    /// checkpoint and syncs it down. Only then is the quarantine cleared;
-    /// replay never crosses the gap because the fresh full checkpoint
-    /// covers everything before it, journaled or not. Any failure leaves
-    /// the journal quarantined.
+    /// append left behind — then stores the snapshot as the checkpoint
+    /// (replacing its predecessors, as
+    /// [`checkpoint_write`](Journal::checkpoint_write) does) and syncs.
+    /// Only then is the quarantine cleared; replay never crosses the gap
+    /// because the fresh checkpoint covers everything before it,
+    /// journaled or not. Any failure leaves the journal quarantined.
     ///
     /// # Errors
     ///
@@ -551,23 +502,21 @@ impl Journal {
                     inner.next_offset
                 )));
             }
-            (inner.tail_start, inner.tail_bytes)
+            (inner.tail_start, inner.tail_bytes())
         };
         self.repair_tail(tail_start, tail_bytes).map_err(|e| {
             journal_err(format!("heal: tail repair failed, still quarantined: {e}"))
         })?;
-        let ckpt = Checkpoint::Full { offset, fleet };
-        self.write_checkpoint_retrying(offset, &ckpt.to_text())
-            .map_err(|e| {
-                journal_err(format!(
-                    "heal: checkpoint write failed, still quarantined: {e}"
-                ))
-            })?;
+        let ckpt = Checkpoint { offset, fleet };
+        self.store_checkpoint(&ckpt).map_err(|e| {
+            journal_err(format!(
+                "heal: checkpoint write failed, still quarantined: {e}"
+            ))
+        })?;
         self.backend
             .sync()
             .map_err(|e| journal_err(format!("heal: sync failed, still quarantined: {e}")))?;
         let mut inner = self.lock();
-        note_checkpoint(&mut inner, offset);
         inner.quarantined = None;
         inner.synced_offset = inner.next_offset;
         inner.heals += 1;
@@ -579,43 +528,80 @@ impl Journal {
         Ok(stats)
     }
 
-    /// A backend checkpoint write with the transient-retry policy (no
-    /// quarantine: a failed checkpoint loses no history, it only defers
-    /// compaction).
-    fn write_checkpoint_retrying(&self, offset: u64, text: &str) -> Result<(), BackendError> {
+    /// Runs one backend write under the transient-retry policy (no
+    /// quarantine: the callers decide what a failure means), counting and
+    /// publishing the retries as `op`.
+    fn retrying(
+        &self,
+        op: &str,
+        mut write: impl FnMut() -> Result<(), BackendError>,
+    ) -> Result<(), BackendError> {
         let mut retries = 0u32;
-        loop {
-            match self.backend.write_checkpoint(offset, text) {
-                Ok(()) => {
-                    if retries > 0 {
-                        let mut inner = self.lock();
-                        inner.io_retries += retries as u64;
-                        drop(inner);
-                        self.publish(TelemetryEvent::IoRetry {
-                            op: "checkpoint".into(),
-                            attempts: retries as u64,
-                        });
-                    }
-                    return Ok(());
-                }
+        let outcome = loop {
+            match write() {
                 Err(e) if e.transient && retries + 1 < self.config.max_io_attempts => {
                     retries += 1;
                     self.backoff(retries);
                 }
-                Err(e) => {
-                    if retries > 0 {
-                        let mut inner = self.lock();
-                        inner.io_retries += retries as u64;
-                        drop(inner);
-                        self.publish(TelemetryEvent::IoRetry {
-                            op: "checkpoint".into(),
-                            attempts: retries as u64,
-                        });
-                    }
-                    return Err(e);
-                }
+                outcome => break outcome,
             }
+        };
+        if retries > 0 {
+            self.lock().io_retries += retries as u64;
+            self.publish(TelemetryEvent::IoRetry {
+                op: op.into(),
+                attempts: retries as u64,
+            });
         }
+        outcome
+    }
+
+    /// Stores `ckpt` as the journal's one checkpoint: writes its
+    /// document, then removes every older document and every segment but
+    /// the tail whose records all precede its offset. A failure loses no
+    /// history: a written document is the newest, and whatever is left
+    /// to remove is history recovery no longer reads, which the next
+    /// checkpoint removes.
+    fn store_checkpoint(&self, ckpt: &Checkpoint) -> Result<(), BackendError> {
+        let offset = ckpt.offset;
+        let text = ckpt.to_text();
+        self.retrying("checkpoint", || {
+            self.backend.write_checkpoint(offset, &text)
+        })?;
+        drop(text);
+        let (stale, covered) = {
+            let mut inner = self.lock();
+            if !inner.checkpoints.contains(&offset) {
+                inner.checkpoints.push(offset);
+                inner.checkpoints.sort_unstable();
+            }
+            let stale: Vec<u64> = inner
+                .checkpoints
+                .iter()
+                .copied()
+                .filter(|&at| at != offset)
+                .collect();
+            // A segment ends where the next one starts; the last one ends
+            // at the next offset to append.
+            let ends = inner.segments.keys().skip(1).chain([&inner.next_offset]);
+            let covered: Vec<u64> = inner
+                .segments
+                .keys()
+                .zip(ends)
+                .filter(|&(&start, &end)| end <= offset && start != inner.tail_start)
+                .map(|(&start, _)| start)
+                .collect();
+            (stale, covered)
+        };
+        for at in stale {
+            self.retrying("checkpoint", || self.backend.remove_checkpoint(at))?;
+            self.lock().checkpoints.retain(|&kept| kept != at);
+        }
+        for start in covered {
+            self.retrying("checkpoint", || self.backend.remove_segment(start))?;
+            self.lock().segments.remove(&start);
+        }
+        Ok(())
     }
 
     /// Global offset of the next record to append (= records ever
@@ -624,25 +610,24 @@ impl Journal {
         self.lock().next_offset
     }
 
-    /// Stored checkpoint count.
-    pub fn checkpoint_count(&self) -> usize {
-        self.lock().checkpoints.len()
-    }
-
     /// Offset of the newest stored checkpoint.
     pub fn last_checkpoint_offset(&self) -> Option<u64> {
         self.lock().checkpoints.last().copied()
     }
 
-    /// The dirty set a delta checkpoint would need to export right now:
-    /// `(dirtied home ids, removed home ids, store dirty)`.
-    pub fn dirty_set(&self) -> (Vec<u64>, Vec<u64>, bool) {
-        let inner = self.lock();
-        (
-            inner.dirty.iter().copied().collect(),
-            inner.removed.iter().copied().collect(),
-            inner.store_dirty,
-        )
+    /// Reads and decodes the newest stored checkpoint: the fleet image
+    /// recovery revives, and the offset its replay resumes at.
+    ///
+    /// # Errors
+    ///
+    /// [`HgError::Journal`] when no checkpoint is stored, on backend
+    /// failure, or when the document does not decode (one of another
+    /// format version is refused by name).
+    pub fn latest_checkpoint(&self) -> Result<Checkpoint, HgError> {
+        let offset = self
+            .last_checkpoint_offset()
+            .ok_or_else(|| journal_err("no checkpoint stored"))?;
+        Checkpoint::from_text(&self.backend.read_checkpoint(offset).map_err(berr)?)
     }
 
     /// Decodes all records at offsets `>= from`, in order.
@@ -670,121 +655,34 @@ impl Journal {
         Ok(out)
     }
 
-    /// Writes a checkpoint document and resets the dirty bookkeeping.
+    /// Writes a checkpoint that replaces every older one: the document is
+    /// stored first, then the older documents and every segment but the
+    /// tail whose records all precede `ckpt.offset` are removed.
     ///
     /// The caller (the fleet's checkpoint path) is responsible for
     /// holding [`gate_exclusive`](Journal::gate_exclusive) while it
-    /// exported the states, and for `ckpt.offset() == next_offset()` under
+    /// exported the fleet, and for `ckpt.offset == next_offset()` under
     /// that gate.
     ///
     /// # Errors
     ///
-    /// [`HgError::Journal`] when the journal is quarantined (the dirty
-    /// set no longer describes WAL truth — heal instead) or when the
-    /// backend write fails after retries; bookkeeping is left un-reset
-    /// so a retry exports at least the same dirty set.
+    /// [`HgError::Journal`] when the journal is quarantined (heal
+    /// instead) or when a backend write or removal fails after retries.
     pub fn checkpoint_write(&self, ckpt: &Checkpoint) -> Result<CheckpointStats, HgError> {
         let started = Instant::now();
-        {
-            let inner = self.lock();
-            if let Some((durable, reason)) = &inner.quarantined {
-                return Err(journal_err(format!(
-                    "journal quarantined at durable offset {durable} ({reason}); heal before checkpointing"
-                )));
-            }
+        if let Some((durable, reason)) = &self.lock().quarantined {
+            return Err(journal_err(format!(
+                "journal quarantined at durable offset {durable} ({reason}); heal before checkpointing"
+            )));
         }
-        self.write_checkpoint_retrying(ckpt.offset(), &ckpt.to_text())
-            .map_err(berr)?;
-        note_checkpoint(&mut self.lock(), ckpt.offset());
+        self.store_checkpoint(ckpt).map_err(berr)?;
         let stats = CheckpointStats::of(ckpt, started);
         self.publish(TelemetryEvent::JournalCheckpoint {
             offset: stats.offset,
             homes: stats.homes,
-            full: stats.full,
             micros: stats.micros,
         });
         Ok(stats)
-    }
-
-    /// Reads and decodes the whole stored checkpoint chain, ascending.
-    ///
-    /// # Errors
-    ///
-    /// [`HgError::Journal`] on backend failure or an undecodable document.
-    pub fn checkpoint_chain(&self) -> Result<Vec<Checkpoint>, HgError> {
-        let offsets: Vec<u64> = self.lock().checkpoints.clone();
-        offsets
-            .iter()
-            .map(|&offset| {
-                let text = self.backend.read_checkpoint(offset).map_err(berr)?;
-                Checkpoint::from_text(&text)
-            })
-            .collect()
-    }
-
-    /// Folds the stored checkpoint chain into one fleet snapshot, with
-    /// the offset replay resumes from (recovery's starting point).
-    ///
-    /// # Errors
-    ///
-    /// [`HgError::Journal`] when no checkpoint exists or the chain is
-    /// damaged.
-    pub fn materialize(&self) -> Result<(u64, FleetSnapshot), HgError> {
-        materialize(self.checkpoint_chain()?)
-    }
-
-    /// Compacts the journal: folds the checkpoint chain into a single
-    /// full checkpoint and deletes every segment fully covered by it.
-    /// History below the surviving checkpoint is gone afterwards — replay
-    /// can only resume at its offset.
-    ///
-    /// # Errors
-    ///
-    /// [`HgError::Journal`] on backend failure, a damaged chain, or a
-    /// quarantined journal (heal first — compaction deletes history).
-    pub fn compact(&self) -> Result<CompactStats, HgError> {
-        let _exclusive = self.gate_exclusive();
-        if let Some((durable, reason)) = &self.lock().quarantined {
-            return Err(journal_err(format!(
-                "journal quarantined at durable offset {durable} ({reason}); heal before compacting"
-            )));
-        }
-        let chain = self.checkpoint_chain()?;
-        if chain.is_empty() {
-            return Err(journal_err("nothing to compact: no checkpoints"));
-        }
-        let folded: Vec<u64> = chain.iter().map(Checkpoint::offset).collect();
-        let (offset, fleet) = materialize(chain)?;
-        let full = Checkpoint::Full { offset, fleet };
-        self.write_checkpoint_retrying(offset, &full.to_text())
-            .map_err(berr)?;
-        let mut dropped_ckpts = 0u64;
-        for &at in &folded {
-            if at != offset {
-                self.backend.remove_checkpoint(at).map_err(berr)?;
-                dropped_ckpts += 1;
-            }
-        }
-        // A segment whose records all precede the surviving checkpoint
-        // will never be replayed again. Segment record counts are implied
-        // by neighbour start offsets.
-        let mut inner = self.lock();
-        let starts = self.backend.segments().map_err(berr)?;
-        let mut dropped_segs = 0u64;
-        for (i, &start) in starts.iter().enumerate() {
-            let end = starts.get(i + 1).copied().unwrap_or(inner.next_offset);
-            if end <= offset && start != inner.tail_start {
-                self.backend.remove_segment(start).map_err(berr)?;
-                dropped_segs += 1;
-            }
-        }
-        inner.checkpoints = vec![offset];
-        drop(inner);
-        Ok(CompactStats {
-            checkpoints_folded: dropped_ckpts,
-            segments_dropped: dropped_segs,
-            offset,
-        })
     }
 
     /// Wipes all stored segments and checkpoints and starts a new
@@ -817,19 +715,10 @@ impl Journal {
         self.publish(TelemetryEvent::JournalReplayed { records, micros });
     }
 
-    /// Live stats as a JSON document (the `/journal/stats` surface).
+    /// Live stats as a JSON document (the `/journal/stats` surface),
+    /// read from memory without touching the backend.
     pub fn stats_json(&self) -> hg_rules::json::Json {
         use hg_rules::json::Json;
-        let segments = self.backend.segments().unwrap_or_default();
-        let segment_bytes: u64 = segments
-            .iter()
-            .map(|&s| {
-                self.backend
-                    .read_segment(s)
-                    .map(|b| b.len() as u64)
-                    .unwrap_or(0)
-            })
-            .sum();
         let inner = self.lock();
         let (state, quarantined_at, quarantine_reason) = match &inner.quarantined {
             None => ("active", Json::Null, Json::Null),
@@ -841,8 +730,11 @@ impl Journal {
         };
         Json::obj([
             ("records", Json::Num(inner.next_offset as i64)),
-            ("segments", Json::Num(segments.len() as i64)),
-            ("segmentBytes", Json::Num(segment_bytes as i64)),
+            ("segments", Json::Num(inner.segments.len() as i64)),
+            (
+                "segmentBytes",
+                Json::Num(inner.segments.values().sum::<u64>() as i64),
+            ),
             ("checkpoints", Json::Num(inner.checkpoints.len() as i64)),
             (
                 "lastCheckpoint",
@@ -856,12 +748,6 @@ impl Journal {
             ("quarantinedAt", quarantined_at),
             ("quarantineReason", quarantine_reason),
             ("syncedOffset", Json::Num(inner.synced_offset as i64)),
-            ("dirtyHomes", Json::Num(inner.dirty.len() as i64)),
-            (
-                "removedSinceCheckpoint",
-                Json::Num(inner.removed.len() as i64),
-            ),
-            ("storeDirty", Json::Bool(inner.store_dirty)),
             ("appendsSession", Json::Num(inner.appends as i64)),
             ("appendBytesSession", Json::Num(inner.append_bytes as i64)),
             (
@@ -873,32 +759,6 @@ impl Journal {
             ("healsSession", Json::Num(inner.heals as i64)),
             ("truncatedOnOpen", Json::Num(inner.truncated_on_open as i64)),
         ])
-    }
-}
-
-/// Records a checkpoint written at `offset` and resets the dirty
-/// bookkeeping it covers.
-fn note_checkpoint(inner: &mut JournalInner, offset: u64) {
-    if inner.checkpoints.last() != Some(&offset) {
-        inner.checkpoints.push(offset);
-        inner.checkpoints.sort_unstable();
-    }
-    inner.dirty.clear();
-    inner.removed.clear();
-    inner.store_dirty = false;
-}
-
-fn note_dirty(inner: &mut JournalInner, record: &JournalRecord) {
-    for id in record.dirtied_homes() {
-        inner.dirty.insert(id);
-        inner.removed.remove(&id);
-    }
-    if let Some(id) = record.removed_home() {
-        inner.removed.insert(id);
-        inner.dirty.remove(&id);
-    }
-    if record.touches_store() {
-        inner.store_dirty = true;
     }
 }
 
@@ -931,13 +791,10 @@ mod tests {
         }
     }
 
-    fn empty_delta(offset: u64) -> Checkpoint {
-        Checkpoint::Delta {
+    fn checkpoint_at(offset: u64) -> Checkpoint {
+        Checkpoint {
             offset,
-            next_id: 0,
-            store: None,
-            homes: Vec::new(),
-            removed: Vec::new(),
+            fleet: empty_fleet(),
         }
     }
 
@@ -966,9 +823,6 @@ mod tests {
         assert_eq!(records.len(), 8);
         assert_eq!(records[5].0, 5);
         assert_eq!(records[5].1, rec(5));
-        // Dirty bookkeeping was re-seeded from the tail.
-        let (dirty, _, _) = reopened.dirty_set();
-        assert_eq!(dirty.len(), 8);
     }
 
     #[test]
@@ -995,100 +849,156 @@ mod tests {
     }
 
     #[test]
-    fn dirty_set_tracks_and_checkpoints_reset_it() {
-        let journal = Journal::open(Box::new(MemBackend::new())).unwrap();
-        journal.append(&rec(1)).unwrap();
-        journal
-            .append(&JournalRecord::HomeRemoved { id: 1 })
-            .unwrap();
-        journal
-            .append(&JournalRecord::StoreRetired { app: "A".into() })
-            .unwrap();
-        let (dirty, removed, store_dirty) = journal.dirty_set();
-        assert!(dirty.is_empty(), "removal supersedes dirtiness");
-        assert_eq!(removed, vec![1]);
-        assert!(store_dirty);
-        journal
-            .checkpoint_write(&Checkpoint::Full {
-                offset: journal.next_offset(),
-                fleet: FleetSnapshot {
-                    next_id: 2,
-                    ..empty_fleet()
-                },
-            })
-            .unwrap();
-        let (dirty, removed, store_dirty) = journal.dirty_set();
-        assert!(dirty.is_empty() && removed.is_empty() && !store_dirty);
-        assert_eq!(journal.last_checkpoint_offset(), Some(3));
-    }
-
-    #[test]
     fn compaction_folds_to_one_full_checkpoint_and_drops_dead_segments() {
         let mem = MemBackend::new();
+        // Two ~70-byte records per segment.
         let journal = Journal::open_with(
             Box::new(mem.clone()),
             JournalConfig {
-                max_segment_bytes: 64,
+                max_segment_bytes: 150,
                 ..JournalConfig::default()
             },
         )
         .unwrap();
-        journal
-            .checkpoint_write(&Checkpoint::Full {
-                offset: 0,
-                fleet: empty_fleet(),
-            })
-            .unwrap();
+        journal.checkpoint_write(&checkpoint_at(0)).unwrap();
         for n in 0..6 {
             journal.append(&rec(n)).unwrap();
         }
-        journal.checkpoint_write(&empty_delta(6)).unwrap();
-        let before_segments = mem.segments().unwrap().len();
-        assert!(before_segments > 1);
-        let stats = journal.compact().unwrap();
-        assert_eq!(stats.offset, 6);
-        assert_eq!(stats.checkpoints_folded, 1);
-        assert!(stats.segments_dropped > 0);
-        assert_eq!(journal.checkpoint_count(), 1);
-        // The journal still opens and materializes after compaction.
+        let before = mem.segments().unwrap();
+        assert_eq!(before, vec![0, 2, 4], "small segments must rotate");
+        // A checkpoint inside the second segment keeps that segment and
+        // every later one; only the first lies wholly below it.
+        journal
+            .checkpoint_write(&checkpoint_at(before[1] + 1))
+            .unwrap();
+        assert_eq!(mem.checkpoints().unwrap(), vec![before[1] + 1]);
+        assert_eq!(mem.segments().unwrap(), before[1..].to_vec());
+        // A checkpoint at the head leaves only itself and the tail.
+        journal.checkpoint_write(&checkpoint_at(6)).unwrap();
+        assert_eq!(mem.checkpoints().unwrap(), vec![6]);
+        assert_eq!(mem.segments().unwrap(), vec![*before.last().unwrap()]);
+        // The journal still opens, recovers from the one document and
+        // appends where it stopped.
         drop(journal);
         let reopened = Journal::open(Box::new(mem)).unwrap();
-        let (offset, _) = reopened.materialize().unwrap();
-        assert_eq!(offset, 6);
-        assert!(reopened.records_from(offset).unwrap().is_empty());
+        assert_eq!(reopened.latest_checkpoint().unwrap().offset, 6);
+        assert!(reopened.records_from(6).unwrap().is_empty());
+        assert_eq!(reopened.append(&rec(6)).unwrap(), 6);
     }
 
     #[test]
     fn compaction_retries_a_transient_checkpoint_fault() {
         let mem = MemBackend::new();
         let fault = FaultBackend::new(mem.clone());
-        let journal = Journal::open_with(Box::new(fault.clone()), fast_config()).unwrap();
-        journal
-            .checkpoint_write(&Checkpoint::Full {
-                offset: 0,
-                fleet: empty_fleet(),
-            })
-            .unwrap();
+        let journal = Journal::open_with(
+            Box::new(fault.clone()),
+            JournalConfig {
+                max_segment_bytes: 64,
+                ..fast_config()
+            },
+        )
+        .unwrap();
+        journal.checkpoint_write(&checkpoint_at(0)).unwrap();
         for n in 0..3 {
             journal.append(&rec(n)).unwrap();
         }
-        // One transient fault on the next write: the delta's checkpoint
-        // write absorbs it by retrying...
-        fault.arm(FaultPlan::new().at(fault.ops(), FaultKind::Transient));
-        journal.checkpoint_write(&empty_delta(3)).unwrap();
-        assert_eq!(fault.injected(), 1);
-        // ...and so does the folded checkpoint compaction writes.
-        fault.arm(FaultPlan::new().at(fault.ops(), FaultKind::Transient));
-        let stats = journal.compact().unwrap();
-        assert_eq!(fault.injected(), 2);
-        assert_eq!(stats.offset, 3);
-        assert_eq!(stats.checkpoints_folded, 1);
+        // One transient fault on each of the next three writes: the
+        // document, the predecessor's removal and a segment's removal each
+        // absorb theirs by retrying.
+        let at = fault.ops();
+        fault.arm(
+            FaultPlan::new()
+                .at(at, FaultKind::Transient)
+                .at(at + 2, FaultKind::Transient)
+                .at(at + 4, FaultKind::Transient),
+        );
+        journal.checkpoint_write(&checkpoint_at(3)).unwrap();
+        assert_eq!(fault.injected(), 3);
         assert!(!journal.is_quarantined());
+        assert_eq!(mem.checkpoints().unwrap(), vec![3]);
+        assert_eq!(mem.segments().unwrap().len(), 1, "only the tail is left");
         drop(journal);
         let reopened = Journal::open(Box::new(mem)).unwrap();
-        assert_eq!(reopened.checkpoint_count(), 1);
-        let (offset, _) = reopened.materialize().unwrap();
-        assert_eq!(offset, 3);
+        assert_eq!(reopened.latest_checkpoint().unwrap().offset, 3);
+    }
+
+    /// A backend that counts `read_segment` calls.
+    struct CountingReads(MemBackend, Arc<AtomicU64>);
+
+    impl JournalBackend for CountingReads {
+        fn segments(&self) -> Result<Vec<u64>, BackendError> {
+            self.0.segments()
+        }
+        fn read_segment(&self, start: u64) -> Result<Vec<u8>, BackendError> {
+            self.1.fetch_add(1, Ordering::SeqCst);
+            self.0.read_segment(start)
+        }
+        fn append_segment(&self, start: u64, bytes: &[u8]) -> Result<(), BackendError> {
+            self.0.append_segment(start, bytes)
+        }
+        fn truncate_segment(&self, start: u64, len: u64) -> Result<(), BackendError> {
+            self.0.truncate_segment(start, len)
+        }
+        fn remove_segment(&self, start: u64) -> Result<(), BackendError> {
+            self.0.remove_segment(start)
+        }
+        fn checkpoints(&self) -> Result<Vec<u64>, BackendError> {
+            self.0.checkpoints()
+        }
+        fn read_checkpoint(&self, offset: u64) -> Result<String, BackendError> {
+            self.0.read_checkpoint(offset)
+        }
+        fn write_checkpoint(&self, offset: u64, text: &str) -> Result<(), BackendError> {
+            self.0.write_checkpoint(offset, text)
+        }
+        fn remove_checkpoint(&self, offset: u64) -> Result<(), BackendError> {
+            self.0.remove_checkpoint(offset)
+        }
+    }
+
+    #[test]
+    fn stats_come_from_memory_without_reading_segments() {
+        let mem = MemBackend::new();
+        for n in 0..4 {
+            mem.append_segment(0, &encode_frame(&rec(n).to_payload()))
+                .unwrap();
+        }
+        let reads = Arc::new(AtomicU64::new(0));
+        let config = JournalConfig {
+            max_segment_bytes: 96,
+            ..JournalConfig::default()
+        };
+        let journal =
+            Journal::open_with(Box::new(CountingReads(mem.clone(), reads.clone())), config)
+                .unwrap();
+        for n in 4..9 {
+            journal.append(&rec(n)).unwrap();
+        }
+        journal.checkpoint_write(&checkpoint_at(6)).unwrap();
+        let opened = reads.load(Ordering::SeqCst);
+        let stats = journal.stats_json();
+        assert_eq!(reads.load(Ordering::SeqCst), opened, "stats read a segment");
+        // The figures still match the backend's bytes.
+        let starts = mem.segments().unwrap();
+        let bytes: usize = starts
+            .iter()
+            .map(|&s| mem.read_segment(s).unwrap().len())
+            .sum();
+        let num = |key: &str| stats.get(key).and_then(hg_rules::json::Json::as_num);
+        assert_eq!(num("segments"), Some(starts.len() as i64));
+        assert_eq!(num("segmentBytes"), Some(bytes as i64));
+        assert_eq!(num("checkpoints"), Some(1));
+        assert_eq!(num("records"), Some(9));
+        // Reset empties them, as it empties the backend.
+        journal.reset().unwrap();
+        let stats = journal.stats_json();
+        assert_eq!(
+            stats
+                .get("segmentBytes")
+                .and_then(hg_rules::json::Json::as_num),
+            Some(0)
+        );
+        assert_eq!(reads.load(Ordering::SeqCst), opened);
     }
 
     #[test]
@@ -1184,6 +1094,9 @@ mod tests {
         let plan = FaultPlan::new()
             .at(1, FaultKind::ShortWrite)
             .at(2, FaultKind::Permanent);
+        // The heal checkpoint replaces the one the journal opened with.
+        mem.write_checkpoint(0, &checkpoint_at(0).to_text())
+            .unwrap();
         let fault = FaultBackend::with_plan(mem.clone(), plan);
         let journal = Journal::open_with(Box::new(fault.clone()), fast_config()).unwrap();
         journal.append(&rec(0)).unwrap();
@@ -1193,6 +1106,7 @@ mod tests {
         fault.disarm();
         journal.heal(journal.next_offset(), empty_fleet()).unwrap();
         assert!(!journal.is_quarantined());
+        assert_eq!(mem.checkpoints().unwrap(), vec![1], "heal replaces");
         // The healed journal appends again and a reopen sees a clean
         // timeline: checkpoint at 1 plus the post-heal records.
         journal.append(&rec(7)).unwrap();
@@ -1252,15 +1166,11 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("quarantined"));
-        let ckpt = Checkpoint::Full {
-            offset: 0,
-            fleet: empty_fleet(),
-        };
+        // A checkpoint would also compact the journal: it refuses too.
         assert!(journal
-            .checkpoint_write(&ckpt)
+            .checkpoint_write(&checkpoint_at(0))
             .unwrap_err()
             .to_string()
             .contains("heal"));
-        assert!(journal.compact().unwrap_err().to_string().contains("heal"));
     }
 }

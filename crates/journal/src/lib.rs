@@ -1,4 +1,4 @@
-//! # hg-journal — write-ahead lifecycle journal and delta snapshots
+//! # hg-journal — write-ahead lifecycle journal and checkpoints
 //!
 //! Before this crate, the fleet's only durability unit was
 //! `hg-persist`'s stop-the-world full snapshot: a restart replayed
@@ -12,11 +12,11 @@
 //!   ([`frame`]); segments rotate by size; opening a journal verifies
 //!   every frame and **truncates a torn tail** instead of panicking.
 //! * **[`Checkpoint`]** — the fleet's ground truth as of a journal
-//!   offset: a full one holds a whole [`hg_persist::FleetSnapshot`], a
-//!   delta only what changed, in the snapshot's home-list codec.
-//!   [`materialize`] folds a chain of them into one fleet snapshot;
-//!   [`Journal::compact`] folds the chain *and* deletes the segments it
-//!   covers.
+//!   offset: a whole [`hg_persist::FleetSnapshot`]. Writing one
+//!   ([`Journal::checkpoint_write`]) removes every older checkpoint and
+//!   every segment but the tail that it covers, so the journal holds one
+//!   image plus the records since, and recovery reads one document
+//!   ([`Journal::latest_checkpoint`]).
 //! * **[`JournalBackend`]** — pluggable storage: [`MemBackend`] (tests,
 //!   benches, crash forks) and [`DirBackend`] (a directory of
 //!   `seg-*.wal` / `ckpt-*.json` files).
@@ -26,7 +26,7 @@
 //!   fault injection for chaos tests, driving the journal's failure
 //!   policy: classified [`BackendError`]s, bounded retry with tail
 //!   repair, quarantine (a quarantined journal refuses writes through
-//!   [`Journal::admit`]), and [`Journal::heal`] (a fresh full checkpoint
+//!   [`Journal::admit`]), and [`Journal::heal`] (a fresh checkpoint
 //!   re-arms a recovered backend).
 //!
 //! The fleet-side wiring (journaled mutation paths, `Fleet::recover`)
@@ -37,10 +37,9 @@
 //!
 //! The journal's checkpoint gate makes every checkpoint a consistent
 //! cut, and records are state deltas (not re-run commands), so:
-//! *materialized checkpoint chain + replay of records `>= offset`* is
-//! bit-identical to the live fleet — the property
-//! `tests/journal_fuzz.rs` proves by truncating at every record
-//! boundary.
+//! *newest checkpoint + replay of records `>= offset`* is bit-identical
+//! to the live fleet — the property `tests/journal_fuzz.rs` proves by
+//! truncating at every record boundary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,8 +54,8 @@ pub mod record;
 pub mod scheduler;
 
 pub use backend::{BackendError, DirBackend, JournalBackend, MemBackend};
-pub use checkpoint::{materialize, Checkpoint};
+pub use checkpoint::Checkpoint;
 pub use fault::{FaultBackend, FaultKind, FaultPlan};
-pub use journal::{CheckpointStats, CompactStats, Journal, JournalConfig, JournalState};
+pub use journal::{CheckpointStats, Journal, JournalConfig, JournalState};
 pub use record::{journal_err, JournalRecord};
 pub use scheduler::CheckpointScheduler;

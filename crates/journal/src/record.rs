@@ -166,42 +166,6 @@ impl JournalRecord {
         }
     }
 
-    /// Raw ids of homes whose ground truth this record dirties (delta
-    /// checkpoint bookkeeping).
-    pub fn dirtied_homes(&self) -> Vec<u64> {
-        match self {
-            JournalRecord::HomeCreated { id, .. }
-            | JournalRecord::HomeImported { id, .. }
-            | JournalRecord::InstallCommitted { id, .. }
-            | JournalRecord::UninstallCommitted { id, .. }
-            | JournalRecord::PolicyChanged { id, .. }
-            | JournalRecord::ConfigRecorded { id, .. } => vec![*id],
-            JournalRecord::InstallSwept { homes, .. }
-            | JournalRecord::UpgradeSwept { homes, .. }
-            | JournalRecord::UninstallSwept { homes, .. } => homes.clone(),
-            JournalRecord::HomesCreated { ids, .. } => ids.clone(),
-            JournalRecord::HomeRemoved { .. }
-            | JournalRecord::StoreIngested { .. }
-            | JournalRecord::StoreRetired { .. } => Vec::new(),
-        }
-    }
-
-    /// The removed home id, when this record removes one.
-    pub fn removed_home(&self) -> Option<u64> {
-        match self {
-            JournalRecord::HomeRemoved { id } => Some(*id),
-            _ => None,
-        }
-    }
-
-    /// Whether the record mutates the shared rule store.
-    pub fn touches_store(&self) -> bool {
-        matches!(
-            self,
-            JournalRecord::StoreIngested { .. } | JournalRecord::StoreRetired { .. }
-        )
-    }
-
     /// Encodes the record as one JSON document (a frame payload).
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
@@ -571,21 +535,5 @@ mod tests {
             JournalRecord::from_payload(b"{\"v\":1,\"op\":\"home_removed\",\"id\":-4}"),
             Err(HgError::Journal(_))
         ));
-    }
-
-    #[test]
-    fn dirty_bookkeeping_classifies_records() {
-        let r = JournalRecord::UpgradeSwept {
-            app: "A".into(),
-            homes: vec![1, 9],
-        };
-        assert_eq!(r.dirtied_homes(), vec![1, 9]);
-        assert!(!r.touches_store());
-        let r = JournalRecord::StoreRetired { app: "A".into() };
-        assert!(r.touches_store());
-        assert!(r.dirtied_homes().is_empty());
-        let r = JournalRecord::HomeRemoved { id: 4 };
-        assert_eq!(r.removed_home(), Some(4));
-        assert!(r.dirtied_homes().is_empty());
     }
 }

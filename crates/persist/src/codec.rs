@@ -632,8 +632,8 @@ pub fn home_state_from_json(j: &Json) -> Result<HomeState, HgError> {
 }
 
 /// Appends a list of homes to `out` as `[{"home", "id"}, ...]` — the home
-/// list of a fleet snapshot and of a delta checkpoint — one home at a
-/// time: each home's document is dropped before the next is built.
+/// list of a fleet snapshot — one home at a time: each home's document is
+/// dropped before the next is built.
 pub fn write_homes(homes: &[(HomeId, HomeState)], out: &mut String) {
     write_each(homes, out, |(id, state), out| {
         out.push_str("{\"home\":");

@@ -16,9 +16,8 @@
 //!   so a restarted store answers unchanged-source ingests from cache),
 //!   every home and the registry routing parameters, produced and
 //!   consumed by `hg_service::Fleet::{snapshot, restore}`. It is the only
-//!   whole-fleet image: `hg-journal`'s full checkpoints embed its payload
-//!   ([`FleetSnapshot::write_payload`]), and its delta checkpoints reuse the
-//!   home-list codec ([`codec::write_homes`]).
+//!   whole-fleet image: `hg-journal`'s checkpoints embed its payload
+//!   ([`FleetSnapshot::write_payload`]).
 //!
 //! ## What is (deliberately) not serialized
 //!

@@ -28,6 +28,8 @@ fn envelope(kind: &'static str, write_payload: impl FnOnce(&mut String)) -> Stri
     out
 }
 
+/// Parses an envelope, checks its version and kind, and moves its
+/// payload out of the parsed document (no second copy of the tree).
 fn open_envelope(text: &str, kind: &str) -> Result<Json, HgError> {
     let doc = Json::parse(text).map_err(|e| codec::snap_err(e.to_string()))?;
     match doc.get("version").and_then(Json::as_num) {
@@ -48,9 +50,11 @@ fn open_envelope(text: &str, kind: &str) -> Result<Json, HgError> {
         }
         None => return Err(codec::snap_err("missing snapshot kind")),
     }
-    doc.get("payload")
-        .cloned()
-        .ok_or_else(|| codec::snap_err("missing payload"))
+    match doc {
+        Json::Obj(mut fields) => fields.remove("payload"),
+        _ => None,
+    }
+    .ok_or_else(|| codec::snap_err("missing payload"))
 }
 
 /// Serializes one home session's exported state — the migration unit: a
@@ -73,8 +77,7 @@ pub fn home_from_text(text: &str) -> Result<HomeState, HgError> {
 /// session state, and the registry's routing parameters. Produced by
 /// `Fleet::snapshot()`, consumed by `Fleet::restore()`; [`to_text`] /
 /// [`from_text`] are the durable byte form in between. It is also the
-/// journal's whole-fleet image: a full checkpoint holds one, and folding
-/// a checkpoint chain yields one.
+/// journal's whole-fleet image: every checkpoint holds one.
 ///
 /// A snapshot holds ground truth only, never telemetry: metrics counters
 /// reset when a fleet is restored, as Prometheus counters do on restart.

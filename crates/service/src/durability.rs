@@ -1,4 +1,4 @@
-//! Journal-backed durability: crash recovery and delta checkpoints.
+//! Journal-backed durability: crash recovery and checkpoints.
 //!
 //! With a [`Journal`] attached ([`Fleet::attach_journal`]), every fleet
 //! lifecycle mutation appends a [`JournalRecord`]
@@ -6,18 +6,16 @@
 //! stop-the-world snapshot problem and becomes **last checkpoint +
 //! replay**:
 //!
-//! * [`Fleet::recover`] — folds the journal's checkpoint chain into one
-//!   [`FleetSnapshot`](hg_persist::FleetSnapshot), revives it with
+//! * [`Fleet::recover`] — revives the journal's newest checkpoint, a
+//!   [`FleetSnapshot`](hg_persist::FleetSnapshot), with
 //!   [`Fleet::restore`] (the warm-restart path `POST /restore` takes too),
-//!   then replays every record past the chain's offset through the same
-//!   public lifecycle methods live traffic uses. The result is
-//!   bit-identical to the crashed fleet (the property
-//!   `tests/journal_fuzz.rs` proves at every record boundary).
-//! * [`Fleet::checkpoint`] — exports only what changed since the previous
-//!   checkpoint (dirty homes, removals, the store if store records
-//!   landed), under the gate's exclusive side so the cut is consistent.
-//!   The first checkpoint of a journal is always a full one: the fleet's
-//!   own [`Fleet::snapshot`].
+//!   then replays every record past its offset through the same public
+//!   lifecycle methods live traffic uses. The result is bit-identical to
+//!   the crashed fleet (the property `tests/journal_fuzz.rs` proves at
+//!   every record boundary).
+//! * [`Fleet::checkpoint`] — writes the fleet's own [`Fleet::snapshot`]
+//!   under the gate's exclusive side, so the cut is consistent, and the
+//!   journal drops the checkpoints and segments it replaces.
 //! * [`start_checkpointer`] — wires a fleet into the journal's background
 //!   [`CheckpointScheduler`].
 
@@ -34,21 +32,23 @@ use std::time::{Duration, Instant};
 
 impl Fleet {
     /// Revives a fleet from its write-ahead journal — the crash-recovery
-    /// path. Folds the checkpoint chain into one fleet snapshot, revives
-    /// it with [`Fleet::restore`] (ids, Allowed lists and the ingest cache
-    /// survive), replays every journal record at or past the chain's
-    /// offset through the public lifecycle methods, and finally
-    /// re-attaches the journal so the recovered fleet keeps journaling
-    /// where the crashed one stopped.
+    /// path. Reads the newest checkpoint, revives its fleet image with
+    /// [`Fleet::restore`] (ids, Allowed lists and the ingest cache
+    /// survive), replays every journal record at or past its offset
+    /// through the public lifecycle methods, and finally re-attaches the
+    /// journal so the recovered fleet keeps journaling where the crashed
+    /// one stopped.
     ///
     /// # Errors
     ///
-    /// [`HgError::Journal`] when the chain is empty/corrupt or a record
-    /// cannot be replayed (the offending offset is named);
-    /// [`HgError::Snapshot`] when the materialized image is inconsistent.
+    /// [`HgError::Journal`] when no checkpoint is stored, the newest one
+    /// is corrupt or of another format version (named in the message; a
+    /// version-2 document from an older build is one), or a record cannot
+    /// be replayed (the offending offset is named); [`HgError::Snapshot`]
+    /// when the image is inconsistent.
     pub fn recover(journal: Arc<Journal>) -> Result<Fleet, HgError> {
-        let (offset, snapshot) = journal.materialize()?;
-        let fleet = Fleet::restore(snapshot)?;
+        let Checkpoint { offset, fleet } = journal.latest_checkpoint()?;
+        let fleet = Fleet::restore(fleet)?;
         let records = journal.records_from(offset)?;
         let started = Instant::now();
         let replayed = records.len() as u64;
@@ -177,12 +177,13 @@ impl Fleet {
         })
     }
 
-    /// Writes a checkpoint covering everything journaled so far: a **full
-    /// image** when the journal holds none yet, a **delta** (dirty homes,
-    /// removals, the store only if store records landed) otherwise. Taken
-    /// under the checkpoint gate's exclusive side, so the cut is
-    /// consistent with respect to every journaled mutation. A delta with
-    /// an empty dirty set writes nothing and reports `homes: 0`.
+    /// Writes a checkpoint covering everything journaled so far: the
+    /// fleet's whole image, taken under the checkpoint gate's exclusive
+    /// side, so the cut is consistent with respect to every journaled
+    /// mutation. The journal then holds this checkpoint alone, with the
+    /// records since it ([`Journal::checkpoint_write`]). When no record
+    /// has landed since the newest checkpoint, nothing is written and the
+    /// stats report `homes: 0`.
     ///
     /// # Errors
     ///
@@ -193,31 +194,16 @@ impl Fleet {
     pub fn checkpoint(&self) -> Result<CheckpointStats, HgError> {
         let (journal, _cut) = self.journal_cut()?;
         let offset = journal.next_offset();
-        if journal.checkpoint_count() == 0 {
-            return journal.checkpoint_write(&Checkpoint::Full {
-                offset,
-                fleet: self.snapshot()?,
-            });
-        }
-        let (dirty, removed, store_dirty) = journal.dirty_set();
-        if dirty.is_empty() && removed.is_empty() && !store_dirty {
+        if journal.last_checkpoint_offset() == Some(offset) {
             return Ok(CheckpointStats {
                 offset,
                 homes: 0,
-                full: false,
                 micros: 0,
             });
         }
-        let mut homes = Vec::with_capacity(dirty.len());
-        for id in dirty.into_iter().map(HomeId::new) {
-            homes.push((id, self.export_home(id)?));
-        }
-        journal.checkpoint_write(&Checkpoint::Delta {
+        journal.checkpoint_write(&Checkpoint {
             offset,
-            next_id: self.next_id_value(),
-            store: store_dirty.then(|| self.store().export_state()),
-            homes,
-            removed,
+            fleet: self.snapshot()?,
         })
     }
 
@@ -257,7 +243,7 @@ pub fn start_checkpointer(fleet: Arc<Fleet>, interval: Duration) -> CheckpointSc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hg_journal::MemBackend;
+    use hg_journal::{JournalBackend, JournalConfig, MemBackend};
     use homeguard_core::RuleStore;
 
     const ON_APP: &str = r#"
@@ -346,17 +332,34 @@ def h(evt) { lamp.off() }
         assert_eq!(fleet_text(&recovered), fleet_text(&fleet));
     }
 
+    /// The backend holds exactly the checkpoint at `offset`, and no
+    /// segment but the tail it was written beside lies wholly below it.
+    fn assert_holds_only(backend: &MemBackend, offset: u64) {
+        assert_eq!(backend.checkpoints().unwrap(), vec![offset]);
+        // Segment `i` ends where segment `i + 1` starts. Appends since the
+        // write may have rotated past that tail, so the first segment may
+        // lie below the checkpoint, but not the second.
+        let starts = backend.segments().unwrap();
+        assert!(
+            starts.get(2).is_none_or(|&end| end > offset),
+            "segments {starts:?} below the checkpoint at {offset} survived"
+        );
+    }
+
     #[test]
-    fn recover_resumes_from_delta_checkpoints() {
+    fn recover_resumes_from_the_newest_checkpoint() {
         let (fleet, backend) = journaled_fleet();
+        assert_holds_only(&backend, 0);
         let a = fleet.create_home().unwrap();
         fleet.install_app(a, ON_APP, "OnApp", None).unwrap();
         let first = fleet.checkpoint().unwrap();
-        assert!(!first.full, "attach wrote the full baseline already");
+        assert_eq!(first.homes, 1);
+        assert_holds_only(&backend, first.offset);
         let b = fleet.create_home().unwrap();
         fleet.install_app(b, OFF_APP, "OffApp", None).unwrap();
         let second = fleet.checkpoint().unwrap();
-        assert!(!second.full);
+        assert!(second.offset > first.offset);
+        assert_holds_only(&backend, second.offset);
         fleet.uninstall_app(a, "OnApp").unwrap();
 
         let recovered = reopen(&backend);
@@ -364,13 +367,38 @@ def h(evt) { lamp.off() }
     }
 
     #[test]
-    fn empty_delta_checkpoint_writes_nothing() {
-        let (fleet, _backend) = journaled_fleet();
+    fn checkpoint_with_no_new_records_writes_nothing() {
+        let (fleet, backend) = journaled_fleet();
         let journal = fleet.journal().unwrap().clone();
-        let before = journal.checkpoint_count();
+        let before = journal.last_checkpoint_offset();
         let stats = fleet.checkpoint().unwrap();
         assert_eq!(stats.homes, 0);
-        assert_eq!(journal.checkpoint_count(), before);
+        assert_eq!(journal.last_checkpoint_offset(), before);
+        assert_eq!(backend.checkpoints().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn recover_refuses_a_version_2_checkpoint() {
+        let (fleet, backend) = journaled_fleet();
+        fleet.create_home().unwrap();
+        fleet.checkpoint().unwrap();
+        // What an older build wrote: the same image at format version 2,
+        // with its `full` flag.
+        let offset = backend.checkpoints().unwrap()[0];
+        let v2 = backend
+            .read_checkpoint(offset)
+            .unwrap()
+            .replacen(",\"kind\"", ",\"full\":true,\"kind\"", 1)
+            .replacen("\"version\":3", "\"version\":2", 1);
+        backend.write_checkpoint(offset, &v2).unwrap();
+        let journal = Arc::new(Journal::open(Box::new(backend.clone())).unwrap());
+        match Fleet::recover(journal) {
+            Err(HgError::Journal(detail)) => {
+                assert!(detail.contains("checkpoint version 2"), "{detail}")
+            }
+            Err(other) => panic!("expected a typed journal error, got {other:?}"),
+            Ok(_) => panic!("a version-2 checkpoint must be refused"),
+        }
     }
 
     #[test]
@@ -385,14 +413,61 @@ def h(evt) { lamp.off() }
         let fleet = Arc::new(fleet);
         let a = fleet.create_home().unwrap();
         fleet.install_app(a, ON_APP, "OnApp", None).unwrap();
+        let journal = fleet.journal().unwrap().clone();
         {
             let _scheduler = start_checkpointer(fleet.clone(), Duration::from_millis(5));
             let deadline = Instant::now() + Duration::from_secs(5);
-            while fleet.journal().unwrap().checkpoint_count() < 2 {
+            while journal.last_checkpoint_offset() != Some(journal.next_offset()) {
                 assert!(Instant::now() < deadline, "checkpointer never ticked");
                 std::thread::sleep(Duration::from_millis(5));
             }
         }
+        assert!(journal
+            .records_from(journal.next_offset())
+            .unwrap()
+            .is_empty());
+        let recovered = reopen(&backend);
+        assert_eq!(fleet_text(&recovered), fleet_text(&fleet));
+    }
+
+    /// The periodic checkpointer keeps the journal bounded: however many
+    /// ticks land while the fleet churns over small segments, the backend
+    /// ends up holding the newest checkpoint alone and no segment but the
+    /// tail below it.
+    #[test]
+    fn checkpointer_keeps_one_checkpoint_and_no_covered_segment() {
+        let backend = MemBackend::new();
+        let config = JournalConfig {
+            max_segment_bytes: 256,
+            ..JournalConfig::default()
+        };
+        let journal = Arc::new(Journal::open_with(Box::new(backend.clone()), config).unwrap());
+        let fleet = Arc::new(Fleet::new(RuleStore::shared()));
+        assert!(fleet.attach_journal(journal.clone()).unwrap());
+        let homes: Vec<HomeId> = (0..4).map(|_| fleet.create_home().unwrap()).collect();
+        let scheduler = start_checkpointer(fleet.clone(), Duration::from_millis(1));
+        let mut seen = std::collections::BTreeSet::new();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        for round in 0.. {
+            let home = homes[round % homes.len()];
+            fleet.install_app(home, ON_APP, "OnApp", None).unwrap();
+            fleet.uninstall_app(home, "OnApp").unwrap();
+            seen.extend(journal.last_checkpoint_offset());
+            if (seen.len() >= 8 && round >= 200) || Instant::now() > deadline {
+                break;
+            }
+        }
+        scheduler.stop();
+        assert!(
+            seen.len() >= 8,
+            "the checkpointer ticked {} times",
+            seen.len()
+        );
+        assert_holds_only(&backend, journal.last_checkpoint_offset().unwrap());
+        assert!(
+            backend.segments().unwrap()[0] > 0,
+            "rotated segments must have been dropped"
+        );
         let recovered = reopen(&backend);
         assert_eq!(fleet_text(&recovered), fleet_text(&fleet));
     }

@@ -378,10 +378,10 @@ impl Fleet {
     /// At most one journal per fleet — a second call is ignored and
     /// returns `Ok(false)`.
     ///
-    /// A journal with no stored checkpoint gets a **full baseline
-    /// checkpoint** of this fleet's current state, so replay always has a
-    /// starting image; a journal that already carries history (the
-    /// recovery path) is attached as-is. Attach before serving traffic:
+    /// A journal with no stored checkpoint gets a **baseline checkpoint**
+    /// of this fleet's current state, so replay always has a starting
+    /// image; a journal that already carries history (the recovery path)
+    /// is attached as-is. Attach before serving traffic:
     /// mutations racing the baseline capture are neither journaled nor in
     /// it.
     ///
@@ -404,8 +404,8 @@ impl Fleet {
         }
         let timeline = {
             let _cut = journal.gate_exclusive();
-            if journal.checkpoint_count() == 0 {
-                journal.checkpoint_write(&Checkpoint::Full {
+            if journal.last_checkpoint_offset().is_none() {
+                journal.checkpoint_write(&Checkpoint {
                     offset: journal.next_offset(),
                     fleet: self.snapshot()?,
                 })?;
@@ -418,11 +418,6 @@ impl Fleet {
     /// The attached write-ahead journal, if any.
     pub fn journal(&self) -> Option<&Arc<Journal>> {
         self.journal.get().map(|attached| &attached.journal)
-    }
-
-    /// The fleet's current id counter (checkpoint export).
-    pub(crate) fn next_id_value(&self) -> u64 {
-        self.next_id.load(Ordering::Relaxed)
     }
 
     /// Fleet-wide mediation statistics: the sum of every home's

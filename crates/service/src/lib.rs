@@ -34,7 +34,7 @@
 //!   refuses every write with [`HgError::Degraded`] before it touches
 //!   state, so nothing commits that recovery would roll back.
 //!   [`Fleet::heal_journal`] re-arms a recovered backend with a fresh
-//!   full checkpoint; [`Fleet::poisoned_shards`] is the health-probe
+//!   checkpoint; [`Fleet::poisoned_shards`] is the health-probe
 //!   signal. Deterministic chaos lives in [`FaultPlan`] /
 //!   [`FaultBackend`] (`tests/chaos_fuzz.rs`).
 //!

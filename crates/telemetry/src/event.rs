@@ -133,12 +133,10 @@ pub enum TelemetryEvent {
         offset: u64,
         /// Homes exported into the document.
         homes: u64,
-        /// Whether it was a full image (vs a delta).
-        full: bool,
         /// Wall-clock export-and-write time.
         micros: u64,
     },
-    /// Crash recovery replayed journal records onto a materialized
+    /// Crash recovery replayed journal records onto the newest
     /// checkpoint image.
     JournalReplayed {
         /// Records replayed.
@@ -161,7 +159,7 @@ pub enum TelemetryEvent {
         /// What tripped the quarantine.
         reason: String,
     },
-    /// A quarantined journal healed: a fresh full checkpoint re-armed it
+    /// A quarantined journal healed: a fresh checkpoint re-armed it
     /// on a recovered backend.
     JournalHealed {
         /// The offset the healing checkpoint covers.
@@ -326,13 +324,11 @@ impl TelemetryEvent {
             TelemetryEvent::JournalCheckpoint {
                 offset,
                 homes,
-                full,
                 micros,
             } => {
                 fields.extend([
                     ("offset".to_string(), Json::Num(*offset as i64)),
                     ("homes".to_string(), Json::Num(*homes as i64)),
-                    ("full".to_string(), Json::Bool(*full)),
                     ("micros".to_string(), Json::Num(*micros as i64)),
                 ]);
             }
@@ -428,7 +424,6 @@ mod tests {
             TelemetryEvent::JournalCheckpoint {
                 offset: 96,
                 homes: 12,
-                full: false,
                 micros: 2200,
             },
             TelemetryEvent::JournalReplayed {

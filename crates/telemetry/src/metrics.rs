@@ -670,7 +670,6 @@ mod tests {
         reg.lock().fold(&TelemetryEvent::JournalCheckpoint {
             offset: 2,
             homes: 5,
-            full: true,
             micros: 900,
         });
         reg.lock().fold(&TelemetryEvent::JournalReplayed {

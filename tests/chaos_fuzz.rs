@@ -16,7 +16,7 @@
 //! * **degraded fleets keep serving reads** — reads and detection probes
 //!   answer while every write is refused before it touches state;
 //! * **heal closes the gap** — [`Fleet::heal_journal`] over a recovered
-//!   backend re-arms the journal with a fresh full checkpoint, after
+//!   backend re-arms the journal with a fresh checkpoint, after
 //!   which a kill/recover is bit-identical to the live fleet again;
 //! * **unarmed chaos is free** — a fault-free [`FaultBackend`] is
 //!   bit-for-bit pass-through: same snapshots, same backend bytes.

@@ -3,14 +3,15 @@
 //! (`crates/detector/src/chained.rs`, paper §VI-D) fires across the
 //! population, and kills the journaled fleet at its final offset to prove
 //! recovery is bit-identical — with the background checkpointer running
-//! concurrently the whole time.
+//! concurrently the whole time, each tick replacing the previous
+//! checkpoint with a full image.
 //!
 //! Sized by `HG_SOAK_HOMES` (default 300, so the suite stays a fast CI
 //! smoke; set it higher for a long soak). `homebench/`'s `fleet_rollout`
 //! workload builds its 5k-home fleet with the same generator.
 
 use hg_bench::fleet_gen::{populate, relay_ladder, FleetSpec};
-use hg_journal::{DirBackend, Journal, MemBackend};
+use hg_journal::{DirBackend, Journal, JournalBackend, MemBackend};
 use hg_service::{start_checkpointer, Fleet, RuleStore};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -71,8 +72,8 @@ fn generated_population_reports_chained_threats() {
 }
 
 /// Kill-and-recover at the final offset, with the background checkpointer
-/// racing the populate: the recovered fleet is snapshot-identical and the
-/// journal's delta checkpoints bounded the replay work.
+/// racing the populate: the recovered fleet is snapshot-identical, and
+/// the checkpoints bounded the replay work and left one document.
 #[test]
 fn soak_fleet_survives_kill_and_recover() {
     let spec = FleetSpec {
@@ -109,9 +110,10 @@ fn soak_fleet_survives_kill_and_recover() {
     if journal.last_checkpoint_offset().unwrap_or(0) > 0 {
         assert!(
             replay_span < journal.next_offset(),
-            "delta checkpoints must have bounded the replay tail"
+            "checkpoints must have bounded the replay tail"
         );
     }
+    assert_eq!(backend.checkpoints().unwrap().len(), 1, "one checkpoint");
 
     // The recovered fleet keeps journaling: `Fleet::recover` re-attached
     // the reopened journal, so new mutations land as fresh records.

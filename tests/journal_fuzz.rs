@@ -2,10 +2,13 @@
 //! (mirroring `persist_fuzz.rs`): seeded churn scripts drive a
 //! **journaled** fleet through creates, home imports, installs, confirms,
 //! uninstalls, upgrades, removals, policy changes, reconfigurations and
-//! fleet-wide sweeps, taking delta checkpoints mid-script. The journal's backing
-//! storage is then crashed at **every record boundary** (fork + truncate,
-//! some forks with torn-tail garbage appended) and recovered with
-//! [`Fleet::recover`]:
+//! fleet-wide sweeps, taking checkpoints mid-script over small rotating
+//! segments. The journal's backing storage is then crashed at **every
+//! record boundary** (fork + truncate, some forks with torn-tail garbage
+//! appended) and recovered with [`Fleet::recover`]. Each checkpoint
+//! replaces its predecessor and the segments below it, so a crash below
+//! a checkpoint's offset is cut from the storage as it stood just before
+//! that checkpoint was written:
 //!
 //! * recovery must always succeed — a torn tail is truncated, never a
 //!   panic;
@@ -15,11 +18,11 @@
 //! * at mid-operation boundaries (e.g. between a `StoreIngested` and its
 //!   `InstallCommitted`), the recovered fleet still snapshot-round-trips;
 //! * the fully-recovered fleet answers probe `check_install` reports and
-//!   mediation stats identically to the live fleet, and compaction
-//!   (checkpoint folding + segment drops) preserves all of it.
+//!   mediation stats identically to the live fleet, also after a
+//!   checkpoint that dropped rotated segments.
 
 use hg_config::ConfigInfo;
-use hg_journal::{Journal, JournalRecord, MemBackend};
+use hg_journal::{Journal, JournalBackend, JournalConfig, JournalRecord, MemBackend};
 use hg_service::{Fleet, HomeId, PolicyTable, RuleStore};
 use homeguard_core::{HandlingPolicy, HgError};
 use std::collections::BTreeMap;
@@ -87,7 +90,12 @@ def h(evt) {{ a.{cmd}() }}
 
 fn journaled_fleet() -> (Fleet, Arc<Journal>, MemBackend) {
     let backend = MemBackend::new();
-    let journal = Arc::new(Journal::open(Box::new(backend.clone())).unwrap());
+    // Small segments, so the scripts rotate and checkpoints drop some.
+    let config = JournalConfig {
+        max_segment_bytes: 2048,
+        ..JournalConfig::default()
+    };
+    let journal = Arc::new(Journal::open_with(Box::new(backend.clone()), config).unwrap());
     let fleet = Fleet::builder(RuleStore::shared()).shards(4).build();
     assert!(fleet.attach_journal(journal.clone()).unwrap());
     (fleet, journal, backend)
@@ -109,11 +117,22 @@ fn install_accepting(fleet: &Fleet, id: HomeId, source: &str, name: &str) {
     }
 }
 
-/// Runs a seeded churn script on a journaled fleet, returning the live
-/// fleet, its journal handles, and the ground-truth snapshot at every
-/// operation boundary (keyed by journal offset).
-fn churn(seed: u64, steps: usize) -> (Fleet, Arc<Journal>, MemBackend, BTreeMap<u64, String>) {
+/// A seeded churn script's outcome: the live fleet, its journal handles,
+/// the ground-truth snapshot at every operation boundary, and the
+/// storage as it stood just before each checkpoint, each keyed by journal
+/// offset.
+struct Churned {
+    fleet: Fleet,
+    journal: Arc<Journal>,
+    backend: MemBackend,
+    boundaries: BTreeMap<u64, String>,
+    before_checkpoints: BTreeMap<u64, MemBackend>,
+}
+
+/// Runs a seeded churn script on a journaled fleet.
+fn churn(seed: u64, steps: usize) -> Churned {
     let (fleet, journal, backend) = journaled_fleet();
+    let mut before_checkpoints = BTreeMap::new();
     let mut rng = Gen::new(seed);
     let mut boundaries = BTreeMap::new();
     boundaries.insert(journal.next_offset(), snapshot_text(&fleet));
@@ -180,19 +199,36 @@ fn churn(seed: u64, steps: usize) -> (Fleet, Arc<Journal>, MemBackend, BTreeMap<
             }
         }
         if step % 7 == 6 {
+            before_checkpoints
+                .entry(journal.next_offset())
+                .or_insert_with(|| backend.fork());
             fleet.checkpoint().unwrap();
         }
         boundaries.insert(journal.next_offset(), snapshot_text(&fleet));
     }
-    (fleet, journal, backend, boundaries)
+    Churned {
+        fleet,
+        journal,
+        backend,
+        boundaries,
+        before_checkpoints,
+    }
 }
 
 /// Crash the backing storage at every record boundary and recover; known
 /// boundaries must come back bit-identical, unknown (mid-operation) ones
 /// must still produce a consistent, snapshot-round-tripping fleet.
-fn crash_everywhere(backend: &MemBackend, total: u64, boundaries: &BTreeMap<u64, String>) {
-    for cut in 0..=total {
-        let fork = backend.fork();
+fn crash_everywhere(run: &Churned) {
+    for cut in 0..=run.journal.next_offset() {
+        // A crash below a checkpoint's offset came before that checkpoint
+        // was written, when its predecessor and the records since were
+        // still stored.
+        let disk = run
+            .before_checkpoints
+            .range(cut + 1..)
+            .next()
+            .map_or(&run.backend, |(_, disk)| disk);
+        let fork = disk.fork();
         // Every third crash leaves a half-written frame behind.
         let garbage: &[u8] = if cut % 3 == 0 {
             b"HGJ1\x99\x00\x00\x00torn"
@@ -203,17 +239,11 @@ fn crash_everywhere(backend: &MemBackend, total: u64, boundaries: &BTreeMap<u64,
         let journal = Arc::new(
             Journal::open(Box::new(fork)).unwrap_or_else(|e| panic!("open at cut {cut}: {e}")),
         );
-        let checkpointed = journal.last_checkpoint_offset().unwrap_or(0);
         let recovered =
             Fleet::recover(journal).unwrap_or_else(|e| panic!("recover at cut {cut}: {e}"));
-        // Records below an already-written checkpoint are superseded by it.
-        let effective = cut.max(checkpointed);
         let text = snapshot_text(&recovered);
-        match boundaries.get(&effective) {
-            Some(expected) => assert_eq!(
-                &text, expected,
-                "cut {cut} (effective {effective}): recovered fleet diverges"
-            ),
+        match run.boundaries.get(&cut) {
+            Some(expected) => assert_eq!(&text, expected, "cut {cut}: recovered fleet diverges"),
             None => {
                 // Mid-operation boundary: no recorded ground truth, but the
                 // recovered fleet must still be fully consistent.
@@ -258,44 +288,63 @@ fn assert_behaviorally_identical(live: &Fleet, recovered: &Fleet) {
 #[test]
 fn crash_at_every_record_boundary_recovers_exactly() {
     for seed in [11, 42] {
-        let (live, journal, backend, boundaries) = churn(seed, 36);
-        let total = journal.next_offset();
-        assert!(total > 20, "script must journal a real workload");
+        let run = churn(seed, 36);
         assert!(
+            run.journal.next_offset() > 20,
+            "script must journal a real workload"
+        );
+        assert!(
+            run.before_checkpoints.len() >= 4,
+            "seed {seed}: script must crash-test across checkpoints"
+        );
+        assert!(
+            run.backend.segments().unwrap()[0] > 0,
+            "seed {seed}: checkpoints must have dropped rotated segments"
+        );
+        // Every record is stored on the disk taken before the checkpoint
+        // that covers it, or on the final one.
+        let imports = |disk: &MemBackend| {
+            let journal = Journal::open(Box::new(disk.fork())).unwrap();
             journal
                 .records_from(0)
                 .unwrap()
                 .iter()
-                .any(|(_, record)| matches!(record, JournalRecord::HomeImported { .. })),
+                .any(|(_, record)| matches!(record, JournalRecord::HomeImported { .. }))
+        };
+        assert!(
+            run.before_checkpoints
+                .values()
+                .chain([&run.backend])
+                .any(imports),
             "seed {seed}: script must crash-test a home import"
         );
-        crash_everywhere(&backend, total, &boundaries);
+        crash_everywhere(&run);
 
-        let full = Arc::new(Journal::open(Box::new(backend.fork())).unwrap());
+        let full = Arc::new(Journal::open(Box::new(run.backend.fork())).unwrap());
         let recovered = Fleet::recover(full).unwrap();
-        assert_behaviorally_identical(&live, &recovered);
+        assert_behaviorally_identical(&run.fleet, &recovered);
     }
 }
 
 #[test]
 fn compaction_preserves_recovery() {
-    let (live, journal, backend, _) = churn(7, 24);
-    live.checkpoint().unwrap();
-    let stats = journal.compact().unwrap();
-    // The baseline plus the mid-script delta checkpoints fold into a
-    // single full document; segments only drop once rotation has split
-    // the record stream, so segment drops are not asserted here.
-    assert!(stats.checkpoints_folded >= 1, "chain had >1 checkpoint");
-    assert_eq!(journal.checkpoint_count(), 1, "one surviving checkpoint");
-    let reopened = Arc::new(Journal::open(Box::new(backend.fork())).unwrap());
+    let run = churn(7, 24);
+    let stats = run.fleet.checkpoint().unwrap();
+    // The checkpoint replaced every earlier one and dropped the rotated
+    // segments below it.
+    assert_eq!(run.backend.checkpoints().unwrap(), vec![stats.offset]);
+    let starts = run.backend.segments().unwrap();
+    assert!(starts[0] > 0, "rotated segments survived: {starts:?}");
+    let reopened = Arc::new(Journal::open(Box::new(run.backend.fork())).unwrap());
+    assert!(reopened.records_from(stats.offset).unwrap().is_empty());
     let recovered = Fleet::recover(reopened).unwrap();
-    assert_behaviorally_identical(&live, &recovered);
+    assert_behaviorally_identical(&run.fleet, &recovered);
 }
 
 #[test]
 fn torn_tail_garbage_never_panics_the_open() {
-    let (_live, journal, backend, _) = churn(3, 12);
-    let total = journal.next_offset();
+    let run = churn(3, 12);
+    let (backend, total) = (&run.backend, run.journal.next_offset());
     for garbage in [
         b"\x00".as_slice(),
         b"HGJ1".as_slice(),
