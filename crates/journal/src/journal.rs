@@ -770,7 +770,7 @@ mod tests {
 
     fn rec(id: u64) -> JournalRecord {
         JournalRecord::UninstallCommitted {
-            id,
+            homes: vec![id],
             app: format!("App{id}"),
         }
     }
@@ -849,7 +849,7 @@ mod tests {
     }
 
     #[test]
-    fn compaction_folds_to_one_full_checkpoint_and_drops_dead_segments() {
+    fn checkpoint_write_replaces_older_checkpoints_and_covered_segments() {
         let mem = MemBackend::new();
         // Two ~70-byte records per segment.
         let journal = Journal::open_with(
@@ -887,7 +887,7 @@ mod tests {
     }
 
     #[test]
-    fn compaction_retries_a_transient_checkpoint_fault() {
+    fn checkpoint_write_retries_a_transient_fault() {
         let mem = MemBackend::new();
         let fault = FaultBackend::new(mem.clone());
         let journal = Journal::open_with(
@@ -1064,7 +1064,7 @@ mod tests {
     }
 
     #[test]
-    fn admit_refuses_or_serves_unjournaled_by_policy() {
+    fn admit_refuses_a_quarantined_journal_until_reset() {
         let plan = FaultPlan::new().at(0, FaultKind::Permanent);
         let fault = FaultBackend::with_plan(MemBackend::new(), plan);
         let journal = Journal::open_with(Box::new(fault.clone()), fast_config()).unwrap();
@@ -1087,7 +1087,7 @@ mod tests {
     }
 
     #[test]
-    fn heal_cuts_a_full_checkpoint_and_reopens_cleanly() {
+    fn heal_replaces_the_checkpoint_and_reopens_cleanly() {
         let mem = MemBackend::new();
         // A short write that then exhausts retries: ops 1 (short write),
         // 2 (repair truncate transient), leaves garbage + quarantine.
@@ -1155,7 +1155,7 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_journal_refuses_sync_checkpoint_and_compact() {
+    fn quarantined_journal_refuses_sync_and_checkpoint() {
         let plan = FaultPlan::new().at(0, FaultKind::DiskFull);
         let fault = FaultBackend::with_plan(MemBackend::new(), plan);
         let journal = Journal::open_with(Box::new(fault), fast_config()).unwrap();
@@ -1166,7 +1166,7 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("quarantined"));
-        // A checkpoint would also compact the journal: it refuses too.
+        // A checkpoint write refuses too: heal instead.
         assert!(journal
             .checkpoint_write(&checkpoint_at(0))
             .unwrap_err()

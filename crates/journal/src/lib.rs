@@ -6,9 +6,11 @@
 //! crate makes restore = **last checkpoint + replay**:
 //!
 //! * **[`Journal`]** — an append-only journal of fleet lifecycle events
-//!   ([`JournalRecord`]: home created/imported/removed, install
-//!   confirmed, uninstall, sweeps, policy and config changes, store
-//!   ingest/retire). Records are framed with per-record CRC-32 checksums
+//!   ([`JournalRecord`], one kind per state change: homes created or
+//!   imported, a home removed, an install confirmed into homes, an app
+//!   uninstalled from homes, policy and config changes, store
+//!   ingest/retire; a record that changes homes names them, one or a
+//!   whole batch). Records are framed with per-record CRC-32 checksums
 //!   ([`frame`]); segments rotate by size; opening a journal verifies
 //!   every frame and **truncates a torn tail** instead of panicking.
 //! * **[`Checkpoint`]** — the fleet's ground truth as of a journal

@@ -26,7 +26,8 @@ pub fn snap_err(detail: impl Into<String>) -> HgError {
     HgError::Snapshot(detail.into())
 }
 
-fn str_field(j: &Json, field: &str) -> Result<String, HgError> {
+/// A required string field.
+pub fn str_field(j: &Json, field: &str) -> Result<String, HgError> {
     j.get(field)
         .and_then(Json::as_str)
         .map(str::to_string)
@@ -49,14 +50,27 @@ pub fn nonneg_field(j: &Json, field: &str) -> Result<i64, HgError> {
     Ok(n)
 }
 
-fn bool_field(j: &Json, field: &str) -> Result<bool, HgError> {
+/// An optional string field: absent or `null` reads as `None`.
+pub fn opt_str_field(j: &Json, field: &str) -> Result<Option<String>, HgError> {
+    match j.get(field) {
+        None | Some(Json::Null) => Ok(None),
+        Some(s) => s
+            .as_str()
+            .map(|s| Some(s.to_string()))
+            .ok_or_else(|| snap_err(format!("`{field}` is neither null nor a string"))),
+    }
+}
+
+/// A required boolean field.
+pub fn bool_field(j: &Json, field: &str) -> Result<bool, HgError> {
     match j.get(field) {
         Some(Json::Bool(b)) => Ok(*b),
         _ => Err(snap_err(format!("missing boolean field `{field}`"))),
     }
 }
 
-fn arr_field<'a>(j: &'a Json, field: &str) -> Result<&'a [Json], HgError> {
+/// A required array field, borrowed.
+pub fn arr_field<'a>(j: &'a Json, field: &str) -> Result<&'a [Json], HgError> {
     j.get(field)
         .and_then(Json::as_arr)
         .ok_or_else(|| snap_err(format!("missing array field `{field}`")))
@@ -206,14 +220,7 @@ pub fn threat_from_json(j: &Json) -> Result<Threat, HgError> {
             None | Some(Json::Null) => None,
             Some(w) => Some(witness_from_json(w)?),
         },
-        actuator: match j.get("actuator") {
-            None | Some(Json::Null) => None,
-            Some(a) => Some(
-                a.as_str()
-                    .ok_or_else(|| snap_err("actuator not a string"))?
-                    .to_string(),
-            ),
-        },
+        actuator: opt_str_field(j, "actuator")?,
         property,
         note: str_field(j, "note")?,
     })
@@ -375,14 +382,7 @@ fn input_decl_from_json(j: &Json) -> Result<InputDecl, HgError> {
             j.get("type")
                 .ok_or_else(|| snap_err("input missing type"))?,
         )?,
-        title: match j.get("title") {
-            None | Some(Json::Null) => None,
-            Some(t) => Some(
-                t.as_str()
-                    .ok_or_else(|| snap_err("input title not a string"))?
-                    .to_string(),
-            ),
-        },
+        title: opt_str_field(j, "title")?,
         required: bool_field(j, "required")?,
         multiple: bool_field(j, "multiple")?,
     })

@@ -21,11 +21,10 @@
 
 use crate::fleet::Fleet;
 use hg_config::ConfigInfo;
-use hg_detector::{DetectStats, Threat};
+use hg_detector::DetectStats;
 use hg_journal::{
     journal_err, Checkpoint, CheckpointScheduler, CheckpointStats, Journal, JournalRecord,
 };
-use hg_rules::Rule;
 use homeguard_core::{HgError, HomeId, InstallReport};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,10 +67,6 @@ impl Fleet {
     /// re-running detection against whatever the store holds *now*.
     fn replay(&self, record: JournalRecord) -> Result<(), HgError> {
         match record {
-            JournalRecord::HomeCreated { id, state }
-            | JournalRecord::HomeImported { id, state } => {
-                self.insert_home_at(HomeId::new(id), state)
-            }
             JournalRecord::HomesCreated { ids, state } => {
                 for id in ids {
                     self.insert_home_at(HomeId::new(id), state.clone())?;
@@ -80,38 +75,36 @@ impl Fleet {
             }
             JournalRecord::HomeRemoved { id } => self.remove_home(HomeId::new(id)),
             JournalRecord::InstallCommitted {
-                id,
+                homes,
                 app,
                 replaces,
                 rules,
                 threats,
                 config,
             } => {
-                let report = self.replay_report(app, replaces, rules, threats, config)?;
-                self.confirm_install(HomeId::new(id), report).map(|_| ())
-            }
-            JournalRecord::UninstallCommitted { id, app } => {
-                self.uninstall_app(HomeId::new(id), &app).map(|_| ())
-            }
-            JournalRecord::InstallSwept { app, homes, config } => {
-                // Fresh installs (no `replaces`), rules from the store,
-                // the group's shared config on every home.
+                // Rules come from the record when it carried them (a
+                // stale-report confirmation) and from the store otherwise.
+                let rules = match rules {
+                    Some(rules) => rules,
+                    None => self.store().rules_of(&app)?,
+                };
+                let report = InstallReport {
+                    config: config.map(|uri| config_info(&uri)).transpose()?,
+                    app,
+                    rules,
+                    threats,
+                    chains: Vec::new(),
+                    stats: DetectStats::default(),
+                    installed: false,
+                    replaces,
+                    dropped_ranks: Vec::new(),
+                };
                 for id in homes {
-                    let report =
-                        self.replay_report(app.clone(), None, None, Vec::new(), config.clone())?;
-                    self.confirm_install(HomeId::new(id), report)?;
+                    self.confirm_install(HomeId::new(id), report.clone())?;
                 }
                 Ok(())
             }
-            JournalRecord::UpgradeSwept { app, homes } => {
-                for id in homes {
-                    let report =
-                        self.replay_report(app.clone(), Some(app.clone()), None, Vec::new(), None)?;
-                    self.confirm_install(HomeId::new(id), report)?;
-                }
-                Ok(())
-            }
-            JournalRecord::UninstallSwept { app, homes } => {
+            JournalRecord::UninstallCommitted { homes, app } => {
                 for id in homes {
                     self.uninstall_app(HomeId::new(id), &app)?;
                 }
@@ -121,9 +114,7 @@ impl Fleet {
                 self.set_handling_policy(HomeId::new(id), table)
             }
             JournalRecord::ConfigRecorded { id, uri } => {
-                let info = ConfigInfo::from_uri(&uri)
-                    .map_err(|e| journal_err(format!("bad config uri in journal: {e}")))?;
-                self.record_config(HomeId::new(id), &info)
+                self.record_config(HomeId::new(id), &config_info(&uri)?)
             }
             JournalRecord::StoreIngested {
                 app,
@@ -141,40 +132,6 @@ impl Fleet {
                 Ok(())
             }
         }
-    }
-
-    /// Rebuilds the confirmable install report a journaled commit
-    /// described: rules come from the record when it carried them (a
-    /// stale-report confirmation) and from the store otherwise.
-    fn replay_report(
-        &self,
-        app: String,
-        replaces: Option<String>,
-        rules: Option<Vec<Rule>>,
-        threats: Vec<Threat>,
-        config: Option<String>,
-    ) -> Result<InstallReport, HgError> {
-        let rules = match rules {
-            Some(rules) => rules,
-            None => self.store().rules_of(&app)?,
-        };
-        let config = config
-            .map(|uri| {
-                ConfigInfo::from_uri(&uri)
-                    .map_err(|e| journal_err(format!("bad config uri in journal: {e}")))
-            })
-            .transpose()?;
-        Ok(InstallReport {
-            app,
-            rules,
-            threats,
-            chains: Vec::new(),
-            stats: DetectStats::default(),
-            installed: false,
-            config,
-            replaces,
-            dropped_ranks: Vec::new(),
-        })
     }
 
     /// Writes a checkpoint covering everything journaled so far: the
@@ -227,6 +184,11 @@ impl Fleet {
         let (journal, _cut) = self.journal_cut()?;
         journal.heal(journal.next_offset(), self.snapshot()?)
     }
+}
+
+/// Decodes a journaled configuration-info URI.
+fn config_info(uri: &str) -> Result<ConfigInfo, HgError> {
+    ConfigInfo::from_uri(uri).map_err(|e| journal_err(format!("bad config uri in journal: {e}")))
 }
 
 /// Starts the background checkpointer for a journaled fleet: every
@@ -315,10 +277,18 @@ def h(evt) { lamp.off() }
             .filter(|(_, r)| r.as_ref().unwrap().installed)
             .count();
         assert_eq!(installed, 5, "the conflicted home stays pending");
-        // One `StoreIngested` (the bulk pre-ingest) plus one `InstallSwept`
-        // naming all five clean homes — not one record per home. The
-        // pending report journals nothing until it is confirmed.
+        // One `StoreIngested` (the bulk pre-ingest) plus one
+        // `InstallCommitted` naming all five clean homes — not one record
+        // per home. The pending report journals nothing until it is
+        // confirmed.
         assert_eq!(journal.next_offset(), before + 2);
+        match &journal.records_from(before + 1).unwrap()[0].1 {
+            JournalRecord::InstallCommitted { homes, rules, .. } => {
+                assert_eq!(homes.len(), 5);
+                assert!(rules.is_none(), "the store holds the batch's rules");
+            }
+            other => panic!("expected the batch's install record, got {other:?}"),
+        }
         let pending = outcomes
             .into_iter()
             .find_map(|(id, r)| {
@@ -401,6 +371,63 @@ def h(evt) { lamp.off() }
         }
     }
 
+    /// Two upgrades of one app race: both versions are published before
+    /// the first one's shard units run. Each home's `ingest_as` then
+    /// re-extracts the first version, which moves the store back to it;
+    /// recovery must replay that move, or it installs the second
+    /// version's rules and leaves the store on it.
+    #[test]
+    fn shard_upgrade_after_a_newer_ingest_replays_the_rules_it_installed() {
+        let (fleet, backend) = journaled_fleet();
+        let a = fleet.create_home().unwrap();
+        fleet.install_app(a, ON_APP, "OnApp", None).unwrap();
+        let away = ON_APP.replace(
+            "{ lamp.on() }",
+            "{ if (location.mode == \"Away\") { lamp.on() } }",
+        );
+        fleet.ingest_app_as(&away, "OnApp").unwrap();
+        let night = away.replace("Away", "Night");
+        fleet.ingest_app_as(&night, "OnApp").unwrap();
+        for index in 0..fleet.shard_count() {
+            fleet.upgrade_shard(index, &away, "OnApp");
+        }
+        let rules = |fleet: &Fleet| {
+            fleet
+                .with_home(a, |home| format!("{:?}", home.installed_rules()))
+                .unwrap()
+        };
+        assert!(rules(&fleet).contains("Away"), "the live home runs v2");
+        // The snapshot holds the store, which must be back on v2 too.
+        let recovered = reopen(&backend);
+        assert_eq!(rules(&recovered), rules(&fleet));
+        assert_eq!(fleet_text(&recovered), fleet_text(&fleet));
+    }
+
+    /// A version-1 record past the newest checkpoint is refused by its
+    /// version. The upgrade path, a checkpoint at the head, covers it,
+    /// and records below a checkpoint are never decoded.
+    #[test]
+    fn recover_refuses_a_version_1_record_until_a_checkpoint_covers_it() {
+        let (fleet, backend) = journaled_fleet();
+        fleet.create_home().unwrap();
+        // The journal's one record, as an older build wrote it.
+        let v1 = br#"{"app":"OnApp","homes":[0],"op":"upgrade_swept","v":1}"#;
+        backend.truncate_segment(0, 0).unwrap();
+        backend
+            .append_segment(0, &hg_journal::frame::encode_frame(v1))
+            .unwrap();
+        let journal = Arc::new(Journal::open(Box::new(backend.clone())).unwrap());
+        match Fleet::recover(journal).err() {
+            Some(HgError::Journal(detail)) => {
+                assert!(detail.contains("record version 1"), "{detail}")
+            }
+            other => panic!("a version-1 record must be refused, got {other:?}"),
+        }
+        fleet.checkpoint().unwrap();
+        assert_eq!(backend.segments().unwrap(), vec![0], "the record stays");
+        assert_eq!(fleet_text(&reopen(&backend)), fleet_text(&fleet));
+    }
+
     #[test]
     fn checkpoint_without_journal_is_an_error() {
         let fleet = Fleet::new(RuleStore::shared());
@@ -408,7 +435,7 @@ def h(evt) { lamp.off() }
     }
 
     #[test]
-    fn background_checkpointer_compacts_replay_work() {
+    fn background_checkpointer_leaves_no_records_to_replay() {
         let (fleet, backend) = journaled_fleet();
         let fleet = Arc::new(fleet);
         let a = fleet.create_home().unwrap();

@@ -20,8 +20,7 @@
 //! per-shard work-queue executor, which runs the same per-shard units on
 //! one dedicated worker per shard and merges through the same helpers —
 //! so queue-dispatched sweeps are report-identical to the serial walk by
-//! construction. (The previous `std::thread::scope` fan-out special case
-//! inside this file is retired in favor of that executor.)
+//! construction.
 
 use hg_config::ConfigInfo;
 use hg_journal::{journal_err, Checkpoint, Journal, JournalRecord};
@@ -175,7 +174,7 @@ pub struct UpgradeRollout {
     /// touched and still run the old version; retry after healing.
     pub refused_shards: usize,
     /// Per-shard journal append failures: the named homes **were**
-    /// upgraded but the sweep record never became durable — a recovery
+    /// upgraded but the sweep's records never became durable — a recovery
     /// before the next checkpoint replays them on the old version.
     pub journal_lapses: Vec<String>,
 }
@@ -198,7 +197,7 @@ pub struct ShardRollout {
     pub skipped: usize,
     /// Per-home upgrade failures.
     pub failed: Vec<(HomeId, HgError)>,
-    /// The sweep record's append failed after the homes were upgraded:
+    /// The sweep's records failed to append after the homes were upgraded:
     /// state applied, durability lapsed (the journal has quarantined).
     pub journal_lapsed: Option<String>,
 }
@@ -554,8 +553,8 @@ impl Fleet {
         // a handful of short lists).
         let state = home.export_state();
         let id = self.place(home);
-        write.append(|| JournalRecord::HomeCreated {
-            id: id.raw(),
+        write.append(|| JournalRecord::HomesCreated {
+            ids: vec![id.raw()],
             state,
         })?;
         Ok(id)
@@ -695,33 +694,82 @@ impl Fleet {
         self.with_home(id, |home| home.check_install(app))?
     }
 
-    /// The journal image of a committed install: a state delta, not a
-    /// re-runnable command. `rules` is elided when the store's current
-    /// rules for the app already match (the overwhelmingly common case —
-    /// replay re-derives them from the store), and carried verbatim when
-    /// they differ (a confirmed-but-stale report).
-    fn install_record(&self, id: HomeId, report: &InstallReport) -> JournalRecord {
-        // Elide rules the replay can re-derive from the store; the
-        // comparison clones nothing (this runs on every journaled
-        // install commit).
-        let rules =
-            (!self.store.rules_eq(&report.app, &report.rules)).then(|| report.rules.clone());
-        JournalRecord::InstallCommitted {
-            id: id.raw(),
+    /// Journals one write's store ingest and install commits. Every path
+    /// that ingests or confirms installs builds its records here, under
+    /// one rule:
+    ///
+    /// 1. A [`JournalRecord::StoreIngested`] comes first when the ingest
+    ///    epoch moved since `epoch` and the store holds `ingested`
+    ///    (`(source, name, as_name)`): a home's ingest can move the store
+    ///    too (a source re-extracted after another version replaced it).
+    ///    A concurrent ingest of the same pair can at worst journal a
+    ///    duplicate, and replayed ingests are idempotent.
+    /// 2. Homes whose clean reports share the first clean report's app,
+    ///    replaced version and config share one
+    ///    [`JournalRecord::InstallCommitted`]; every other home gets its own.
+    /// 3. A record elides its rules only if [`RuleStore::rules_eq`] holds
+    ///    as it is built. With the epoch unmoved every report came from one
+    ///    analysis, so one comparison decides for the batch; with it moved,
+    ///    each home compares. An unmoved epoch alone proves nothing:
+    ///    [`RuleStore::retire_app`] does not move it.
+    fn journal_commits<'r>(
+        &self,
+        write: &Write<'_>,
+        epoch: u64,
+        ingested: Option<(&str, &str, bool)>,
+        commits: impl IntoIterator<Item = (HomeId, &'r InstallReport)>,
+    ) -> Result<(), HgError> {
+        if write.0.is_none() {
+            return Ok(());
+        }
+        let moved = self.store.ingest_epoch() != epoch;
+        if let Some((source, name, as_name)) = ingested {
+            if moved && self.store.has_ingested(source, name) {
+                write.append(|| JournalRecord::StoreIngested {
+                    app: name.to_string(),
+                    source: source.to_string(),
+                    as_name,
+                })?;
+            }
+        }
+        let held = |report: &InstallReport| self.store.rules_eq(&report.app, &report.rules);
+        let record = |homes, report: &InstallReport, held: bool| JournalRecord::InstallCommitted {
+            homes,
             app: report.app.clone(),
             replaces: report.replaces.clone(),
-            rules,
+            rules: (!held).then(|| report.rules.clone()),
             threats: report.threats.clone(),
             config: report.config.as_ref().map(ConfigInfo::to_uri),
+        };
+        // The batch's first report, whether the store holds its rules, and
+        // its homes.
+        let mut batch: Option<(&InstallReport, bool, Vec<u64>)> = None;
+        for (id, report) in commits {
+            if let Some((lead, lead_held, homes)) = &mut batch {
+                if report.is_clean()
+                    && (&report.app, &report.replaces, &report.config)
+                        == (&lead.app, &lead.replaces, &lead.config)
+                    && (!moved || (*lead_held && held(report)))
+                {
+                    homes.push(id.raw());
+                    continue;
+                }
+            } else if report.is_clean() {
+                batch = Some((report, held(report), vec![id.raw()]));
+                continue;
+            }
+            write.append(|| record(vec![id.raw()], report, held(report)))?;
+        }
+        match batch {
+            Some((lead, lead_held, homes)) => write.append(|| record(homes, lead, lead_held)),
+            None => Ok(()),
         }
     }
 
-    /// Runs one install-shaped home operation as one journaled write,
-    /// appending a [`JournalRecord::StoreIngested`] when the operation
-    /// freshly persisted `(source, name)` into the shared store (even when
-    /// the operation itself then failed — the store mutation is real
-    /// either way) and a [`JournalRecord::InstallCommitted`] when the
-    /// report landed installed.
+    /// Runs one install-shaped home operation as one journaled write
+    /// ([`Fleet::journal_commits`]): its store ingest is journaled even
+    /// when the operation itself then failed (the store mutation is real
+    /// either way), and its install when the report landed installed.
     fn journaled_install(
         &self,
         id: HomeId,
@@ -731,31 +779,17 @@ impl Fleet {
         op: impl FnOnce(&mut Home) -> Result<InstallReport, HgError>,
     ) -> Result<InstallReport, HgError> {
         let write = self.write()?;
-        // The ingest epoch moves only when a fresh fingerprint persists,
-        // so equal reads around the operation prove no store ingest
-        // happened — the steady-state path (store app already ingested)
-        // skips both source hashes. When the epoch did move, the precise
-        // check confirms it was (source, name) that landed; a concurrent
-        // ingest of the same pair can at worst journal a duplicate
-        // `StoreIngested`, and replayed ingests are idempotent.
         let epoch = self.store.ingest_epoch();
-        let outcome = self.with_home_mut(id, op);
-        let ingest_append =
-            if self.store.ingest_epoch() != epoch && self.store.has_ingested(source, name) {
-                write.append(|| JournalRecord::StoreIngested {
-                    app: name.to_string(),
-                    source: source.to_string(),
-                    as_name,
-                })
-            } else {
-                Ok(())
-            };
+        let outcome = self.with_home_mut(id, op).and_then(|report| report);
+        let committed = outcome
+            .iter()
+            .filter(|r| r.installed)
+            .map(|report| (id, report));
+        let journaled =
+            self.journal_commits(&write, epoch, Some((source, name, as_name)), committed);
         // The operation's own error outranks a journal append failure.
-        let report = outcome??;
-        ingest_append?;
-        if report.installed {
-            write.append(|| self.install_record(id, &report))?;
-        }
+        let report = outcome?;
+        journaled?;
         Ok(report)
     }
 
@@ -810,8 +844,9 @@ impl Fleet {
         report: InstallReport,
     ) -> Result<InstallReport, HgError> {
         let write = self.write()?;
+        let epoch = self.store.ingest_epoch();
         let confirmed = self.with_home_mut(id, |home| home.confirm_install(report))??;
-        write.append(|| self.install_record(id, &confirmed))?;
+        self.journal_commits(&write, epoch, None, [(id, &confirmed)])?;
         Ok(confirmed)
     }
 
@@ -825,7 +860,7 @@ impl Fleet {
         let write = self.write()?;
         let report = self.with_home_mut(id, |home| home.uninstall_app(app))??;
         write.append(|| JournalRecord::UninstallCommitted {
-            id: id.raw(),
+            homes: vec![id.raw()],
             app: app.to_string(),
         })?;
         Ok(report)
@@ -861,15 +896,14 @@ impl Fleet {
     /// caller ingests once for the whole request, not once per group.
     ///
     /// When a journal is attached the group commits as **one** journaled
-    /// write and journals **one** [`JournalRecord::InstallSwept`] naming
-    /// every home whose clean install auto-confirmed — batch durability at
-    /// one append per group instead of one per home. Homes whose reports
-    /// cannot ride the batch (an upgrade, a diverging app name or config,
-    /// or rules the store has since moved away from) fall back to their
-    /// own [`JournalRecord::InstallCommitted`]. A failed append surfaces
-    /// as [`HgError::Journal`] on every outcome that committed home state
-    /// in this group — state applied, durability lapsed, exactly like
-    /// [`Fleet::install_app`].
+    /// write, and **one** [`JournalRecord::InstallCommitted`] names every
+    /// home whose clean install auto-confirmed — batch durability at one
+    /// append per group instead of one per home. A home whose report
+    /// cannot share it (the store moved while the group ran, and no
+    /// longer holds that home's rules) gets a record of its own. A failed
+    /// append surfaces as [`HgError::Journal`]
+    /// on every outcome that committed home state in this group — state
+    /// applied, durability lapsed, exactly like [`Fleet::install_app`].
     pub fn install_group(
         &self,
         home_ids: &[HomeId],
@@ -897,48 +931,12 @@ impl Fleet {
                 (id, outcome.and_then(|report| report))
             })
             .collect();
-        // One epoch read covers the whole group: unchanged means no store
-        // ingest landed anywhere during it, so every report's rules came
-        // from the store's stable analysis of `name` and the batch record
-        // can elide them wholesale. A moved epoch demotes each home to the
-        // precise per-report rule comparison.
-        let store_stable = self.store.ingest_epoch() == epoch;
-        let mut appends: Result<(), HgError> =
-            if !store_stable && self.store.has_ingested(source, name) {
-                write.append(|| JournalRecord::StoreIngested {
-                    app: name.to_string(),
-                    source: source.to_string(),
-                    as_name: false,
-                })
-            } else {
-                Ok(())
-            };
-        let mut swept: Vec<u64> = Vec::new();
-        for (id, outcome) in &outcomes {
-            let Ok(report) = outcome else { continue };
-            if !report.installed || appends.is_err() {
-                continue;
-            }
-            let batchable = report.app == name
-                && report.replaces.is_none()
-                && report.threats.is_empty()
-                && report.chains.is_empty()
-                && report.config.as_ref() == config
-                && (store_stable || self.store.rules_eq(&report.app, &report.rules));
-            if batchable {
-                swept.push(id.raw());
-            } else {
-                appends = write.append(|| self.install_record(*id, report));
-            }
-        }
-        if appends.is_ok() && !swept.is_empty() {
-            appends = write.append(|| JournalRecord::InstallSwept {
-                app: name.to_string(),
-                homes: swept,
-                config: config.map(ConfigInfo::to_uri),
-            });
-        }
-        if let Err(e) = appends {
+        let committed = outcomes.iter().filter_map(|(id, outcome)| match outcome {
+            Ok(report) if report.installed => Some((*id, report)),
+            _ => None,
+        });
+        if let Err(e) = self.journal_commits(&write, epoch, Some((source, name, false)), committed)
+        {
             // Every install that committed home state in this group now has
             // unjournaled state; report the durability lapse on each.
             let detail = e.to_string();
@@ -999,22 +997,13 @@ impl Fleet {
 
     fn journaled_ingest(&self, source: &str, name: &str, as_name: bool) -> Result<(), HgError> {
         let write = self.write()?;
-        let fresh = !self.store.has_ingested(source, name);
-        let outcome = if as_name {
-            self.store.ingest_as(source, name).map(|_| ())
+        let epoch = self.store.ingest_epoch();
+        if as_name {
+            self.store.ingest_as(source, name)?;
         } else {
-            self.store.ingest(source, name).map(|_| ())
-        };
-        let landed = fresh && self.store.has_ingested(source, name);
-        outcome?;
-        if landed {
-            write.append(|| JournalRecord::StoreIngested {
-                app: name.to_string(),
-                source: source.to_string(),
-                as_name,
-            })?;
+            self.store.ingest(source, name)?;
         }
-        Ok(())
+        self.journal_commits(&write, epoch, Some((source, name, as_name)), [])
     }
 
     /// Fleet-wide upgrade rollout: re-extracts the new source **once**
@@ -1048,7 +1037,11 @@ impl Fleet {
     /// homes are visited in ascending `HomeId` order (the `BTreeMap`
     /// order). The caller is responsible for having published the new
     /// source first (`ingest_as`, once per rollout) and for combining the
-    /// parts with [`UpgradeRollout::merge`].
+    /// parts with [`UpgradeRollout::merge`]. When another version was
+    /// published since, each home's `ingest_as` re-extracts `source` and
+    /// moves the store back to it; the sweep journals that ingest before
+    /// the one [`JournalRecord::InstallCommitted`] naming its upgraded
+    /// homes.
     ///
     /// # Panics
     ///
@@ -1069,33 +1062,38 @@ impl Fleet {
                 ..ShardRollout::default()
             };
         };
+        let epoch = self.store.ingest_epoch();
         let mut part = ShardRollout::default();
+        // Every home this sweep upgrades installs the rules
+        // `ingest_as(source)` returns, so the first clean report speaks
+        // for them all and the others are dropped as they land.
+        let mut lead = None;
         for (&id, home) in shard.iter_mut() {
             if !home.is_installed(name) {
                 part.skipped += 1;
                 continue;
             }
             match home.upgrade_app(source, name, None) {
-                Ok(report) if report.installed => part.upgraded.push(id),
+                Ok(report) if report.installed => {
+                    part.upgraded.push(id);
+                    lead.get_or_insert(report);
+                }
                 Ok(report) => part.pending.push((id, report)),
                 Err(error) => part.failed.push((id, error)),
             }
         }
         let homes = shard.len() as u64;
         drop(shard);
-        if !part.upgraded.is_empty() {
-            // One compact record per shard unit, not one per home: the
-            // clean-upgrade outcome is fully re-derivable from the store's
-            // (already journaled) new version.
-            if let Err(error) = write.append(|| JournalRecord::UpgradeSwept {
-                app: name.to_string(),
-                homes: part.upgraded.iter().map(|id| id.raw()).collect(),
-            }) {
-                // The sweep's signature is infallible (per-home work is
-                // done and must be reported), so the lapse rides the part
-                // instead of vanishing.
-                part.journal_lapsed = Some(error.to_string());
-            }
+        let committed = lead
+            .iter()
+            .flat_map(|lead| part.upgraded.iter().map(move |&id| (id, lead)));
+        if let Err(error) =
+            self.journal_commits(&write, epoch, Some((source, name, true)), committed)
+        {
+            // The sweep's signature is infallible (per-home work is done
+            // and must be reported), so the lapse rides the part instead
+            // of vanishing.
+            part.journal_lapsed = Some(error.to_string());
         }
         self.publish_sweep(index, "upgrade", homes, started);
         part
@@ -1138,9 +1136,9 @@ impl Fleet {
         let homes = shard.len() as u64;
         drop(shard);
         if !part.removed.is_empty() {
-            if let Err(error) = write.append(|| JournalRecord::UninstallSwept {
-                app: app.to_string(),
+            if let Err(error) = write.append(|| JournalRecord::UninstallCommitted {
                 homes: part.removed.iter().map(|(id, _)| id.raw()).collect(),
+                app: app.to_string(),
             }) {
                 part.journal_lapsed = Some(error.to_string());
             }
@@ -1363,8 +1361,8 @@ impl Fleet {
     pub fn import_home(&self, state: HomeState) -> Result<HomeId, HgError> {
         let write = self.write()?;
         let id = self.place(Home::restore_state(self.store.clone(), state.clone()));
-        write.append(|| JournalRecord::HomeImported {
-            id: id.raw(),
+        write.append(|| JournalRecord::HomesCreated {
+            ids: vec![id.raw()],
             state,
         })?;
         Ok(id)

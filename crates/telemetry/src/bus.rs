@@ -333,19 +333,25 @@ mod tests {
         const BATCHES: u64 = 250;
         for capacity in [1 << 16, 64] {
             let bus = Arc::new(TelemetryBus::with_capacity(capacity));
-            let start = Arc::new(Barrier::new(PUBLISHERS as usize + 1));
+            // The scraper waits on the barrier too, so it is running
+            // before the first publish, and scrapes once before each
+            // `done` check, so it scrapes at least once.
+            let start = Arc::new(Barrier::new(PUBLISHERS as usize + 2));
             let done = Arc::new(AtomicBool::new(false));
             let scraper = {
-                let (bus, done) = (bus.clone(), done.clone());
+                let (bus, start, done) = (bus.clone(), start.clone(), done.clone());
                 std::thread::spawn(move || {
+                    start.wait();
                     let mut scrapes = 0u64;
-                    while !done.load(Ordering::Acquire) {
+                    loop {
                         let homes = bus.registry().counter("homes_created_total");
                         assert!(homes <= bus.published(), "a fold never runs ahead");
                         bus.registry().render_prometheus(&BTreeMap::new());
                         scrapes += 1;
+                        if done.load(Ordering::Acquire) {
+                            return scrapes;
+                        }
                     }
-                    scrapes
                 })
             };
             let publishers: Vec<_> = (0..PUBLISHERS)
@@ -434,14 +440,17 @@ mod tests {
         const PUBLISHERS: u64 = 4;
         const INSTALLS: u64 = 10_000;
         let bus = Arc::new(TelemetryBus::new());
-        let start = Arc::new(Barrier::new(PUBLISHERS as usize + 1));
+        // On the barrier and scraping before each `done` check, as in
+        // `concurrent_publishers_fold_exactly_while_scraped`.
+        let start = Arc::new(Barrier::new(PUBLISHERS as usize + 2));
         let done = Arc::new(AtomicBool::new(false));
         let scraper = {
-            let (bus, done) = (bus.clone(), done.clone());
+            let (bus, start, done) = (bus.clone(), start.clone(), done.clone());
             std::thread::spawn(move || {
+                start.wait();
                 let gauges = BTreeMap::new();
                 let (mut bodies, mut torn) = (0u64, Vec::new());
-                while !done.load(Ordering::Acquire) {
+                loop {
                     let json = installs_json(&bus.registry().to_json(&gauges));
                     let prometheus =
                         installs_prometheus(&bus.registry().render_prometheus(&gauges));
@@ -451,8 +460,10 @@ mod tests {
                         }
                     }
                     bodies += 2;
+                    if done.load(Ordering::Acquire) {
+                        return (bodies, torn);
+                    }
                 }
-                (bodies, torn)
             })
         };
         let publishers: Vec<_> = (0..PUBLISHERS)

@@ -2,13 +2,16 @@
 //! (mirroring `persist_fuzz.rs`): seeded churn scripts drive a
 //! **journaled** fleet through creates, home imports, installs, confirms,
 //! uninstalls, upgrades, removals, policy changes, reconfigurations and
-//! fleet-wide sweeps, taking checkpoints mid-script over small rotating
-//! segments. The journal's backing storage is then crashed at **every
-//! record boundary** (fork + truncate, some forks with torn-tail garbage
-//! appended) and recovered with [`Fleet::recover`]. Each checkpoint
-//! replaces its predecessor and the segments below it, so a crash below
-//! a checkpoint's offset is cut from the storage as it stood just before
-//! that checkpoint was written:
+//! fleet-wide sweeps, plus a racing step (two versions of an app published
+//! before the first one's shard units run), taking checkpoints mid-script
+//! over small rotating segments. The scripts count what they ran: each
+//! seed must crash-test an import, a batch install, a shard upgrade, a
+//! shard uninstall and the racing step. The journal's backing storage is
+//! then crashed at **every record boundary** (fork + truncate, some forks
+//! with torn-tail garbage appended) and recovered with [`Fleet::recover`].
+//! Each checkpoint replaces its predecessor and the segments below it, so
+//! a crash below a checkpoint's offset is cut from the storage as it stood
+//! just before that checkpoint was written:
 //!
 //! * recovery must always succeed — a torn tail is truncated, never a
 //!   panic;
@@ -22,8 +25,8 @@
 //!   checkpoint that dropped rotated segments.
 
 use hg_config::ConfigInfo;
-use hg_journal::{Journal, JournalBackend, JournalConfig, JournalRecord, MemBackend};
-use hg_service::{Fleet, HomeId, PolicyTable, RuleStore};
+use hg_journal::{Journal, JournalBackend, JournalConfig, MemBackend};
+use hg_service::{Fleet, HomeId, PolicyTable, RuleStore, UpgradeRollout};
 use homeguard_core::{HandlingPolicy, HgError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -117,16 +120,68 @@ fn install_accepting(fleet: &Fleet, id: HomeId, source: &str, name: &str) {
     }
 }
 
+/// The first app, in `homes` order, that a home runs, with its palette
+/// sensor and actuator.
+fn app_a_home_runs(fleet: &Fleet, homes: &[HomeId]) -> Option<(String, usize, usize)> {
+    let app = homes.iter().find_map(|&id| {
+        fleet
+            .with_home(id, |home| home.installed_apps().into_iter().next())
+            .unwrap()
+    })?;
+    let digit = |at: usize| usize::from(app.as_bytes()[at] - b'0');
+    let (sensor, actuator) = (digit(3), digit(4));
+    Some((app, sensor, actuator))
+}
+
+/// The racing step: publishes version `command` of `app`, then its other
+/// version, then sweeps the first version shard by shard. Each home's
+/// `ingest_as` re-extracts the first version, which moves the store back
+/// to it. Returns how many homes the sweep upgraded.
+fn racing_upgrade(
+    fleet: &Fleet,
+    app: &str,
+    sensor: usize,
+    actuator: usize,
+    command: usize,
+) -> usize {
+    let first = palette_source(sensor, actuator, command);
+    fleet.ingest_app_as(&first, app).unwrap();
+    fleet
+        .ingest_app_as(&palette_source(sensor, actuator, 1 - command), app)
+        .unwrap();
+    let parts = (0..fleet.shard_count()).map(|index| fleet.upgrade_shard(index, &first, app));
+    let rollout = UpgradeRollout::merge(app, parts);
+    assert!(rollout.journal_lapses.is_empty() && rollout.failed.is_empty());
+    rollout.upgraded.len()
+}
+
+/// How many operations of each kind the coverage check names a churn
+/// script ran that committed home state, and so journaled records a crash
+/// can cut.
+#[derive(Debug, Default)]
+struct Counts {
+    imports: usize,
+    /// `install_group` batches that installed at least two homes.
+    batches: usize,
+    /// Shard upgrades that upgraded a home.
+    upgrades: usize,
+    /// Shard uninstalls that removed the app from a home.
+    uninstalls: usize,
+    /// Racing steps whose sweep upgraded a home.
+    races: usize,
+}
+
 /// A seeded churn script's outcome: the live fleet, its journal handles,
-/// the ground-truth snapshot at every operation boundary, and the
-/// storage as it stood just before each checkpoint, each keyed by journal
-/// offset.
+/// the ground-truth snapshot at every operation boundary, the storage as
+/// it stood just before each checkpoint, each keyed by journal offset,
+/// and what the script ran.
 struct Churned {
     fleet: Fleet,
     journal: Arc<Journal>,
     backend: MemBackend,
     boundaries: BTreeMap<u64, String>,
     before_checkpoints: BTreeMap<u64, MemBackend>,
+    counts: Counts,
 }
 
 /// Runs a seeded churn script on a journaled fleet.
@@ -138,6 +193,7 @@ fn churn(seed: u64, steps: usize) -> Churned {
     boundaries.insert(journal.next_offset(), snapshot_text(&fleet));
     let mut homes: Vec<HomeId> = (0..3).map(|_| fleet.create_home().unwrap()).collect();
     boundaries.insert(journal.next_offset(), snapshot_text(&fleet));
+    let mut counts = Counts::default();
     for step in 0..steps {
         let roll = rng.range(0, 100);
         let id = homes[rng.range(0, homes.len())];
@@ -148,7 +204,10 @@ fn churn(seed: u64, steps: usize) -> Churned {
             0..=7 => homes.push(fleet.create_home().unwrap()),
             // A migration round trip within one fleet: the copy lands
             // under a fresh id.
-            8..=9 => homes.push(fleet.import_home(fleet.export_home(id).unwrap()).unwrap()),
+            8..=9 => {
+                homes.push(fleet.import_home(fleet.export_home(id).unwrap()).unwrap());
+                counts.imports += 1;
+            }
             10..=14 => homes.extend(fleet.create_homes(rng.range(1, 4)).unwrap()),
             15..=49 => install_accepting(&fleet, id, &source, &name),
             50..=59 => {
@@ -182,20 +241,46 @@ fn churn(seed: u64, steps: usize) -> Churned {
             }
             87..=92 => {
                 let group: Vec<HomeId> = homes.iter().take(3).copied().collect();
-                for (_, outcome) in fleet.install_many(&group, &source, &name, None).unwrap() {
-                    if let Ok(report) = outcome {
-                        if !report.installed {
-                            // Group installs leave dirty verdicts pending;
-                            // that is itself a state worth crash-testing.
-                        }
-                    }
-                }
+                // Group installs leave dirty verdicts pending; that is
+                // itself a state worth crash-testing.
+                let installed = fleet
+                    .install_many(&group, &source, &name, None)
+                    .unwrap()
+                    .into_iter()
+                    .filter(|(_, outcome)| outcome.as_ref().is_ok_and(|report| report.installed))
+                    .count();
+                counts.batches += usize::from(installed >= 2);
             }
             93..=95 => {
-                fleet.force_uninstall(&name);
+                let removed = fleet.force_uninstall(&name).removed.len();
+                counts.uninstalls += usize::from(removed > 0);
             }
             _ => {
-                let _ = fleet.propagate_upgrade(&source, &name);
+                if let Ok(rollout) = fleet.propagate_upgrade(&source, &name) {
+                    counts.upgrades += usize::from(!rollout.upgraded.is_empty());
+                }
+            }
+        }
+        // Every fifth step also sweeps an app a home runs: a fleet upgrade
+        // or a forced uninstall in turn, and two steps later the racing
+        // step. The rolls alone reach neither sweep on every seed. These
+        // steps choose by the step and the fleet's state, never by the
+        // script's RNG, so they leave its other draws as they were.
+        let sweep = matches!(step % 5, 2 | 4)
+            .then(|| app_a_home_runs(&fleet, &homes))
+            .flatten();
+        if let Some((app, sensor, actuator)) = sweep {
+            boundaries.insert(journal.next_offset(), snapshot_text(&fleet));
+            if step % 5 == 4 {
+                let upgraded = racing_upgrade(&fleet, &app, sensor, actuator, step / 5 % 2);
+                counts.races += usize::from(upgraded > 0);
+            } else if step / 5 % 2 == 0 {
+                let source = palette_source(sensor, actuator, step / 10 % 2);
+                let upgraded = fleet.propagate_upgrade(&source, &app).unwrap().upgraded;
+                counts.upgrades += usize::from(!upgraded.is_empty());
+            } else {
+                let removed = fleet.force_uninstall(&app).removed.len();
+                counts.uninstalls += usize::from(removed > 0);
             }
         }
         if step % 7 == 6 {
@@ -212,6 +297,7 @@ fn churn(seed: u64, steps: usize) -> Churned {
         backend,
         boundaries,
         before_checkpoints,
+        counts,
     }
 }
 
@@ -301,22 +387,19 @@ fn crash_at_every_record_boundary_recovers_exactly() {
             run.backend.segments().unwrap()[0] > 0,
             "seed {seed}: checkpoints must have dropped rotated segments"
         );
-        // Every record is stored on the disk taken before the checkpoint
-        // that covers it, or on the final one.
-        let imports = |disk: &MemBackend| {
-            let journal = Journal::open(Box::new(disk.fork())).unwrap();
-            journal
-                .records_from(0)
-                .unwrap()
-                .iter()
-                .any(|(_, record)| matches!(record, JournalRecord::HomeImported { .. }))
-        };
+        // Every record the script journaled is cut by some crash below.
+        let counts = &run.counts;
         assert!(
-            run.before_checkpoints
-                .values()
-                .chain([&run.backend])
-                .any(imports),
-            "seed {seed}: script must crash-test a home import"
+            [
+                counts.imports,
+                counts.batches,
+                counts.upgrades,
+                counts.uninstalls,
+                counts.races,
+            ]
+            .iter()
+            .all(|&n| n > 0),
+            "seed {seed}: script must crash-test each counted kind: {counts:?}"
         );
         crash_everywhere(&run);
 
@@ -327,7 +410,7 @@ fn crash_at_every_record_boundary_recovers_exactly() {
 }
 
 #[test]
-fn compaction_preserves_recovery() {
+fn checkpoint_after_churn_preserves_recovery() {
     let run = churn(7, 24);
     let stats = run.fleet.checkpoint().unwrap();
     // The checkpoint replaced every earlier one and dropped the rotated
