@@ -26,7 +26,7 @@
 //! | `GET /metrics` | — | metrics registry (JSON; `?format=prometheus`) |
 //! | `GET /analytics/interference` | — | per-app interference-rate table |
 //! | `GET /analytics/hot-pairs` | — | verdict-cache hot-pair leaderboard |
-//! | `GET /analytics/latency` | — | decision/pair-check latency histograms |
+//! | `GET /analytics/latency` | — | install-write latency histogram |
 //! | `GET /events/stream` | — | live NDJSON event tail (`?cursor&limit&max_ms`) |
 //!
 //! Every per-home mutation dispatches through [`FleetExec`], so a full
@@ -417,12 +417,7 @@ fn dispatch(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
                 200,
                 &Json::obj([(
                     "histograms",
-                    hub.registry().histograms_json(&[
-                        "mediation_latency_ns",
-                        "pair_check_micros_cached",
-                        "pair_check_micros_uncached",
-                        "install_micros",
-                    ]),
+                    hub.registry().histograms_json(&["install_micros"]),
                 )]),
             )
             .into())

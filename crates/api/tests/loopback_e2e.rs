@@ -856,7 +856,7 @@ fn event_stream_tails_live_events_and_a_slow_reader_cannot_wedge_a_worker() {
 
     // Some history before the stream opens…
     for home in 0..3 {
-        bus.publish(TelemetryEvent::HomeCreated { home });
+        bus.publish(TelemetryEvent::HomesCreated { homes: vec![home] });
     }
 
     // …then a deliberately slow reader: request the tail, go silent, and
@@ -875,7 +875,7 @@ fn event_stream_tails_live_events_and_a_slow_reader_cannot_wedge_a_worker() {
     // More events than default retention holds (32,768), so the
     // flood must shed history while the reader sits on an unread socket.
     for home in 0..40_000u64 {
-        bus.publish(TelemetryEvent::HomeCreated { home });
+        bus.publish(TelemetryEvent::HomesCreated { homes: vec![home] });
     }
     assert!(
         bus.dropped_events() > 0,
@@ -899,7 +899,7 @@ fn event_stream_tails_live_events_and_a_slow_reader_cannot_wedge_a_worker() {
     );
     assert!(lines
         .iter()
-        .all(|l| l.get("type").and_then(Json::as_str) == Some("home_created")));
+        .all(|l| l.get("type").and_then(Json::as_str) == Some("homes_created")));
 
     // The worker is free again: the server keeps serving.
     assert_eq!(send(addr, "GET", "/stats", None, None).status, 200);

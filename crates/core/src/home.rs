@@ -38,10 +38,8 @@ use hg_detector::{
 use hg_rules::rule::{Rule, RuleId};
 use hg_rules::value::Value;
 use hg_runtime::{Enforcer, MediationIndex, MediationStats, PolicyTable, SharedEnforcer};
-use hg_telemetry::{TelemetryBus, TelemetryEvent};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 /// How the home resolves device slots for detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -158,8 +156,6 @@ impl HomeBuilder {
             handling: self.handling,
             mediation: None,
             share_verdicts: self.share_verdicts,
-            telemetry: None,
-            label: 0,
             mediation_sink: Arc::new(Mutex::new(MediationStats::default())),
         };
         for info in &self.config {
@@ -200,13 +196,6 @@ pub struct Home {
     /// Whether detection consults the store's fleet-shared verdict cache
     /// (see [`HomeBuilder::verdict_sharing`]).
     share_verdicts: bool,
-    /// Fleet event bus handle. `None` (the default) keeps every telemetry
-    /// branch in the lifecycle paths a single pointer test — detection,
-    /// mediation and persistence are bit-identical with or without it.
-    telemetry: Option<Arc<TelemetryBus>>,
-    /// The raw home id stamped on published events (0 for a standalone
-    /// session outside any fleet).
-    label: u64,
     /// Accumulated mediation statistics absorbed from every enforcer this
     /// session hands out (each [`Home::enforcer`] call builds a fresh
     /// per-run enforcer; without a shared sink its counters would die with
@@ -371,28 +360,7 @@ impl Home {
         if self.share_verdicts {
             det.cache = Some(self.store.verdict_cache().clone());
         }
-        det.bus = self.telemetry.clone();
         det
-    }
-
-    /// Attaches (or detaches, with `None`) the fleet event bus. `label` is
-    /// the raw home id stamped on every event this session publishes. The
-    /// detection engine is re-prepared so its detector carries the handle
-    /// into the pair-check hot path (sampled [`TelemetryEvent::CacheProbe`]
-    /// timings); postings are untouched.
-    ///
-    /// Telemetry is a pure observer: attaching a bus changes no report,
-    /// no decision and no persisted byte (proven differentially in
-    /// `tests/telemetry_differential.rs`).
-    pub fn set_telemetry(&mut self, bus: Option<Arc<TelemetryBus>>, label: u64) {
-        self.telemetry = bus;
-        self.label = label;
-        self.engine.reconfigure(self.detector());
-    }
-
-    /// The attached fleet event bus, if any.
-    pub fn telemetry(&self) -> Option<&Arc<TelemetryBus>> {
-        self.telemetry.as_ref()
     }
 
     /// Accumulated mediation statistics across **every** enforcer this
@@ -403,40 +371,6 @@ impl Home {
             .mediation_sink
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Publishes the outcome of a completed install/upgrade attempt: one
-    /// [`TelemetryEvent::InstallCompleted`] carrying the report's exact
-    /// [`DetectStats`] (so bus consumers can reconcile counters against
-    /// ground truth), plus one [`TelemetryEvent::ThreatDetected`] per
-    /// reported pairwise threat.
-    fn publish_install(&self, report: &InstallReport, started: Option<Instant>) {
-        let Some(bus) = &self.telemetry else { return };
-        let mut events = Vec::with_capacity(1 + report.threats.len());
-        events.push(TelemetryEvent::InstallCompleted {
-            home: self.label,
-            app: report.app.clone(),
-            installed: report.installed,
-            upgrade: report.replaces.is_some(),
-            threats: report.threats.len() as u64,
-            pairs: report.stats.pairs,
-            solves: report.stats.solves,
-            cache_hits: report.stats.cache_hits,
-            cache_misses: report.stats.cache_misses,
-            micros: started.map_or(0, |t| t.elapsed().as_micros() as u64),
-        });
-        events.extend(
-            report
-                .threats
-                .iter()
-                .map(|threat| TelemetryEvent::ThreatDetected {
-                    home: self.label,
-                    kind: threat.kind.acronym(),
-                    source_app: threat.source.app.clone(),
-                    target_app: threat.target.app.clone(),
-                }),
-        );
-        bus.publish_batch(events);
     }
 
     fn absorb_config(&mut self, info: &ConfigInfo) {
@@ -639,14 +573,6 @@ impl Home {
         if !dropped_ranks.is_empty() {
             self.mediation = None;
         }
-        if let Some(bus) = &self.telemetry {
-            bus.publish(TelemetryEvent::UninstallCompleted {
-                home: self.label,
-                app: app.to_string(),
-                removed_rules: removed_rules.len() as u64,
-                retired_threats: retired_threats as u64,
-            });
-        }
         Ok(UninstallReport {
             app: app.to_string(),
             removed_rules,
@@ -684,15 +610,12 @@ impl Home {
         name: &str,
         config: Option<&ConfigInfo>,
     ) -> Result<InstallReport, HgError> {
-        let started = self.telemetry.as_ref().map(|_| Instant::now());
         let (report, forms) = self.stage_upgrade(source, name, config)?;
-        let report = if report.is_clean() {
-            self.confirm(report, Some(forms))?
+        if report.is_clean() {
+            self.confirm(report, Some(forms))
         } else {
-            report
-        };
-        self.publish_install(&report, started);
-        Ok(report)
+            Ok(report)
+        }
     }
 
     /// [`Home::upgrade_app`] with unconditional confirmation (the scripted-
@@ -707,11 +630,8 @@ impl Home {
         name: &str,
         config: Option<&ConfigInfo>,
     ) -> Result<InstallReport, HgError> {
-        let started = self.telemetry.as_ref().map(|_| Instant::now());
         let (report, forms) = self.stage_upgrade(source, name, config)?;
-        let report = self.confirm(report, Some(forms))?;
-        self.publish_install(&report, started);
-        Ok(report)
+        self.confirm(report, Some(forms))
     }
 
     fn stage_upgrade(
@@ -795,15 +715,12 @@ impl Home {
         name: &str,
         config: Option<&ConfigInfo>,
     ) -> Result<InstallReport, HgError> {
-        let started = self.telemetry.as_ref().map(|_| Instant::now());
         let (report, forms) = self.stage_install(source, name, config)?;
-        let report = if report.is_clean() {
-            self.confirm(report, Some(forms))?
+        if report.is_clean() {
+            self.confirm(report, Some(forms))
         } else {
-            report
-        };
-        self.publish_install(&report, started);
-        Ok(report)
+            Ok(report)
+        }
     }
 
     /// Ingests + records configuration + checks + confirms unconditionally,
@@ -820,11 +737,8 @@ impl Home {
         name: &str,
         config: Option<&ConfigInfo>,
     ) -> Result<InstallReport, HgError> {
-        let started = self.telemetry.as_ref().map(|_| Instant::now());
         let (report, forms) = self.stage_install(source, name, config)?;
-        let report = self.confirm(report, Some(forms))?;
-        self.publish_install(&report, started);
-        Ok(report)
+        self.confirm(report, Some(forms))
     }
 
     /// Ingests and checks under the staged configuration, then restores
@@ -932,11 +846,7 @@ impl Home {
     /// *ignored*.
     pub fn enforcer(&mut self) -> SharedEnforcer {
         let mut enforcer = Enforcer::new(self.mediation_index().clone());
-        enforcer.set_telemetry(
-            Some(self.mediation_sink.clone()),
-            self.telemetry.clone(),
-            self.label,
-        );
+        enforcer.set_stats_sink(self.mediation_sink.clone());
         SharedEnforcer::new(enforcer)
     }
 
@@ -1010,8 +920,6 @@ impl Home {
             handling: state.handling,
             mediation: None,
             share_verdicts: true,
-            telemetry: None,
-            label: 0,
             mediation_sink: Arc::new(Mutex::new(MediationStats::default())),
         };
         home.engine = DetectionEngine::new(home.detector());
@@ -1277,6 +1185,8 @@ def h(evt) { if (location.mode == "Home") { door.unlock() } }
         );
         assert_eq!(enforcer.journal().len(), 1);
         assert_eq!(enforcer.stats().mediated, 1);
+        // The session's aggregate absorbed the enforcer's decisions.
+        assert_eq!(home.mediation_stats(), enforcer.stats());
     }
 
     #[test]
@@ -1657,74 +1567,5 @@ def k(evt) { valve.close() }
             home.mediation_index().len(),
             restored.mediation_index().len()
         );
-    }
-
-    #[test]
-    fn telemetry_bus_observes_lifecycle_without_changing_reports() {
-        let store = RuleStore::shared();
-        let mut silent = Home::new(store.clone());
-        let mut wired = Home::new(store.clone());
-        let bus = Arc::new(TelemetryBus::new());
-        wired.set_telemetry(Some(bus.clone()), 7);
-
-        let quiet_on = silent.install_app_forced(ON_APP, "OnApp", None).unwrap();
-        let quiet_off = silent.install_app_forced(OFF_APP, "OffApp", None).unwrap();
-        let loud_on = wired.install_app_forced(ON_APP, "OnApp", None).unwrap();
-        let loud_off = wired.install_app_forced(OFF_APP, "OffApp", None).unwrap();
-        // Pure observer: the wired session reports the same verdicts.
-        assert_eq!(quiet_on.threats, loud_on.threats);
-        assert_eq!(quiet_off.threats, loud_off.threats);
-        assert_eq!(quiet_off.stats.logical(), loud_off.stats.logical());
-        let gone = wired.uninstall_app("OffApp").unwrap();
-
-        let mut events = Vec::new();
-        bus.drain_since(0, &mut events);
-        let installs: Vec<_> = events
-            .iter()
-            .filter_map(|(_, e)| match e {
-                TelemetryEvent::InstallCompleted {
-                    home,
-                    app,
-                    threats,
-                    cache_hits,
-                    cache_misses,
-                    pairs,
-                    ..
-                } => Some((
-                    *home,
-                    app.clone(),
-                    *threats,
-                    *cache_hits + *cache_misses,
-                    *pairs,
-                )),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(installs.len(), 2);
-        assert_eq!(installs[0].0, 7, "events stamped with the home label");
-        assert_eq!(installs[1].1, "OffApp");
-        assert_eq!(
-            installs[1].2,
-            loud_off.threats.len() as u64,
-            "event embeds the report's threat count"
-        );
-        assert_eq!(
-            installs[1].3, installs[1].4,
-            "every checked pair is either a cache hit or a miss"
-        );
-        let threat_events = events
-            .iter()
-            .filter(|(_, e)| matches!(e, TelemetryEvent::ThreatDetected { .. }))
-            .count();
-        assert_eq!(threat_events, loud_off.threats.len());
-        assert!(events.iter().any(|(_, e)| matches!(
-            e,
-            TelemetryEvent::UninstallCompleted { app, removed_rules, .. }
-                if app == "OffApp" && *removed_rules == gone.removed_rules.len() as u64
-        )));
-        // The mediation sink starts empty and is session-visible.
-        assert_eq!(wired.mediation_stats().events, 0);
-        let _ = wired.enforcer();
-        assert_eq!(wired.mediation_stats().events, 0);
     }
 }

@@ -18,17 +18,8 @@ use hg_rules::constraint::{CmpOp, Formula, Term};
 use hg_rules::rule::{Action, ActionSubject, Rule, Trigger};
 use hg_rules::varid::{DeviceRef, VarId};
 use hg_solver::Outcome;
-use hg_telemetry::{TelemetryBus, TelemetryEvent};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Cache-hit probes are 1-in-N sampled (each carries weight N): timing a
-/// ~1µs cached pair check with two `Instant` reads on every hit would
-/// cost more than the check itself. Misses are all timed — the fresh
-/// solve they measure dwarfs the clock reads.
-const HIT_PROBE_SAMPLE: u64 = 64;
 
 /// The CAI threat detector.
 ///
@@ -49,13 +40,6 @@ pub struct Detector {
     ///
     /// [`RuleStore`]: https://docs.rs/homeguard-core
     pub cache: Option<Arc<VerdictCache>>,
-    /// Fleet event bus for sampled [`TelemetryEvent::CacheProbe`] timing
-    /// probes. `None` (the default) publishes nothing and pays nothing —
-    /// not even a clock read.
-    pub bus: Option<Arc<TelemetryBus>>,
-    /// Probe sampling tick, shared across clones of this detector so the
-    /// 1-in-N hit sampling stays 1-in-N fleet-wide.
-    pub probe_tick: Arc<AtomicU64>,
 }
 
 impl Detector {
@@ -67,13 +51,6 @@ impl Detector {
     /// This detector with the fleet-shared verdict cache attached.
     pub fn with_cache(mut self, cache: Arc<VerdictCache>) -> Detector {
         self.cache = Some(cache);
-        self
-    }
-
-    /// This detector publishing sampled pair-check timing probes into the
-    /// fleet event bus.
-    pub fn with_bus(mut self, bus: Arc<TelemetryBus>) -> Detector {
-        self.bus = Some(bus);
         self
     }
 
@@ -115,40 +92,16 @@ impl Detector {
         let Some(cache) = &self.cache else {
             return self.detect_pair_fresh(p1, p2, out);
         };
-        // Decide the sampled hit probe *before* the lookup so the clock
-        // covers it; `probe_at` stays `None` whenever no bus is attached,
-        // keeping the telemetry-off path free of atomics and clock reads.
-        let probe_at = self.bus.as_ref().and_then(|_| {
-            self.probe_tick
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(HIT_PROBE_SAMPLE)
-                .then(Instant::now)
-        });
         let key = self.pair_key(p1, p2);
         if let Some((threats, stats)) = cache.lookup(&key) {
-            if let (Some(bus), Some(started)) = (&self.bus, probe_at) {
-                bus.publish(TelemetryEvent::CacheProbe {
-                    hit: true,
-                    micros: started.elapsed().as_micros() as u64,
-                    weight: HIT_PROBE_SAMPLE,
-                });
-            }
             out.extend(threats);
             return DetectStats {
                 cache_hits: 1,
                 ..stats
             };
         }
-        let fresh_at = self.bus.as_ref().map(|_| Instant::now());
         let start = out.len();
         let stats = self.detect_pair_fresh(p1, p2, out);
-        if let (Some(bus), Some(started)) = (&self.bus, fresh_at) {
-            bus.publish(TelemetryEvent::CacheProbe {
-                hit: false,
-                micros: started.elapsed().as_micros() as u64,
-                weight: 1,
-            });
-        }
         cache.insert(
             key,
             [&p1.orig.id.app, &p2.orig.id.app],

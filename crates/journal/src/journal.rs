@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use crate::backend::{BackendError, JournalBackend};
 use crate::checkpoint::Checkpoint;
 use crate::frame::{encode_frame, scan_frames};
-use crate::record::{journal_err, JournalRecord};
+use crate::record::{journal_context, journal_err, JournalRecord};
 
 /// Health of a [`Journal`], as reported by [`Journal::state`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -648,7 +648,7 @@ impl Journal {
                     continue;
                 }
                 let record = JournalRecord::from_payload(payload)
-                    .map_err(|e| journal_err(format!("record at offset {offset}: {e}")))?;
+                    .map_err(|e| journal_context(format_args!("record at offset {offset}"), e))?;
                 out.push((offset, record));
             }
         }

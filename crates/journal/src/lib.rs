@@ -59,5 +59,5 @@ pub use backend::{BackendError, DirBackend, JournalBackend, MemBackend};
 pub use checkpoint::Checkpoint;
 pub use fault::{FaultBackend, FaultKind, FaultPlan};
 pub use journal::{CheckpointStats, Journal, JournalConfig, JournalState};
-pub use record::{journal_err, JournalRecord};
+pub use record::{journal_context, journal_err, JournalRecord};
 pub use scheduler::CheckpointScheduler;

@@ -37,6 +37,16 @@ pub fn journal_err(detail: impl Into<String>) -> HgError {
     HgError::Journal(detail.into())
 }
 
+/// `error` as an [`HgError::Journal`] whose detail starts with `context`.
+/// A journal failure's own detail is wrapped rather than its rendering,
+/// so the "journal failure: " prefix is said once.
+pub fn journal_context(context: impl std::fmt::Display, error: HgError) -> HgError {
+    match error {
+        HgError::Journal(detail) => journal_err(format!("{context}: {detail}")),
+        other => journal_err(format!("{context}: {other}")),
+    }
+}
+
 /// One durable fleet lifecycle event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
@@ -125,7 +135,6 @@ impl JournalRecord {
     /// Encodes the record as one JSON document (a frame payload).
     pub fn to_json(&self) -> Json {
         let ids = |ids: &[u64]| Json::Arr(ids.iter().map(|&h| Json::Num(h as i64)).collect());
-        let opt = |s: &Option<String>| s.as_deref().map_or(Json::Null, Json::str);
         let fields = match self {
             JournalRecord::HomesCreated { ids: homes, state } => {
                 vec![("ids", ids(homes)), ("state", home_state_to_json(state))]
@@ -138,22 +147,25 @@ impl JournalRecord {
                 rules,
                 threats,
                 config,
-            } => vec![
-                ("homes", ids(homes)),
-                ("app", Json::str(app)),
-                ("replaces", opt(replaces)),
-                (
-                    "rules",
-                    rules.as_ref().map_or(Json::Null, |rules| {
-                        Json::Arr(rules.iter().map(rule_to_json).collect())
-                    }),
-                ),
-                (
-                    "threats",
-                    Json::Arr(threats.iter().map(threat_to_json).collect()),
-                ),
-                ("config", opt(config)),
-            ],
+            } => {
+                // Absent and empty fields are left out; the decoder reads a
+                // missing one as `None` or empty.
+                let mut fields = vec![("homes", ids(homes)), ("app", Json::str(app))];
+                if let Some(replaces) = replaces {
+                    fields.push(("replaces", Json::str(replaces)));
+                }
+                if let Some(rules) = rules {
+                    fields.push(("rules", Json::Arr(rules.iter().map(rule_to_json).collect())));
+                }
+                if !threats.is_empty() {
+                    let threats = threats.iter().map(threat_to_json).collect();
+                    fields.push(("threats", Json::Arr(threats)));
+                }
+                if let Some(config) = config {
+                    fields.push(("config", Json::str(config)));
+                }
+                fields
+            }
             JournalRecord::UninstallCommitted { homes, app } => {
                 vec![("homes", ids(homes)), ("app", Json::str(app))]
             }
@@ -253,10 +265,13 @@ impl JournalRecord {
                     ),
                     Some(_) => return Err(snap_err("`rules` is neither null nor an array")),
                 },
-                threats: arr_field(j, "threats")?
-                    .iter()
-                    .map(threat_from_json)
-                    .collect::<Result<_, _>>()?,
+                threats: match j.get("threats") {
+                    None => Vec::new(),
+                    Some(_) => arr_field(j, "threats")?
+                        .iter()
+                        .map(threat_from_json)
+                        .collect::<Result<_, _>>()?,
+                },
                 config: opt_str_field(j, "config")?,
             },
             "uninstall_committed" => JournalRecord::UninstallCommitted {
@@ -358,6 +373,28 @@ mod tests {
             assert_eq!(back, record, "round trip of `{}`", record.op());
             assert_eq!(back.op(), record.op());
         }
+    }
+
+    /// An install record leaves out its absent and empty fields, and a
+    /// record that spells them out as `null` and `[]` decodes to the same
+    /// record.
+    #[test]
+    fn install_records_omit_absent_fields_and_read_spelled_out_ones() {
+        let record = JournalRecord::InstallCommitted {
+            homes: vec![3],
+            app: "OnApp".into(),
+            replaces: None,
+            rules: None,
+            threats: Vec::new(),
+            config: None,
+        };
+        let compact = String::from_utf8(record.to_payload()).unwrap();
+        assert_eq!(
+            compact,
+            r#"{"app":"OnApp","homes":[3],"op":"install_committed","v":2}"#
+        );
+        let spelled_out = br#"{"app":"OnApp","config":null,"homes":[3],"op":"install_committed","replaces":null,"rules":null,"threats":[],"v":2}"#;
+        assert_eq!(JournalRecord::from_payload(spelled_out).unwrap(), record);
     }
 
     #[test]

@@ -26,7 +26,6 @@ use hg_detector::{Threat, ThreatKind, Unification};
 use hg_rules::rule::{Rule, RuleId};
 use hg_sim::mediator::{Decision, Mediator};
 use hg_sim::SimTime;
-use hg_telemetry::{TelemetryBus, TelemetryEvent};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -190,11 +189,6 @@ pub struct Enforcer {
     /// still answer "what has mediation cost this session" (the
     /// [`MediationStats`] accessor the service layer aggregates).
     sink: Option<Arc<Mutex<MediationStats>>>,
-    /// Fleet event bus for per-decision [`TelemetryEvent::MediationDecision`]
-    /// events; `None` publishes nothing.
-    bus: Option<Arc<TelemetryBus>>,
-    /// The owning home's raw id (0 outside a fleet), stamped on events.
-    home_label: u64,
 }
 
 impl Enforcer {
@@ -238,20 +232,11 @@ impl Enforcer {
         self.begin_run();
     }
 
-    /// Wires this enforcer's observability: an optional session-shared
-    /// stats sink (decision deltas are folded in as they happen), an
-    /// optional fleet event bus, and the home label stamped on published
-    /// events. Telemetry is a pure observer — decisions are identical
-    /// with or without it.
-    pub fn set_telemetry(
-        &mut self,
-        sink: Option<Arc<Mutex<MediationStats>>>,
-        bus: Option<Arc<TelemetryBus>>,
-        home_label: u64,
-    ) {
-        self.sink = sink;
-        self.bus = bus;
-        self.home_label = home_label;
+    /// Wires a session-shared stats sink: each decision's counter delta
+    /// is folded into it as it happens. The sink is a pure observer —
+    /// decisions are identical with or without it.
+    pub fn set_stats_sink(&mut self, sink: Arc<Mutex<MediationStats>>) {
+        self.sink = Some(sink);
     }
 
     /// The decision journal.
@@ -327,10 +312,9 @@ impl Enforcer {
         if is_member && !matches!(final_decision, Decision::Suppress) {
             self.fired.insert(rule.clone());
         }
-        let kind = journal.first().map_or("-", |d| d.kind.acronym());
         self.commit(journal, &final_decision);
         self.stats.latency_ns += started.elapsed().as_nanos();
-        self.report(before, kind, &final_decision);
+        self.report(before);
         final_decision
     }
 
@@ -360,7 +344,7 @@ impl Enforcer {
             self.defer_tokens.remove(&token);
             self.record_command(rule, device, command, at);
             self.stats.latency_ns += started.elapsed().as_nanos();
-            self.report(before, "-", &Decision::Allow);
+            self.report(before);
             return Decision::Allow;
         }
         let mut final_decision = Decision::Allow;
@@ -443,10 +427,9 @@ impl Enforcer {
             }
             Decision::Suppress => {}
         }
-        let kind = journal.first().map_or("-", |d| d.kind.acronym());
         self.commit(journal, &final_decision);
         self.stats.latency_ns += started.elapsed().as_nanos();
-        self.report(before, kind, &final_decision);
+        self.report(before);
         final_decision
     }
 
@@ -477,30 +460,13 @@ impl Enforcer {
         }
     }
 
-    /// Observability tail of one decision: folds the counter delta since
-    /// `before` into the shared sink and publishes the decision event.
-    /// No-ops entirely when neither sink nor bus is wired.
-    fn report(&mut self, before: MediationStats, kind: &'static str, decision: &Decision) {
-        if self.sink.is_none() && self.bus.is_none() {
-            return;
-        }
-        let delta = self.stats.since(before);
+    /// Folds one decision's counter delta since `before` into the shared
+    /// sink, when one is wired.
+    fn report(&self, before: MediationStats) {
         if let Some(sink) = &self.sink {
             sink.lock()
                 .unwrap_or_else(PoisonError::into_inner)
-                .absorb(delta);
-        }
-        if let Some(bus) = &self.bus {
-            bus.publish(TelemetryEvent::MediationDecision {
-                home: self.home_label,
-                kind,
-                verdict: match decision {
-                    Decision::Allow => "allow",
-                    Decision::Suppress => "suppress",
-                    Decision::Defer { .. } => "defer",
-                },
-                latency_ns: delta.latency_ns as u64,
-            });
+                .absorb(self.stats.since(before));
         }
     }
 }
@@ -815,12 +781,10 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_sink_and_bus_observe_without_changing_decisions() {
-        use hg_telemetry::TelemetryBus;
+    fn stats_sink_observes_without_changing_decisions() {
         let sink = Arc::new(Mutex::new(MediationStats::default()));
-        let bus = Arc::new(TelemetryBus::new());
         let mut observed = enforcer_with(ThreatKind::CovertTriggering, HandlingPolicy::Block);
-        observed.set_telemetry(Some(sink.clone()), Some(bus.clone()), 7);
+        observed.set_stats_sink(sink.clone());
         let mut plain = enforcer_with(ThreatKind::CovertTriggering, HandlingPolicy::Block);
 
         let (a, b) = (RuleId::new("A", 0), RuleId::new("B", 0));
@@ -833,21 +797,6 @@ mod tests {
         assert_eq!(sunk.events, observed.stats().events);
         assert_eq!(sunk.mediated, 1);
         assert_eq!(sunk.journaled, 1);
-        // One event per decision, stamped with the home label and verdict.
-        let mut events = Vec::new();
-        bus.drain_since(0, &mut events);
-        assert_eq!(events.len(), 2);
-        match &events[1].1 {
-            hg_telemetry::TelemetryEvent::MediationDecision {
-                home,
-                kind,
-                verdict,
-                ..
-            } => {
-                assert_eq!((*home, *kind, *verdict), (7, "CT", "suppress"));
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
         // Pure observer: journals match entry for entry.
         assert_eq!(observed.journal().len(), plain.journal().len());
         assert_eq!(

@@ -23,7 +23,8 @@ use crate::fleet::Fleet;
 use hg_config::ConfigInfo;
 use hg_detector::DetectStats;
 use hg_journal::{
-    journal_err, Checkpoint, CheckpointScheduler, CheckpointStats, Journal, JournalRecord,
+    journal_context, journal_err, Checkpoint, CheckpointScheduler, CheckpointStats, Journal,
+    JournalRecord,
 };
 use homeguard_core::{HgError, HomeId, InstallReport};
 use std::sync::Arc;
@@ -54,7 +55,7 @@ impl Fleet {
         for (at, record) in records {
             fleet
                 .replay(record)
-                .map_err(|e| journal_err(format!("replay failed at offset {at}: {e}")))?;
+                .map_err(|e| journal_context(format_args!("replay failed at offset {at}"), e))?;
         }
         journal.note_replayed(replayed, started.elapsed().as_micros() as u64);
         fleet.attach_journal(journal)?;
@@ -418,8 +419,14 @@ def h(evt) { lamp.off() }
             .unwrap();
         let journal = Arc::new(Journal::open(Box::new(backend.clone())).unwrap());
         match Fleet::recover(journal).err() {
-            Some(HgError::Journal(detail)) => {
-                assert!(detail.contains("record version 1"), "{detail}")
+            Some(error @ HgError::Journal(_)) => {
+                let text = error.to_string();
+                assert!(text.contains("record version 1"), "{text}");
+                assert_eq!(
+                    text.matches("journal failure: ").count(),
+                    1,
+                    "the prefix is said once: {text}"
+                );
             }
             other => panic!("a version-1 record must be refused, got {other:?}"),
         }

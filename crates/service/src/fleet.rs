@@ -21,11 +21,27 @@
 //! one dedicated worker per shard and merges through the same helpers —
 //! so queue-dispatched sweeps are report-identical to the serial walk by
 //! construction.
+//!
+//! # Telemetry
+//!
+//! The fleet is the only publisher of lifecycle telemetry, and it
+//! publishes per write, not per home: every creation or import, every
+//! install-shaped write ([`Fleet::install_app`],
+//! [`Fleet::install_app_forced`], [`Fleet::upgrade_app`],
+//! [`Fleet::install_group`], [`Fleet::upgrade_shard`]) and every
+//! [`Fleet::uninstall_app`] or [`Fleet::uninstall_shard`] publishes
+//! exactly one event, after its records are appended and before it
+//! returns. A batch or sweep event carries its homes, verdict counts,
+//! summed detection effort and threat tally, so the registry's per-home
+//! counters stay exact. Confirms, ingests, retirements and policy and
+//! configuration writes publish nothing, and homes, detectors and
+//! enforcers hold no bus.
 
 use hg_config::ConfigInfo;
+use hg_detector::DetectStats;
 use hg_journal::{journal_err, Checkpoint, Journal, JournalRecord};
 use hg_persist::FleetSnapshot;
-use hg_telemetry::{TelemetryBus, TelemetryEvent};
+use hg_telemetry::{Sweep, TelemetryBus, TelemetryEvent, ThreatCount};
 use homeguard_core::{
     HgError, Home, HomeBuilder, HomeId, HomeState, InstallReport, MediationStats, PolicyTable,
     RuleStore, UninstallReport,
@@ -100,7 +116,7 @@ pub struct Fleet {
     next_id: AtomicU64,
     template: HomeBuilder,
     /// Fleet event bus, attached at most once ([`Fleet::attach_telemetry`]).
-    /// Unset, every telemetry branch below is a single pointer test.
+    /// Unset, [`Write::publish`] is a single pointer test.
     telemetry: OnceLock<Arc<TelemetryBus>>,
     /// Write-ahead lifecycle journal, attached at most once
     /// ([`Fleet::attach_journal`]). Unset, [`Fleet::write`] is a single
@@ -133,8 +149,13 @@ impl Attached {
 /// One admitted fleet write ([`Fleet::write`]): holds the journal's
 /// checkpoint gate shared from admission until the guard drops, so no
 /// checkpoint can cut between a mutation and its records. Without a
-/// journal it holds nothing and appends nothing.
-struct Write<'a>(Option<(&'a Journal, RwLockReadGuard<'a, ()>)>);
+/// journal it holds nothing and appends nothing; without a bus it
+/// publishes nothing.
+struct Write<'a> {
+    journal: Option<(&'a Journal, RwLockReadGuard<'a, ()>)>,
+    /// The fleet's bus and the write's admission time.
+    telemetry: Option<(&'a TelemetryBus, Instant)>,
+}
 
 impl Write<'_> {
     /// Builds and appends one record — only when a journal is attached.
@@ -144,10 +165,116 @@ impl Write<'_> {
     /// [`HgError::Journal`] when the append fails: the mutation is
     /// applied, its durability lapsed.
     fn append(&self, record: impl FnOnce() -> JournalRecord) -> Result<(), HgError> {
-        match &self.0 {
+        match &self.journal {
             Some((journal, _gate)) => journal.append(&record()).map(|_| ()),
             None => Ok(()),
         }
+    }
+
+    /// Ends the write with its one telemetry event, built from the write's
+    /// wall time in microseconds — only when a bus is attached. Called
+    /// once the records are appended, whether or not the append
+    /// succeeded: the event describes what the write applied.
+    fn publish(self, event: impl FnOnce(u64) -> TelemetryEvent) {
+        if let Some((bus, admitted)) = self.telemetry {
+            bus.publish(event(admitted.elapsed().as_micros() as u64));
+        }
+    }
+
+    /// Ends a creation or import write: one record and one event name the
+    /// new homes `ids`, all in `state`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Write::append`]; the event is published either way.
+    fn created(self, ids: Vec<u64>, state: impl FnOnce() -> HomeState) -> Result<(), HgError> {
+        let journaled = self.append(|| JournalRecord::HomesCreated {
+            ids: ids.clone(),
+            state: state(),
+        });
+        self.publish(|_| TelemetryEvent::HomesCreated { homes: ids });
+        journaled
+    }
+}
+
+/// One install-shaped write's reports, tallied for its
+/// [`TelemetryEvent::InstallCompleted`].
+#[derive(Default)]
+struct InstallTally {
+    homes: Vec<u64>,
+    clean: u64,
+    stats: DetectStats,
+    threats: Vec<ThreatCount>,
+}
+
+impl InstallTally {
+    fn of<'r>(reports: impl IntoIterator<Item = (HomeId, &'r InstallReport)>) -> InstallTally {
+        let mut tally = InstallTally::default();
+        for (id, report) in reports {
+            tally.add(id, report);
+        }
+        tally
+    }
+
+    fn add(&mut self, id: HomeId, report: &InstallReport) {
+        self.homes.push(id.raw());
+        self.clean += u64::from(report.installed);
+        self.stats.absorb(report.stats);
+        for threat in &report.threats {
+            let kind = threat.kind.acronym();
+            let (source, target) = (&threat.source.app, &threat.target.app);
+            match self
+                .threats
+                .iter_mut()
+                .find(|t| (t.kind, &t.source_app, &t.target_app) == (kind, source, target))
+            {
+                Some(count) => count.count += 1,
+                None => self.threats.push(ThreatCount {
+                    kind,
+                    source_app: source.clone(),
+                    target_app: target.clone(),
+                    count: 1,
+                }),
+            }
+        }
+    }
+
+    fn event(self, app: &str, upgrade: bool, sweep: Option<Sweep>, micros: u64) -> TelemetryEvent {
+        TelemetryEvent::InstallCompleted {
+            app: app.to_string(),
+            upgrade,
+            clean: self.clean,
+            dirty: self.homes.len() as u64 - self.clean,
+            homes: self.homes,
+            pairs: self.stats.pairs,
+            solves: self.stats.solves,
+            cache_hits: self.stats.cache_hits,
+            cache_misses: self.stats.cache_misses,
+            threats: self.threats,
+            sweep,
+            micros,
+        }
+    }
+}
+
+/// The one [`TelemetryEvent::UninstallCompleted`] of an uninstall write.
+fn uninstall_event<'r>(
+    app: &str,
+    removed: impl IntoIterator<Item = (HomeId, &'r UninstallReport)>,
+    sweep: Option<Sweep>,
+) -> TelemetryEvent {
+    let (mut homes, mut removed_rules, mut retired_threats) = (Vec::new(), 0, 0);
+    for (id, report) in removed {
+        homes.push(id.raw());
+        removed_rules += report.removed_rules.len() as u64;
+        retired_threats += report.retired_threats as u64;
+    }
+    TelemetryEvent::UninstallCompleted {
+        app: app.to_string(),
+        homes,
+        removed_rules,
+        retired_threats,
+        sweep,
     }
 }
 
@@ -340,10 +467,11 @@ impl Fleet {
         &self.store
     }
 
-    /// Attaches the fleet event bus: every registered home (and every home
-    /// created or imported from now on) publishes lifecycle, detection and
-    /// mediation events into it, stamped with its raw [`HomeId`]. At most
-    /// one bus per fleet — a second call is ignored and returns `false`.
+    /// Attaches the fleet event bus: from now on every lifecycle write
+    /// publishes its one event into it (see the [module docs](self)), and
+    /// the attached journal its journal events. Homes hold no bus, so
+    /// attaching touches no shard. At most one bus per fleet — a second
+    /// call is ignored and returns `false`.
     ///
     /// Telemetry is a pure observer: reports, sweeps and snapshots are
     /// bit-identical with or without an attached bus (proven in
@@ -353,15 +481,7 @@ impl Fleet {
             return false;
         }
         if let Some(attached) = self.journal.get() {
-            attached.journal.set_telemetry(bus.clone());
-        }
-        for shard in &self.shards {
-            let mut shard = shard
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            for (&id, home) in shard.iter_mut() {
-                home.set_telemetry(Some(bus.clone()), id.raw());
-            }
+            attached.journal.set_telemetry(bus);
         }
         true
     }
@@ -522,10 +642,8 @@ impl Fleet {
         let ids: Vec<HomeId> = (0..count)
             .map(|_| self.place(self.template.clone().build()))
             .collect();
-        write.append(|| JournalRecord::HomesCreated {
-            ids: ids.iter().map(|id| id.raw()).collect(),
-            state: self.template.clone().build().export_state(),
-        })?;
+        let raw = ids.iter().map(|id| id.raw()).collect();
+        write.created(raw, || self.template.clone().build().export_state())?;
         Ok(ids)
     }
 
@@ -553,22 +671,18 @@ impl Fleet {
         // a handful of short lists).
         let state = home.export_state();
         let id = self.place(home);
-        write.append(|| JournalRecord::HomesCreated {
-            ids: vec![id.raw()],
-            state,
-        })?;
+        write.created(vec![id.raw()], || state)?;
         Ok(id)
     }
 
     /// Registers an already-built session under a fresh id (shared by
     /// `create_home_with` and `import_home`), burning ids that route to
     /// poisoned shards as documented on [`Fleet::create_home_with`].
-    fn place(&self, mut home: Home) -> HomeId {
+    fn place(&self, home: Home) -> HomeId {
         let mut id = HomeId::new(self.next_id.fetch_add(1, Ordering::Relaxed));
         for _ in 0..self.shards.len() {
             match self.shard(id).write() {
                 Ok(mut shard) => {
-                    self.adopt(&mut home, id);
                     shard.insert(id, home);
                     return id;
                 }
@@ -577,21 +691,11 @@ impl Fleet {
                 }
             }
         }
-        self.adopt(&mut home, id);
         self.shard(id)
             .write()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .insert(id, home);
         id
-    }
-
-    /// Wires an incoming session into the fleet's telemetry (when a bus is
-    /// attached) under its assigned id, announcing the registration.
-    fn adopt(&self, home: &mut Home, id: HomeId) {
-        if let Some(bus) = self.telemetry.get() {
-            home.set_telemetry(Some(bus.clone()), id.raw());
-            bus.publish(TelemetryEvent::HomeCreated { home: id.raw() });
-        }
     }
 
     /// Deregisters a home, dropping its session state.
@@ -615,7 +719,8 @@ impl Fleet {
     /// touches state. With a journal attached it takes the checkpoint
     /// gate shared and admits the write before anything changes; the
     /// returned guard then appends the mutation's records
-    /// ([`Write::append`]) and releases the gate when dropped.
+    /// ([`Write::append`]), publishes its one telemetry event
+    /// ([`Write::publish`]) and releases the gate when it ends.
     ///
     /// # Errors
     ///
@@ -623,13 +728,20 @@ impl Fleet {
     /// [`Journal::reset`] has handed it to the fleet that replaced this
     /// one. Nothing has been applied.
     fn write(&self) -> Result<Write<'_>, HgError> {
+        let telemetry = self.telemetry.get().map(|bus| (&**bus, Instant::now()));
         let Some(attached) = self.journal.get() else {
-            return Ok(Write(None));
+            return Ok(Write {
+                journal: None,
+                telemetry,
+            });
         };
         let gate = attached.journal.gate();
         let journal = attached.current()?;
         journal.admit()?;
-        Ok(Write(Some((journal, gate))))
+        Ok(Write {
+            journal: Some((journal, gate)),
+            telemetry,
+        })
     }
 
     /// The attached journal under its **exclusive** gate — the cut
@@ -665,9 +777,10 @@ impl Fleet {
     /// instead of crashing their threads.
     ///
     /// Mutations made directly through this escape hatch **bypass the
-    /// write-ahead journal** — use the named lifecycle methods
-    /// (`install_app`, `uninstall_app`, `set_handling_policy`, ...) when a
-    /// journal is attached.
+    /// write-ahead journal and telemetry**: they journal nothing and
+    /// publish nothing — use the named lifecycle methods (`install_app`,
+    /// `uninstall_app`, `set_handling_policy`, ...) when a journal or a
+    /// bus is attached.
     ///
     /// # Errors
     ///
@@ -719,7 +832,7 @@ impl Fleet {
         ingested: Option<(&str, &str, bool)>,
         commits: impl IntoIterator<Item = (HomeId, &'r InstallReport)>,
     ) -> Result<(), HgError> {
-        if write.0.is_none() {
+        if write.journal.is_none() {
             return Ok(());
         }
         let moved = self.store.ingest_epoch() != epoch;
@@ -769,7 +882,9 @@ impl Fleet {
     /// Runs one install-shaped home operation as one journaled write
     /// ([`Fleet::journal_commits`]): its store ingest is journaled even
     /// when the operation itself then failed (the store mutation is real
-    /// either way), and its install when the report landed installed.
+    /// either way), and its install when the report landed installed. A
+    /// report, installed or not, is published. `as_name` marks the
+    /// upgrade path.
     fn journaled_install(
         &self,
         id: HomeId,
@@ -789,6 +904,9 @@ impl Fleet {
             self.journal_commits(&write, epoch, Some((source, name, as_name)), committed);
         // The operation's own error outranks a journal append failure.
         let report = outcome?;
+        write.publish(|micros| {
+            InstallTally::of([(id, &report)]).event(&report.app, as_name, None, micros)
+        });
         journaled?;
         Ok(report)
     }
@@ -859,11 +977,12 @@ impl Fleet {
     pub fn uninstall_app(&self, id: HomeId, app: &str) -> Result<UninstallReport, HgError> {
         let write = self.write()?;
         let report = self.with_home_mut(id, |home| home.uninstall_app(app))??;
-        write.append(|| JournalRecord::UninstallCommitted {
+        let journaled = write.append(|| JournalRecord::UninstallCommitted {
             homes: vec![id.raw()],
             app: app.to_string(),
-        })?;
-        Ok(report)
+        });
+        write.publish(|_| uninstall_event(app, [(id, &report)], None));
+        journaled.map(|()| report)
     }
 
     /// [`Home::upgrade_app`] through the registry.
@@ -904,6 +1023,7 @@ impl Fleet {
     /// append surfaces as [`HgError::Journal`]
     /// on every outcome that committed home state in this group — state
     /// applied, durability lapsed, exactly like [`Fleet::install_app`].
+    /// The group publishes one event for all its reports.
     pub fn install_group(
         &self,
         home_ids: &[HomeId],
@@ -935,8 +1055,18 @@ impl Fleet {
             Ok(report) if report.installed => Some((*id, report)),
             _ => None,
         });
-        if let Err(e) = self.journal_commits(&write, epoch, Some((source, name, false)), committed)
-        {
+        let journaled = self.journal_commits(&write, epoch, Some((source, name, false)), committed);
+        write.publish(|micros| {
+            let reports = outcomes
+                .iter()
+                .filter_map(|(id, outcome)| Some((*id, outcome.as_ref().ok()?)));
+            let app = reports
+                .clone()
+                .next()
+                .map_or(name, |(_, report)| &report.app);
+            InstallTally::of(reports).event(app, false, None, micros)
+        });
+        if let Err(e) = journaled {
             // Every install that committed home state in this group now has
             // unjournaled state; report the durability lapse on each.
             let detail = e.to_string();
@@ -1055,7 +1185,6 @@ impl Fleet {
                 ..ShardRollout::default()
             };
         };
-        let started = self.telemetry.get().map(|_| Instant::now());
         let Ok(mut shard) = self.shards[index].write() else {
             return ShardRollout {
                 poisoned: true,
@@ -1066,8 +1195,9 @@ impl Fleet {
         let mut part = ShardRollout::default();
         // Every home this sweep upgrades installs the rules
         // `ingest_as(source)` returns, so the first clean report speaks
-        // for them all and the others are dropped as they land.
-        let mut lead = None;
+        // for them all and the others are dropped as they land, leaving
+        // only their effort counters to the sweep's event.
+        let (mut lead, mut clean_stats) = (None, DetectStats::default());
         for (&id, home) in shard.iter_mut() {
             if !home.is_installed(name) {
                 part.skipped += 1;
@@ -1076,13 +1206,14 @@ impl Fleet {
             match home.upgrade_app(source, name, None) {
                 Ok(report) if report.installed => {
                     part.upgraded.push(id);
+                    clean_stats.absorb(report.stats);
                     lead.get_or_insert(report);
                 }
                 Ok(report) => part.pending.push((id, report)),
                 Err(error) => part.failed.push((id, error)),
             }
         }
-        let homes = shard.len() as u64;
+        let visited = shard.len() as u64;
         drop(shard);
         let committed = lead
             .iter()
@@ -1095,7 +1226,22 @@ impl Fleet {
             // of vanishing.
             part.journal_lapsed = Some(error.to_string());
         }
-        self.publish_sweep(index, "upgrade", homes, started);
+        write.publish(|micros| {
+            let mut tally = InstallTally {
+                homes: part.upgraded.iter().map(|id| id.raw()).collect(),
+                clean: part.upgraded.len() as u64,
+                stats: clean_stats,
+                threats: Vec::new(),
+            };
+            for (id, report) in &part.pending {
+                tally.add(*id, report);
+            }
+            let sweep = Sweep {
+                shard: index as u64,
+                visited,
+            };
+            tally.event(name, true, Some(sweep), micros)
+        });
         part
     }
 
@@ -1115,7 +1261,6 @@ impl Fleet {
                 ..ShardUninstall::default()
             };
         };
-        let started = self.telemetry.get().map(|_| Instant::now());
         let Ok(mut shard) = self.shards[index].write() else {
             return ShardUninstall {
                 poisoned: true,
@@ -1133,7 +1278,7 @@ impl Fleet {
                 Err(error) => part.failed.push((id, error)),
             }
         }
-        let homes = shard.len() as u64;
+        let visited = shard.len() as u64;
         drop(shard);
         if !part.removed.is_empty() {
             if let Err(error) = write.append(|| JournalRecord::UninstallCommitted {
@@ -1143,20 +1288,15 @@ impl Fleet {
                 part.journal_lapsed = Some(error.to_string());
             }
         }
-        self.publish_sweep(index, "uninstall", homes, started);
-        part
-    }
-
-    /// Publishes one shard sweep unit's completion (no-op without a bus).
-    fn publish_sweep(&self, index: usize, op: &'static str, homes: u64, started: Option<Instant>) {
-        if let Some(bus) = self.telemetry.get() {
-            bus.publish(TelemetryEvent::SweepShardDone {
+        write.publish(|_| {
+            let removed = part.removed.iter().map(|(id, report)| (*id, report));
+            let sweep = Sweep {
                 shard: index as u64,
-                op,
-                homes,
-                micros: started.map_or(0, |t| t.elapsed().as_micros() as u64),
-            });
-        }
+                visited,
+            };
+            uninstall_event(app, removed, Some(sweep))
+        });
+        part
     }
 
     /// Fleet-wide forced uninstall: a store-pulled (e.g. discovered-
@@ -1236,10 +1376,7 @@ impl Fleet {
     /// ([`Fleet::recover`]), where ids must come back exactly as recorded.
     /// Bumps the id counter past `id` so future ids never collide.
     pub(crate) fn insert_home_at(&self, id: HomeId, state: HomeState) -> Result<(), HgError> {
-        let mut home = Home::restore_state(self.store.clone(), state);
-        if let Some(bus) = self.telemetry.get() {
-            home.set_telemetry(Some(bus.clone()), id.raw());
-        }
+        let home = Home::restore_state(self.store.clone(), state);
         let mut shard = self
             .shard(id)
             .write()
@@ -1361,10 +1498,7 @@ impl Fleet {
     pub fn import_home(&self, state: HomeState) -> Result<HomeId, HgError> {
         let write = self.write()?;
         let id = self.place(Home::restore_state(self.store.clone(), state.clone()));
-        write.append(|| JournalRecord::HomesCreated {
-            ids: vec![id.raw()],
-            state,
-        })?;
+        write.created(vec![id.raw()], || state)?;
         Ok(id)
     }
 
@@ -1750,46 +1884,76 @@ def h(evt) { lamp.off() }
         assert!(fleet.attach_telemetry(bus.clone()));
         assert!(!fleet.attach_telemetry(bus.clone()), "one bus per fleet");
         let late = fleet.create_home().unwrap();
+        let batch = fleet.create_homes(3).unwrap();
 
-        // Both the pre-attach home (wired retroactively) and the new one
-        // publish, stamped with their ids.
+        // The fleet publishes, not the homes: the pre-attach home's
+        // install is seen like the new one's.
         fleet.install_app(early, ON_APP, "OnApp", None).unwrap();
         fleet.install_app(late, ON_APP, "OnApp", None).unwrap();
         let v2 = ON_APP.replace("lamp.on()", "lamp.toggle()");
+        let before = bus.published();
         let rollout = fleet.propagate_upgrade(&v2, "OnApp").unwrap();
         assert_eq!(rollout.upgraded.len(), 2);
+        assert_eq!(bus.published() - before, 2, "one event per shard unit");
         fleet.snapshot().unwrap();
 
         let mut events = Vec::new();
         bus.drain_since(0, &mut events);
-        let created: Vec<u64> = events
+        let created: Vec<Vec<u64>> = events
             .iter()
             .filter_map(|(_, e)| match e {
-                TelemetryEvent::HomeCreated { home } => Some(*home),
+                TelemetryEvent::HomesCreated { homes } => Some(homes.clone()),
                 _ => None,
             })
             .collect();
-        assert_eq!(created, vec![late.raw()], "creation precedes attachment");
-        let install_homes: Vec<u64> = events
+        let batch: Vec<u64> = batch.iter().map(|id| id.raw()).collect();
+        assert_eq!(
+            created,
+            vec![vec![late.raw()], batch],
+            "one event per creation write; the first creation precedes attachment"
+        );
+        let installs: Vec<(Vec<u64>, bool, Option<Sweep>)> = events
             .iter()
             .filter_map(|(_, e)| match e {
-                TelemetryEvent::InstallCompleted { home, upgrade, .. } => {
-                    (!upgrade).then_some(*home)
-                }
+                TelemetryEvent::InstallCompleted {
+                    homes,
+                    upgrade,
+                    sweep,
+                    ..
+                } => Some((homes.clone(), *upgrade, *sweep)),
                 _ => None,
             })
             .collect();
-        assert_eq!(install_homes, vec![early.raw(), late.raw()]);
-        let sweeps = events
-            .iter()
-            .filter(
-                |(_, e)| matches!(e, TelemetryEvent::SweepShardDone { op, .. } if *op == "upgrade"),
-            )
-            .count();
-        assert_eq!(sweeps, 2, "one sweep event per shard");
+        assert_eq!(installs.len(), 4);
+        assert_eq!(installs[0], (vec![early.raw()], false, None));
+        assert_eq!(installs[1], (vec![late.raw()], false, None));
+        // Exactly two upgrade events, one per shard, each naming the homes
+        // its shard upgraded and counting the homes it visited.
+        for (shard, (homes, upgrade, sweep)) in installs[2..].iter().enumerate() {
+            let upgraded: Vec<u64> = rollout
+                .upgraded
+                .iter()
+                .filter(|id| fleet.shard_of(**id) == shard)
+                .map(|id| id.raw())
+                .collect();
+            assert_eq!(homes, &upgraded, "shard {shard}");
+            assert!(*upgrade);
+            let visited = fleet
+                .home_ids()
+                .iter()
+                .filter(|id| fleet.shard_of(**id) == shard)
+                .count() as u64;
+            assert_eq!(
+                *sweep,
+                Some(Sweep {
+                    shard: shard as u64,
+                    visited
+                })
+            );
+        }
         assert!(events
             .iter()
-            .any(|(_, e)| matches!(e, TelemetryEvent::SnapshotTaken { homes: 2, .. })));
+            .any(|(_, e)| matches!(e, TelemetryEvent::SnapshotTaken { homes: 5, .. })));
         // Fleet-wide mediation aggregate starts at zero.
         assert_eq!(fleet.mediation_stats().events, 0);
     }

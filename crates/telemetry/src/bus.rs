@@ -1,7 +1,7 @@
 //! The bounded fleet event bus and the registry it folds into.
 //!
-//! [`TelemetryBus`] is the single pipe every instrumented hot path
-//! publishes into. One mutex guards one ring: a publish takes it once per
+//! [`TelemetryBus`] is the single pipe the fleet, its journal and its
+//! executor publish into. One mutex guards one ring: a publish takes it once per
 //! batch and, for each event, stamps the next sequence number, folds the
 //! event into the bus's [`MetricsRegistry`] and appends it to the ring.
 //! Because stamping, folding and retention share that critical section,
@@ -103,11 +103,9 @@ impl TelemetryBus {
     }
 
     /// Publishes a group of related events under **one lock** and one
-    /// bell ring. Hot paths that emit several events per operation (an
-    /// install report plus its per-pair threats) use this so each
-    /// operation costs one lock acquisition instead of one per event, a
-    /// parked stream reader is woken once, and the group occupies a
-    /// contiguous sequence range. Each event is folded into
+    /// bell ring: the group costs one lock acquisition instead of one per
+    /// event, a parked stream reader is woken once, and the group
+    /// occupies a contiguous sequence range. Each event is folded into
     /// [`TelemetryBus::registry`] before this returns.
     pub fn publish_batch(&self, events: impl IntoIterator<Item = TelemetryEvent>) {
         {
@@ -208,11 +206,7 @@ mod tests {
     use std::sync::{Arc, Barrier};
 
     fn probe(n: u64) -> TelemetryEvent {
-        TelemetryEvent::CacheProbe {
-            hit: false,
-            micros: n,
-            weight: 1,
-        }
+        TelemetryEvent::JournalSynced { micros: n }
     }
 
     #[test]
@@ -257,7 +251,7 @@ mod tests {
         assert_eq!(bus.drain_since(8, &mut out), 10);
         assert_eq!(out, vec![(8, probe(8)), (9, probe(9))]);
         // Shed events still reached the registry.
-        assert_eq!(bus.registry().counter("cache_probes_total"), 10);
+        assert_eq!(bus.registry().counter("journal_syncs_total"), 10);
     }
 
     #[test]
@@ -361,7 +355,7 @@ mod tests {
                         start.wait();
                         for n in 0..BATCHES {
                             // A single and a batch of three per round.
-                            bus.publish(TelemetryEvent::HomeCreated { home: p });
+                            bus.publish(TelemetryEvent::HomesCreated { homes: vec![p] });
                             bus.publish_batch([probe(n), probe(n + 1), probe(n + 2)]);
                         }
                     })
@@ -378,15 +372,12 @@ mod tests {
             let registry = bus.registry();
             assert_eq!(bus.published(), total);
             assert_eq!(
-                registry.counter("homes_created_total") + registry.counter("cache_probes_total"),
+                registry.counter("homes_created_total") + registry.counter("journal_syncs_total"),
                 bus.published(),
                 "every published event is folded, dropped from the ring or not"
             );
             assert_eq!(
-                registry
-                    .histogram("pair_check_micros_uncached")
-                    .unwrap()
-                    .count,
+                registry.counter("journal_syncs_total"),
                 PUBLISHERS * BATCHES * 3
             );
             let mut out = Vec::new();
@@ -472,16 +463,19 @@ mod tests {
                 std::thread::spawn(move || {
                     start.wait();
                     for n in 0..INSTALLS {
+                        let clean = u64::from(n % 3 != 0);
                         bus.publish(TelemetryEvent::InstallCompleted {
-                            home: n,
                             app: format!("App{}", (p + n) % 8),
-                            installed: n % 3 != 0,
                             upgrade: false,
-                            threats: 0,
+                            homes: vec![n],
+                            clean,
+                            dirty: 1 - clean,
                             pairs: 1,
                             solves: 1,
                             cache_hits: 0,
                             cache_misses: 1,
+                            threats: Vec::new(),
+                            sweep: None,
                             micros: n,
                         });
                     }

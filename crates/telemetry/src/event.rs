@@ -1,39 +1,65 @@
 //! The typed fleet event vocabulary.
 //!
-//! Every observable moment in the fleet — a lifecycle operation finishing,
-//! a threat surfacing, a mediation decision, a cache probe — is one
-//! [`TelemetryEvent`] published into the [`TelemetryBus`](crate::TelemetryBus).
-//! Events are plain owned data: cheap to clone, comparable in tests, and
-//! renderable as one NDJSON line each for `/events/stream`.
+//! Every observable moment in the fleet — a lifecycle write finishing, a
+//! journal append, a queue refusing work — is one [`TelemetryEvent`]
+//! published into the [`TelemetryBus`](crate::TelemetryBus). The fleet
+//! publishes one lifecycle event per write, whatever the number of homes
+//! it touched: a batch or sweep carries its homes and tallies in that one
+//! event. Events are plain owned data: cheap to clone, comparable in
+//! tests, and renderable as one NDJSON line each for `/events/stream`.
 
 use hg_rules::json::Json;
 
-/// One fleet observability event. Field conventions: `home` is the raw
-/// [`HomeId`](hg_rules::rule::RuleId) routing key (0 for a standalone
-/// session outside any fleet), `micros`/`latency_ns` are wall-clock,
-/// `kind` strings are the paper's threat acronyms (AR, GC, CT, SD, LT,
-/// EC, DC).
+/// The pairwise threats of one write's reports between one pair of apps,
+/// of one kind.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ThreatCount {
+    /// Threat-kind acronym (paper Table I).
+    pub kind: &'static str,
+    /// Source-side app.
+    pub source_app: String,
+    /// Target-side app.
+    pub target_app: String,
+    /// Threats of this kind between the two apps.
+    pub count: u64,
+}
+
+/// The shard a sweep unit walked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Sweep {
+    /// Shard index.
+    pub shard: u64,
+    /// Homes visited in the shard, whether or not they ran the app.
+    pub visited: u64,
+}
+
+/// One fleet observability event. Field conventions: `homes` are raw
+/// [`HomeId`](hg_rules::rule::RuleId) routing keys, `micros` are
+/// wall-clock, `kind` strings are the paper's threat acronyms (AR, GC,
+/// CT, SD, LT, EC, DC).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TelemetryEvent {
-    /// A home was registered in the fleet.
-    HomeCreated {
-        /// Raw home id.
-        home: u64,
+    /// One write registered homes (a creation, a batch creation or an
+    /// import).
+    HomesCreated {
+        /// Raw ids of the new homes, in creation order.
+        homes: Vec<u64>,
     },
-    /// An install or upgrade attempt ran its detection pass to completion
-    /// (clean → auto-confirmed; dirty → pending a user confirmation).
+    /// One install-shaped write ran its detection passes: an install or
+    /// upgrade into one home, a group install, or one shard of an upgrade
+    /// rollout.
     InstallCompleted {
-        /// Raw home id.
-        home: u64,
         /// The app checked.
         app: String,
-        /// Whether the attempt auto-confirmed (no interference).
-        installed: bool,
-        /// Whether this was an upgrade of an installed app.
+        /// Whether the write upgraded an installed app.
         upgrade: bool,
-        /// Threats in the report.
-        threats: u64,
-        /// Pairs checked.
+        /// Raw ids of the homes whose attempt produced a report.
+        homes: Vec<u64>,
+        /// Reports that landed installed (auto-confirmed, or forced).
+        clean: u64,
+        /// Reports awaiting a user's confirmation.
+        dirty: u64,
+        /// Pairs checked, over every report.
         pairs: u64,
         /// Constraint solves run.
         solves: u64,
@@ -41,63 +67,26 @@ pub enum TelemetryEvent {
         cache_hits: u64,
         /// Pair verdicts computed fresh.
         cache_misses: u64,
-        /// Wall-clock cost of the whole attempt.
+        /// The reports' pairwise threats, tallied by kind and app pair.
+        threats: Vec<ThreatCount>,
+        /// The shard walked, when the write is a sweep unit.
+        sweep: Option<Sweep>,
+        /// Wall-clock time of the whole write.
         micros: u64,
     },
-    /// One threat surfaced by a detection pass.
-    ThreatDetected {
-        /// Raw home id.
-        home: u64,
-        /// Threat-kind acronym (paper Table I).
-        kind: &'static str,
-        /// Source-side app.
-        source_app: String,
-        /// Target-side app.
-        target_app: String,
-    },
-    /// An app was uninstalled from a home.
+    /// One write uninstalled an app: from one home, or from every home of
+    /// one shard running it.
     UninstallCompleted {
-        /// Raw home id.
-        home: u64,
         /// The app removed.
         app: String,
-        /// Rules unposted.
+        /// Raw ids of the homes it was removed from.
+        homes: Vec<u64>,
+        /// Rules unposted, over every home.
         removed_rules: u64,
-        /// Allowed threats retired with it.
+        /// Allowed threats retired with it, over every home.
         retired_threats: u64,
-    },
-    /// The runtime enforcer mediated one intercepted event.
-    MediationDecision {
-        /// Raw home id.
-        home: u64,
-        /// Threat-kind acronym of the governing point (`-` when the event
-        /// took the non-member fast path).
-        kind: &'static str,
-        /// Final decision: `allow`, `suppress` or `defer`.
-        verdict: &'static str,
-        /// Wall-clock decision time.
-        latency_ns: u64,
-    },
-    /// A sampled pair-check timing probe (hits are 1-in-N sampled with
-    /// `weight` N; misses are all timed with weight 1).
-    CacheProbe {
-        /// Whether the fleet verdict cache answered.
-        hit: bool,
-        /// Wall-clock pair-check time.
-        micros: u64,
-        /// How many pair checks this probe stands for.
-        weight: u64,
-    },
-    /// One shard's slice of a fleet-wide sweep finished.
-    SweepShardDone {
-        /// Shard index.
-        shard: u64,
-        /// Sweep kind: `upgrade` or `uninstall`.
-        op: &'static str,
-        /// Homes visited in the shard.
-        homes: u64,
-        /// Wall-clock shard time.
-        micros: u64,
+        /// The shard walked, when the write is a sweep unit.
+        sweep: Option<Sweep>,
     },
     /// A consistent fleet snapshot was captured.
     SnapshotTaken {
@@ -171,13 +160,9 @@ impl TelemetryEvent {
     /// Stable machine-readable event-type tag.
     pub fn tag(&self) -> &'static str {
         match self {
-            TelemetryEvent::HomeCreated { .. } => "home_created",
+            TelemetryEvent::HomesCreated { .. } => "homes_created",
             TelemetryEvent::InstallCompleted { .. } => "install_completed",
-            TelemetryEvent::ThreatDetected { .. } => "threat_detected",
             TelemetryEvent::UninstallCompleted { .. } => "uninstall_completed",
-            TelemetryEvent::MediationDecision { .. } => "mediation_decision",
-            TelemetryEvent::CacheProbe { .. } => "cache_probe",
-            TelemetryEvent::SweepShardDone { .. } => "sweep_shard_done",
             TelemetryEvent::SnapshotTaken { .. } => "snapshot_taken",
             TelemetryEvent::QueueSaturated { .. } => "queue_saturated",
             TelemetryEvent::JournalAppended { .. } => "journal_appended",
@@ -198,56 +183,59 @@ impl TelemetryEvent {
             ("type".to_string(), Json::str(self.tag())),
         ];
         match self {
-            TelemetryEvent::HomeCreated { home } => {
-                fields.push(("home".into(), Json::Num(*home as i64)));
+            TelemetryEvent::HomesCreated { homes } => {
+                fields.push(("homes".into(), ids_json(homes)));
             }
             TelemetryEvent::InstallCompleted {
-                home,
                 app,
-                installed,
                 upgrade,
-                threats,
+                homes,
+                clean,
+                dirty,
                 pairs,
                 solves,
                 cache_hits,
                 cache_misses,
+                threats,
+                sweep,
                 micros,
             } => {
+                let threats = threats
+                    .iter()
+                    .map(|t| {
+                        Json::obj([
+                            ("kind", Json::str(t.kind)),
+                            ("source_app", Json::str(&t.source_app)),
+                            ("target_app", Json::str(&t.target_app)),
+                            ("count", Json::Num(t.count as i64)),
+                        ])
+                    })
+                    .collect();
                 fields.extend([
-                    ("home".to_string(), Json::Num(*home as i64)),
                     ("app".to_string(), Json::str(app)),
-                    ("installed".to_string(), Json::Bool(*installed)),
                     ("upgrade".to_string(), Json::Bool(*upgrade)),
-                    ("threats".to_string(), Json::Num(*threats as i64)),
+                    ("homes".to_string(), ids_json(homes)),
+                    ("clean".to_string(), Json::Num(*clean as i64)),
+                    ("dirty".to_string(), Json::Num(*dirty as i64)),
                     ("pairs".to_string(), Json::Num(*pairs as i64)),
                     ("solves".to_string(), Json::Num(*solves as i64)),
                     ("cache_hits".to_string(), Json::Num(*cache_hits as i64)),
                     ("cache_misses".to_string(), Json::Num(*cache_misses as i64)),
+                    ("threats".to_string(), Json::Arr(threats)),
                     ("micros".to_string(), Json::Num(*micros as i64)),
                 ]);
-            }
-            TelemetryEvent::ThreatDetected {
-                home,
-                kind,
-                source_app,
-                target_app,
-            } => {
-                fields.extend([
-                    ("home".to_string(), Json::Num(*home as i64)),
-                    ("kind".to_string(), Json::str(*kind)),
-                    ("source_app".to_string(), Json::str(source_app)),
-                    ("target_app".to_string(), Json::str(target_app)),
-                ]);
+                fields.extend(sweep_fields(sweep));
             }
             TelemetryEvent::UninstallCompleted {
-                home,
                 app,
+                homes,
                 removed_rules,
                 retired_threats,
+                sweep,
             } => {
                 fields.extend([
-                    ("home".to_string(), Json::Num(*home as i64)),
                     ("app".to_string(), Json::str(app)),
+                    ("homes".to_string(), ids_json(homes)),
                     (
                         "removed_rules".to_string(),
                         Json::Num(*removed_rules as i64),
@@ -257,43 +245,7 @@ impl TelemetryEvent {
                         Json::Num(*retired_threats as i64),
                     ),
                 ]);
-            }
-            TelemetryEvent::MediationDecision {
-                home,
-                kind,
-                verdict,
-                latency_ns,
-            } => {
-                fields.extend([
-                    ("home".to_string(), Json::Num(*home as i64)),
-                    ("kind".to_string(), Json::str(*kind)),
-                    ("verdict".to_string(), Json::str(*verdict)),
-                    ("latency_ns".to_string(), Json::Num(*latency_ns as i64)),
-                ]);
-            }
-            TelemetryEvent::CacheProbe {
-                hit,
-                micros,
-                weight,
-            } => {
-                fields.extend([
-                    ("hit".to_string(), Json::Bool(*hit)),
-                    ("micros".to_string(), Json::Num(*micros as i64)),
-                    ("weight".to_string(), Json::Num(*weight as i64)),
-                ]);
-            }
-            TelemetryEvent::SweepShardDone {
-                shard,
-                op,
-                homes,
-                micros,
-            } => {
-                fields.extend([
-                    ("shard".to_string(), Json::Num(*shard as i64)),
-                    ("op".to_string(), Json::str(*op)),
-                    ("homes".to_string(), Json::Num(*homes as i64)),
-                    ("micros".to_string(), Json::Num(*micros as i64)),
-                ]);
+                fields.extend(sweep_fields(sweep));
             }
             TelemetryEvent::SnapshotTaken { homes, micros } => {
                 fields.extend([
@@ -358,6 +310,23 @@ impl TelemetryEvent {
     }
 }
 
+fn ids_json(ids: &[u64]) -> Json {
+    Json::Arr(ids.iter().map(|&id| Json::Num(id as i64)).collect())
+}
+
+/// A sweep unit's `shard` and `visited` fields (none outside a sweep).
+fn sweep_fields(sweep: &Option<Sweep>) -> Vec<(String, Json)> {
+    sweep
+        .iter()
+        .flat_map(|s| {
+            [
+                ("shard".to_string(), Json::Num(s.shard as i64)),
+                ("visited".to_string(), Json::Num(s.visited as i64)),
+            ]
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,47 +334,35 @@ mod tests {
     #[test]
     fn every_event_encodes_with_seq_and_type() {
         let events = [
-            TelemetryEvent::HomeCreated { home: 3 },
+            TelemetryEvent::HomesCreated { homes: vec![3, 4] },
             TelemetryEvent::InstallCompleted {
-                home: 1,
                 app: "OnApp".into(),
-                installed: true,
                 upgrade: false,
-                threats: 0,
+                homes: vec![1, 5],
+                clean: 1,
+                dirty: 1,
                 pairs: 4,
                 solves: 2,
                 cache_hits: 2,
                 cache_misses: 2,
+                threats: vec![ThreatCount {
+                    kind: "AR",
+                    source_app: "A".into(),
+                    target_app: "OnApp".into(),
+                    count: 1,
+                }],
+                sweep: Some(Sweep {
+                    shard: 5,
+                    visited: 12,
+                }),
                 micros: 120,
             },
-            TelemetryEvent::ThreatDetected {
-                home: 1,
-                kind: "AR",
-                source_app: "A".into(),
-                target_app: "B".into(),
-            },
             TelemetryEvent::UninstallCompleted {
-                home: 1,
                 app: "A".into(),
+                homes: vec![1],
                 removed_rules: 2,
                 retired_threats: 1,
-            },
-            TelemetryEvent::MediationDecision {
-                home: 1,
-                kind: "AR",
-                verdict: "suppress",
-                latency_ns: 900,
-            },
-            TelemetryEvent::CacheProbe {
-                hit: true,
-                micros: 2,
-                weight: 64,
-            },
-            TelemetryEvent::SweepShardDone {
-                shard: 5,
-                op: "upgrade",
-                homes: 12,
-                micros: 800,
+                sweep: None,
             },
             TelemetryEvent::SnapshotTaken {
                 homes: 64,

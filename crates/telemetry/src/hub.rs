@@ -41,7 +41,8 @@ mod tests {
     fn registry_is_current_when_publish_returns() {
         let hub = TelemetryHub::new();
         for home in 0..10 {
-            hub.bus().publish(TelemetryEvent::HomeCreated { home });
+            hub.bus()
+                .publish(TelemetryEvent::HomesCreated { homes: vec![home] });
             assert_eq!(hub.registry().counter("homes_created_total"), home + 1);
         }
         assert_eq!(hub.bus().published(), 10);

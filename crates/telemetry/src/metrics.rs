@@ -6,8 +6,10 @@
 //! inside the critical section that stamps the event's sequence number,
 //! so scraped totals are exact the moment an operation returns. A fold is
 //! a handful of map bumps on `&'static str` keys; an app that already has
-//! an interference row costs no allocation. Counters live in memory only
-//! and reset when the process restarts, as Prometheus counters do.
+//! an interference row costs no allocation. A lifecycle event stands for
+//! one fleet write, so a batch's homes and threats fold as sums: per-home
+//! counters count homes, not events. Counters live in memory only and
+//! reset when the process restarts, as Prometheus counters do.
 //!
 //! A scrape copies the aggregates under one lock acquisition, so every
 //! rendered body is one consistent cut, and sorts and formats after
@@ -15,12 +17,11 @@
 //! fleet size) are sampled by the scraper and passed into the render
 //! calls; the registry stores none.
 //!
-//! The derived tables answer the paper's fleet questions directly:
-//! the per-app interference table is Fig. 8 at fleet scale (which store
-//! apps interfere, and how often), and the latency histograms split
-//! pair-check cost by cache outcome (Fig. 9's reuse economics).
+//! The per-app interference table answers the paper's fleet question
+//! directly: it is Fig. 8 at fleet scale (which store apps interfere, and
+//! how often).
 
-use crate::event::TelemetryEvent;
+use crate::event::{Sweep, TelemetryEvent};
 use hg_rules::json::Json;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -32,28 +33,21 @@ fn bounds_for(name: &str) -> &'static [u64] {
         "install_micros" => &[
             50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
         ],
-        "mediation_latency_ns" => &[
-            250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000,
-        ],
-        "pair_check_micros_cached" => &[1, 2, 5, 10, 25, 50, 100, 250, 500, 1_000],
-        "pair_check_micros_uncached" => &[
-            5, 10, 25, 50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000,
-        ],
         _ => &[1, 10, 100, 1_000, 10_000, 100_000],
     }
 }
 
 /// A fixed-bucket histogram: per-bucket counts (last bucket is `+Inf`),
-/// weighted observation count and value sum.
+/// observation count and value sum.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// Inclusive bucket upper bounds.
     pub bounds: &'static [u64],
     /// Per-bucket counts; `counts[bounds.len()]` is the `+Inf` bucket.
     pub counts: Vec<u64>,
-    /// Weighted observations.
+    /// Observations.
     pub count: u64,
-    /// Weighted value sum.
+    /// Value sum.
     pub sum: u128,
 }
 
@@ -67,18 +61,18 @@ impl Histogram {
         }
     }
 
-    fn observe(&mut self, value: u64, weight: u64) {
+    fn observe(&mut self, value: u64) {
         let slot = self
             .bounds
             .iter()
             .position(|b| value <= *b)
             .unwrap_or(self.bounds.len());
-        self.counts[slot] += weight;
-        self.count += weight;
-        self.sum += value as u128 * weight as u128;
+        self.counts[slot] += 1;
+        self.count += 1;
+        self.sum += u128::from(value);
     }
 
-    /// Weighted mean observation (0 when empty).
+    /// Mean observation (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -123,7 +117,7 @@ impl Histogram {
 /// One app's row in the fleet interference table (paper Fig. 8).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AppInterference {
-    /// Install/upgrade attempts the app was the subject of.
+    /// Install/upgrade attempts the app was the subject of, one per home.
     pub installs: u64,
     /// Attempts that surfaced interference (dirty verdicts).
     pub dirty: u64,
@@ -148,8 +142,6 @@ pub(crate) struct Inner {
     counters: BTreeMap<&'static str, u64>,
     /// Threats by kind acronym.
     threat_kinds: BTreeMap<&'static str, u64>,
-    /// Mediation decisions by final verdict.
-    verdicts: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
     interference: BTreeMap<String, AppInterference>,
 }
@@ -159,11 +151,11 @@ impl Inner {
         *self.counters.entry(name).or_insert(0) += by;
     }
 
-    fn observe(&mut self, name: &'static str, value: u64, weight: u64) {
+    fn observe(&mut self, name: &'static str, value: u64) {
         self.histograms
             .entry(name)
             .or_insert_with(|| Histogram::new(bounds_for(name)))
-            .observe(value, weight);
+            .observe(value);
     }
 
     /// Applies `charge` to the app's interference row: one lookup when
@@ -179,98 +171,81 @@ impl Inner {
         }
     }
 
-    /// Folds one bus event into the aggregates.
+    /// A sweep unit's shard visit.
+    fn sweep(&mut self, sweep: &Option<Sweep>) {
+        if let Some(sweep) = sweep {
+            self.bump("sweep_shards_total", 1);
+            self.bump("sweep_homes_total", sweep.visited);
+        }
+    }
+
+    /// Folds one bus event into the aggregates. A counter appears once an
+    /// event carries a value for it: a write whose homes produced no
+    /// report bumps no per-home counter and adds no interference row.
     pub(crate) fn fold(&mut self, event: &TelemetryEvent) {
         match event {
-            TelemetryEvent::HomeCreated { .. } => self.bump("homes_created_total", 1),
+            TelemetryEvent::HomesCreated { homes } => {
+                self.bump("homes_created_total", homes.len() as u64)
+            }
             TelemetryEvent::InstallCompleted {
                 app,
-                installed,
                 upgrade,
+                clean,
+                dirty,
                 pairs,
                 solves,
                 cache_hits,
                 cache_misses,
+                threats,
+                sweep,
                 micros,
                 ..
             } => {
-                self.bump("installs_total", 1);
-                self.bump(
-                    if *installed {
-                        "installs_clean_total"
-                    } else {
-                        "installs_dirty_total"
-                    },
-                    1,
-                );
-                if *upgrade {
-                    self.bump("upgrades_total", 1);
+                let attempts = clean + dirty;
+                if attempts > 0 {
+                    self.bump("installs_total", attempts);
+                    if *clean > 0 {
+                        self.bump("installs_clean_total", *clean);
+                    }
+                    if *dirty > 0 {
+                        self.bump("installs_dirty_total", *dirty);
+                    }
+                    if *upgrade {
+                        self.bump("upgrades_total", attempts);
+                    }
+                    self.bump("pairs_checked_total", *pairs);
+                    self.bump("solves_total", *solves);
+                    self.bump("cache_hits_total", *cache_hits);
+                    self.bump("cache_misses_total", *cache_misses);
+                    self.charge(app, |row| {
+                        row.installs += attempts;
+                        row.dirty += dirty;
+                    });
                 }
-                self.bump("pairs_checked_total", *pairs);
-                self.bump("solves_total", *solves);
-                self.bump("cache_hits_total", *cache_hits);
-                self.bump("cache_misses_total", *cache_misses);
-                self.observe("install_micros", *micros, 1);
-                // The report's threat count is not folded here: each
-                // threat arrives as its own `ThreatDetected` event.
-                self.charge(app, |row| {
-                    row.installs += 1;
-                    row.dirty += u64::from(!installed);
-                });
-            }
-            TelemetryEvent::ThreatDetected {
-                kind,
-                source_app,
-                target_app,
-                ..
-            } => {
-                self.bump("threats_total", 1);
-                *self.threat_kinds.entry(kind).or_insert(0) += 1;
-                self.charge(source_app, |row| row.threats += 1);
-                if target_app != source_app {
-                    self.charge(target_app, |row| row.threats += 1);
+                for threat in threats {
+                    self.bump("threats_total", threat.count);
+                    *self.threat_kinds.entry(threat.kind).or_insert(0) += threat.count;
+                    self.charge(&threat.source_app, |row| row.threats += threat.count);
+                    if threat.target_app != threat.source_app {
+                        self.charge(&threat.target_app, |row| row.threats += threat.count);
+                    }
                 }
+                self.observe("install_micros", *micros);
+                self.sweep(sweep);
             }
             TelemetryEvent::UninstallCompleted {
+                homes,
                 removed_rules,
                 retired_threats,
+                sweep,
                 ..
             } => {
-                self.bump("uninstalls_total", 1);
-                self.bump("uninstall_rules_removed_total", *removed_rules);
-                self.bump("uninstall_threats_retired_total", *retired_threats);
-            }
-            TelemetryEvent::MediationDecision {
-                verdict,
-                latency_ns,
-                ..
-            } => {
-                self.bump("mediation_events_total", 1);
-                if *verdict != "allow" {
-                    self.bump("mediation_mediated_total", 1);
+                if !homes.is_empty() {
+                    self.bump("uninstalls_total", homes.len() as u64);
+                    self.bump("uninstall_rules_removed_total", *removed_rules);
+                    self.bump("uninstall_threats_retired_total", *retired_threats);
                 }
-                *self.verdicts.entry(verdict).or_insert(0) += 1;
-                self.observe("mediation_latency_ns", *latency_ns, 1);
-            }
-            TelemetryEvent::CacheProbe {
-                hit,
-                micros,
-                weight,
-            } => {
-                self.bump("cache_probes_total", *weight);
-                self.observe(
-                    if *hit {
-                        "pair_check_micros_cached"
-                    } else {
-                        "pair_check_micros_uncached"
-                    },
-                    *micros,
-                    *weight,
-                );
-            }
-            TelemetryEvent::SweepShardDone { homes, .. } => {
-                self.bump("sweep_shards_total", 1);
-                self.bump("sweep_homes_total", *homes);
+                self.sweep(sweep);
             }
             TelemetryEvent::SnapshotTaken { micros, .. } => {
                 self.bump("snapshots_total", 1);
@@ -399,13 +374,6 @@ impl MetricsRegistry {
                 .map(|(k, v)| ((*k).to_string(), Json::Num(*v as i64)))
                 .collect(),
         );
-        let verdicts = Json::Obj(
-            inner
-                .verdicts
-                .iter()
-                .map(|(k, v)| ((*k).to_string(), Json::Num(*v as i64)))
-                .collect(),
-        );
         let histograms = Json::Obj(
             inner
                 .histograms
@@ -423,7 +391,6 @@ impl MetricsRegistry {
             ("counters", counters),
             ("gauges", gauges),
             ("threats_by_kind", kinds),
-            ("mediation_by_verdict", verdicts),
             ("histograms", histograms),
             ("interference", interference),
         ])
@@ -442,11 +409,6 @@ impl MetricsRegistry {
         for (kind, value) in &inner.threat_kinds {
             out.push_str(&format!(
                 "hg_threats_by_kind_total{{kind=\"{kind}\"}} {value}\n"
-            ));
-        }
-        for (verdict, value) in &inner.verdicts {
-            out.push_str(&format!(
-                "hg_mediation_by_verdict_total{{verdict=\"{verdict}\"}} {value}\n"
             ));
         }
         for (name, value) in gauges {
@@ -539,18 +501,23 @@ fn interference_row_json(app: &str, row: &AppInterference) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::ThreatCount;
 
-    fn install(app: &str, installed: bool) -> TelemetryEvent {
+    /// One install write into `clean + dirty` homes, its dirty reports
+    /// carrying `threats`.
+    fn install(app: &str, clean: u64, dirty: u64, threats: Vec<ThreatCount>) -> TelemetryEvent {
         TelemetryEvent::InstallCompleted {
-            home: 0,
             app: app.to_string(),
-            installed,
             upgrade: false,
-            threats: u64::from(!installed),
+            homes: (0..clean + dirty).collect(),
+            clean,
+            dirty,
             pairs: 3,
             solves: 1,
             cache_hits: 2,
             cache_misses: 1,
+            threats,
+            sweep: None,
             micros: 420,
         }
     }
@@ -558,20 +525,26 @@ mod tests {
     #[test]
     fn counters_and_interference_aggregate() {
         let reg = MetricsRegistry::new();
-        reg.lock().fold(&install("A", true));
-        reg.lock().fold(&install("A", false));
-        reg.lock().fold(&install("B", true));
-        reg.lock().fold(&TelemetryEvent::ThreatDetected {
-            home: 0,
+        // A two-home write of A (one dirty, racing B) and a one-home B.
+        let race = ThreatCount {
             kind: "AR",
             source_app: "A".into(),
             target_app: "B".into(),
-        });
-        assert_eq!(reg.counter("installs_total"), 3);
+            count: 1,
+        };
+        reg.lock().fold(&install("A", 1, 1, vec![race]));
+        reg.lock().fold(&install("B", 1, 0, Vec::new()));
+        assert_eq!(reg.counter("installs_total"), 3, "one per home");
         assert_eq!(reg.counter("installs_dirty_total"), 1);
-        assert_eq!(reg.counter("cache_hits_total"), 6);
+        assert_eq!(reg.counter("cache_hits_total"), 4, "summed per write");
         assert_eq!(reg.counter("threats_total"), 1);
+        assert_eq!(reg.histogram("install_micros").unwrap().count, 2);
+        // A write whose homes produced no report counts as a write only.
+        reg.lock().fold(&install("C", 0, 0, Vec::new()));
+        assert_eq!(reg.counter("installs_total"), 3);
+        assert_eq!(reg.histogram("install_micros").unwrap().count, 3);
         let table = reg.interference_table();
+        assert_eq!(table.len(), 2, "no row for an app no home reported on");
         assert_eq!(table[0].0, "A", "A has the higher interference rate");
         assert!((table[0].1.rate() - 0.5).abs() < 1e-9);
         assert_eq!(table[0].1.threats, 1);
@@ -594,41 +567,37 @@ mod tests {
     }
 
     #[test]
-    fn histograms_bucket_weighted_observations() {
+    fn histograms_bucket_observations() {
         let reg = MetricsRegistry::new();
-        reg.lock().fold(&TelemetryEvent::CacheProbe {
-            hit: true,
-            micros: 3,
-            weight: 64,
-        });
-        reg.lock().fold(&TelemetryEvent::CacheProbe {
-            hit: false,
-            micros: 9_000,
-            weight: 1,
-        });
-        let cached = reg.histogram("pair_check_micros_cached").unwrap();
-        assert_eq!(cached.count, 64, "a sampled probe stands for 64 checks");
-        assert_eq!(cached.counts[2], 64, "3µs lands in the ≤5 bucket");
-        let uncached = reg.histogram("pair_check_micros_uncached").unwrap();
-        assert_eq!(uncached.count, 1);
-        assert!(uncached.mean() > 8_999.0);
+        for took in [30, 40, 9_000] {
+            let mut event = install("A", 1, 0, Vec::new());
+            if let TelemetryEvent::InstallCompleted { micros, .. } = &mut event {
+                *micros = took;
+            }
+            reg.lock().fold(&event);
+        }
+        let h = reg.histogram("install_micros").unwrap();
+        assert_eq!(h.count, 3);
+        assert_eq!(h.counts[0], 2, "30 and 40µs land in the ≤50 bucket");
+        assert_eq!(h.counts[7], 1, "9,000µs lands in the ≤10,000 bucket");
+        assert_eq!(h.sum, 9_070);
     }
 
     #[test]
     fn percentiles_interpolate_within_buckets() {
-        let mut h = Histogram::new(bounds_for("mediation_latency_ns"));
+        let mut h = Histogram::new(bounds_for("install_micros"));
         assert_eq!(h.percentile(50.0), 0.0, "empty histogram reports 0");
-        // 100 observations spread uniformly through the ≤1000ns bucket
-        // (lower edge 500): the interpolated median sits mid-bucket.
-        h.observe(750, 100);
-        assert!((h.percentile(50.0) - 750.0).abs() < 1.0, "p50 ≈ 750");
-        assert!((h.percentile(100.0) - 1_000.0).abs() < 1e-9);
-        // Skewed tail: 90 fast (≤250 bucket), 10 slow (≤25000 bucket).
-        let mut h = Histogram::new(bounds_for("mediation_latency_ns"));
-        h.observe(100, 90);
-        h.observe(20_000, 10);
+        // 100 observations in the ≤500µs bucket (lower edge 250): the
+        // interpolated median sits mid-bucket.
+        (0..100).for_each(|_| h.observe(375));
+        assert!((h.percentile(50.0) - 375.0).abs() < 1.0, "p50 ≈ 375");
+        assert!((h.percentile(100.0) - 500.0).abs() < 1e-9);
+        // Skewed tail: 90 fast (≤50 bucket), 10 slow (≤25,000 bucket).
+        let mut h = Histogram::new(bounds_for("install_micros"));
+        (0..90).for_each(|_| h.observe(40));
+        (0..10).for_each(|_| h.observe(20_000));
         let p50 = h.percentile(50.0);
-        assert!(p50 <= 250.0, "median stays in the fast bucket, got {p50}");
+        assert!(p50 <= 50.0, "median stays in the fast bucket, got {p50}");
         let p95 = h.percentile(95.0);
         assert!(
             (10_000.0..=25_000.0).contains(&p95),
@@ -636,19 +605,14 @@ mod tests {
         );
         assert!(h.percentile(99.0) >= p95);
         // An observation past the last bound clamps to the last finite edge.
-        let mut h = Histogram::new(bounds_for("pair_check_micros_cached"));
-        h.observe(1_000_000, 4);
-        assert_eq!(h.percentile(50.0), 1_000.0);
+        let mut h = Histogram::new(bounds_for("install_micros"));
+        (0..4).for_each(|_| h.observe(1_000_000));
+        assert_eq!(h.percentile(50.0), 100_000.0);
         // Registry JSON carries the percentile fields.
         let reg = MetricsRegistry::new();
-        reg.lock().fold(&TelemetryEvent::MediationDecision {
-            home: 0,
-            kind: "AR",
-            verdict: "allow",
-            latency_ns: 700,
-        });
-        let json = reg.histograms_json(&["mediation_latency_ns"]);
-        let h = json.get("mediation_latency_ns").unwrap();
+        reg.lock().fold(&install("A", 1, 0, Vec::new()));
+        let json = reg.histograms_json(&["install_micros"]);
+        let h = json.get("install_micros").unwrap();
         assert!(h.get("p50").and_then(Json::as_num).is_some());
         assert!(h.get("p95").and_then(Json::as_num).is_some());
         assert!(h.get("p99").and_then(Json::as_num).is_some());

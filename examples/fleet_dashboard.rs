@@ -244,8 +244,9 @@ fn main() {
     println!("--- latency: install_micros count={install_count} ---");
     assert_eq!(
         install_count,
-        counter(&metrics, "installs_total"),
-        "every install attempt is timed exactly once"
+        homes.len() as i64 + 1 + counter(&metrics, "sweep_shards_total"),
+        "every install write is timed exactly once: each home's install, \
+         the conflict, and each rollout shard"
     );
 
     // ---- live NDJSON event tail ----------------------------------------

@@ -124,39 +124,59 @@ fn attached_bus_changes_no_report_and_no_persisted_byte() {
     );
 
     // Exactness: the registry's totals equal a direct recount of the bus
-    // events.
+    // events. Each event stands for one write; its homes and threat tally
+    // carry the per-home counts.
     assert_eq!(hub.bus().dropped_events(), 0, "churn fits bus retention");
     let mut events = Vec::new();
     hub.bus().drain_since(0, &mut events);
-    let count =
-        |pred: fn(&TelemetryEvent) -> bool| events.iter().filter(|(_, e)| pred(e)).count() as u64;
+    let sum = |per_event: fn(&TelemetryEvent) -> Option<u64>| -> (u64, u64) {
+        let counts: Vec<u64> = events.iter().filter_map(|(_, e)| per_event(e)).collect();
+        (counts.len() as u64, counts.iter().sum())
+    };
     let registry = hub.registry();
-    let installs = count(|e| matches!(e, TelemetryEvent::InstallCompleted { .. }));
-    let threats = count(|e| matches!(e, TelemetryEvent::ThreatDetected { .. }));
+    let (install_writes, installs) = sum(|e| match e {
+        TelemetryEvent::InstallCompleted { homes, .. } => Some(homes.len() as u64),
+        _ => None,
+    });
+    let (_, threats) = sum(|e| match e {
+        TelemetryEvent::InstallCompleted { threats, .. } => {
+            Some(threats.iter().map(|t| t.count).sum())
+        }
+        _ => None,
+    });
     assert!(installs >= 9, "6 installs + 3 forced at minimum");
     assert!(threats > 0, "OffApp conflicts must surface");
     assert_eq!(registry.counter("installs_total"), installs);
     assert_eq!(registry.counter("threats_total"), threats);
     assert_eq!(
-        registry.counter("homes_created_total"),
-        count(|e| matches!(e, TelemetryEvent::HomeCreated { .. }))
+        registry.histogram("install_micros").unwrap().count,
+        install_writes,
+        "one timing per install write"
     );
-    assert_eq!(registry.counter("homes_created_total"), 6);
-    assert_eq!(
-        registry.counter("uninstalls_total"),
-        count(|e| matches!(e, TelemetryEvent::UninstallCompleted { .. }))
-    );
+    let (creations, created) = sum(|e| match e {
+        TelemetryEvent::HomesCreated { homes } => Some(homes.len() as u64),
+        _ => None,
+    });
+    assert_eq!(registry.counter("homes_created_total"), created);
+    assert_eq!((creations, created), (6, 6), "one event per creation");
+    let (_, uninstalled) = sum(|e| match e {
+        TelemetryEvent::UninstallCompleted { homes, .. } => Some(homes.len() as u64),
+        _ => None,
+    });
+    assert_eq!(registry.counter("uninstalls_total"), uninstalled);
     assert_eq!(registry.counter("uninstalls_total"), 1);
-    assert_eq!(
-        registry.counter("sweep_shards_total"),
-        count(|e| matches!(e, TelemetryEvent::SweepShardDone { .. }))
-    );
+    let (sweeps, _) = sum(|e| match e {
+        TelemetryEvent::InstallCompleted { sweep, .. }
+        | TelemetryEvent::UninstallCompleted { sweep, .. } => sweep.map(|s| s.visited),
+        _ => None,
+    });
+    assert_eq!(registry.counter("sweep_shards_total"), sweeps);
     assert_eq!(registry.counter("sweep_shards_total"), 4);
     assert_eq!(registry.counter("snapshots_total"), 1);
     assert_eq!(hub.bus().published(), events.len() as u64);
 
     // The detection counters reconcile exactly too: each registry total
-    // equals the sum of the per-install payloads the bus carried. The
+    // equals the sum of the per-write payloads the bus carried. The
     // churn must produce both verdict-cache misses (the first home to ask
     // a pair) and hits (its neighbors asking the same pair), and every
     // pair check is one or the other.
@@ -273,8 +293,9 @@ fn fault_policy_events_reconcile_exactly_with_registry_totals() {
 }
 
 /// Upgrades dispatched through the per-shard executor publish from
-/// every shard worker at once. With no wait after each rollout, the
-/// registry must already account for every home the rollout touched.
+/// every shard worker at once, one event per shard unit. With no wait
+/// after each rollout, the registry must already account for every home
+/// the rollout touched.
 #[test]
 fn exec_dispatched_rollouts_reconcile_with_no_wait() {
     const SHARDS: u64 = 4;
@@ -308,6 +329,7 @@ fn exec_dispatched_rollouts_reconcile_with_no_wait() {
     );
     let (mut touched, mut pending, mut pending_threats) = (0, 0, 0);
     for round in 1..=6u64 {
+        let published = hub.bus().published();
         let source = format!("{ON_APP}// v{round}\n");
         let mut stream = exec
             .begin_upgrade(source, "OnApp".to_string())
@@ -316,6 +338,11 @@ fn exec_dispatched_rollouts_reconcile_with_no_wait() {
         while stream.next_part().is_some() {}
         let rollout = stream.finish();
         assert!(rollout.failed.is_empty());
+        assert_eq!(
+            hub.bus().published() - published,
+            SHARDS,
+            "one event per shard unit, however many homes it swept"
+        );
         touched += (rollout.upgraded.len() + rollout.pending.len()) as u64;
         pending += rollout.pending.len() as u64;
         pending_threats += rollout
