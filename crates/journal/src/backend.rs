@@ -252,10 +252,19 @@ pub struct DirBackend {
 }
 
 impl DirBackend {
-    /// Opens (creating if needed) a journal directory.
+    /// Opens (creating if needed) a journal directory, removing any
+    /// `ckpt-*.tmp` file a crash left between a checkpoint's write and its
+    /// rename: nothing else lists or removes one.
     pub fn new(dir: impl Into<PathBuf>) -> io::Result<DirBackend> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        for entry in fs::read_dir(&dir)? {
+            let path = entry?.path();
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if name.starts_with("ckpt-") && name.ends_with(".tmp") {
+                fs::remove_file(&path)?;
+            }
+        }
         Ok(DirBackend { dir })
     }
 
@@ -462,6 +471,13 @@ mod tests {
         backend.truncate_segment(0, scan.clean_len as u64).unwrap();
         assert!(crate::frame::scan_frames(&backend.read_segment(0).unwrap()).is_clean());
         backend.sync().unwrap();
+        // A crash between a checkpoint's write and its rename leaves its
+        // temporary file; reopening the directory removes it.
+        let leftover = dir.join(format!("ckpt-{:020}.tmp", 5));
+        fs::write(&leftover, "{\"v\":2}").unwrap();
+        let backend = DirBackend::new(&dir).unwrap();
+        assert!(!leftover.exists(), "the interrupted write was not removed");
+        assert_eq!(backend.checkpoints().unwrap(), vec![2]);
         backend.remove_checkpoint(2).unwrap();
         backend.remove_segment(0).unwrap();
         assert!(backend.segments().unwrap().is_empty());

@@ -47,7 +47,6 @@ use std::sync::{
 use std::time::{Duration, Instant};
 
 use crate::backend::{BackendError, JournalBackend};
-use crate::checkpoint::Checkpoint;
 use crate::frame::{encode_frame, scan_frames};
 use crate::record::{journal_context, journal_err, JournalRecord};
 
@@ -138,10 +137,10 @@ pub struct CheckpointStats {
 }
 
 impl CheckpointStats {
-    fn of(ckpt: &Checkpoint, started: Instant) -> CheckpointStats {
+    fn of(offset: u64, fleet: &FleetSnapshot, started: Instant) -> CheckpointStats {
         CheckpointStats {
-            offset: ckpt.offset,
-            homes: ckpt.fleet.homes.len() as u64,
+            offset,
+            homes: fleet.homes.len() as u64,
             micros: started.elapsed().as_micros() as u64,
         }
     }
@@ -507,8 +506,7 @@ impl Journal {
         self.repair_tail(tail_start, tail_bytes).map_err(|e| {
             journal_err(format!("heal: tail repair failed, still quarantined: {e}"))
         })?;
-        let ckpt = Checkpoint { offset, fleet };
-        self.store_checkpoint(&ckpt).map_err(|e| {
+        self.store_checkpoint(offset, &fleet).map_err(|e| {
             journal_err(format!(
                 "heal: checkpoint write failed, still quarantined: {e}"
             ))
@@ -521,7 +519,7 @@ impl Journal {
         inner.synced_offset = inner.next_offset;
         inner.heals += 1;
         drop(inner);
-        let stats = CheckpointStats::of(&ckpt, started);
+        let stats = CheckpointStats::of(offset, &fleet, started);
         self.publish(TelemetryEvent::JournalHealed {
             offset: stats.offset,
         });
@@ -556,15 +554,14 @@ impl Journal {
         outcome
     }
 
-    /// Stores `ckpt` as the journal's one checkpoint: writes its
-    /// document, then removes every older document and every segment but
-    /// the tail whose records all precede its offset. A failure loses no
-    /// history: a written document is the newest, and whatever is left
-    /// to remove is history recovery no longer reads, which the next
-    /// checkpoint removes.
-    fn store_checkpoint(&self, ckpt: &Checkpoint) -> Result<(), BackendError> {
-        let offset = ckpt.offset;
-        let text = ckpt.to_text();
+    /// Stores `fleet` as the journal's one checkpoint: writes its snapshot
+    /// document under `offset`, then removes every older document and
+    /// every segment but the tail whose records all precede `offset`. A
+    /// failure loses no history: a written document is the newest, and
+    /// whatever is left to remove is history recovery no longer reads,
+    /// which the next checkpoint removes.
+    fn store_checkpoint(&self, offset: u64, fleet: &FleetSnapshot) -> Result<(), BackendError> {
+        let text = fleet.to_text();
         self.retrying("checkpoint", || {
             self.backend.write_checkpoint(offset, &text)
         })?;
@@ -615,19 +612,23 @@ impl Journal {
         self.lock().checkpoints.last().copied()
     }
 
-    /// Reads and decodes the newest stored checkpoint: the fleet image
-    /// recovery revives, and the offset its replay resumes at.
+    /// Reads and decodes the newest stored checkpoint: the offset its
+    /// replay resumes at, taken from the backend key, and the fleet image
+    /// recovery revives.
     ///
     /// # Errors
     ///
     /// [`HgError::Journal`] when no checkpoint is stored, on backend
-    /// failure, or when the document does not decode (one of another
-    /// format version is refused by name).
-    pub fn latest_checkpoint(&self) -> Result<Checkpoint, HgError> {
+    /// failure, or when the document is not a snapshot this build reads
+    /// (one of another kind or version is refused by name).
+    pub fn latest_checkpoint(&self) -> Result<(u64, FleetSnapshot), HgError> {
         let offset = self
             .last_checkpoint_offset()
             .ok_or_else(|| journal_err("no checkpoint stored"))?;
-        Checkpoint::from_text(&self.backend.read_checkpoint(offset).map_err(berr)?)
+        let text = self.backend.read_checkpoint(offset).map_err(berr)?;
+        let fleet = FleetSnapshot::from_text(&text)
+            .map_err(|e| journal_context(format_args!("checkpoint at offset {offset}"), e))?;
+        Ok((offset, fleet))
     }
 
     /// Decodes all records at offsets `>= from`, in order.
@@ -655,28 +656,33 @@ impl Journal {
         Ok(out)
     }
 
-    /// Writes a checkpoint that replaces every older one: the document is
-    /// stored first, then the older documents and every segment but the
-    /// tail whose records all precede `ckpt.offset` are removed.
+    /// Writes a checkpoint that replaces every older one: `fleet`'s
+    /// snapshot document is stored under `offset` first, then the older
+    /// documents and every segment but the tail whose records all precede
+    /// `offset` are removed.
     ///
     /// The caller (the fleet's checkpoint path) is responsible for
     /// holding [`gate_exclusive`](Journal::gate_exclusive) while it
-    /// exported the fleet, and for `ckpt.offset == next_offset()` under
-    /// that gate.
+    /// exported the fleet, and for `offset == next_offset()` under that
+    /// gate.
     ///
     /// # Errors
     ///
     /// [`HgError::Journal`] when the journal is quarantined (heal
     /// instead) or when a backend write or removal fails after retries.
-    pub fn checkpoint_write(&self, ckpt: &Checkpoint) -> Result<CheckpointStats, HgError> {
+    pub fn checkpoint_write(
+        &self,
+        offset: u64,
+        fleet: &FleetSnapshot,
+    ) -> Result<CheckpointStats, HgError> {
         let started = Instant::now();
         if let Some((durable, reason)) = &self.lock().quarantined {
             return Err(journal_err(format!(
                 "journal quarantined at durable offset {durable} ({reason}); heal before checkpointing"
             )));
         }
-        self.store_checkpoint(ckpt).map_err(berr)?;
-        let stats = CheckpointStats::of(ckpt, started);
+        self.store_checkpoint(offset, fleet).map_err(berr)?;
+        let stats = CheckpointStats::of(offset, fleet, started);
         self.publish(TelemetryEvent::JournalCheckpoint {
             offset: stats.offset,
             homes: stats.homes,
@@ -791,13 +797,6 @@ mod tests {
         }
     }
 
-    fn checkpoint_at(offset: u64) -> Checkpoint {
-        Checkpoint {
-            offset,
-            fleet: empty_fleet(),
-        }
-    }
-
     #[test]
     fn appends_rotate_segments_and_reopen_resumes() {
         let mem = MemBackend::new();
@@ -860,7 +859,7 @@ mod tests {
             },
         )
         .unwrap();
-        journal.checkpoint_write(&checkpoint_at(0)).unwrap();
+        journal.checkpoint_write(0, &empty_fleet()).unwrap();
         for n in 0..6 {
             journal.append(&rec(n)).unwrap();
         }
@@ -869,19 +868,19 @@ mod tests {
         // A checkpoint inside the second segment keeps that segment and
         // every later one; only the first lies wholly below it.
         journal
-            .checkpoint_write(&checkpoint_at(before[1] + 1))
+            .checkpoint_write(before[1] + 1, &empty_fleet())
             .unwrap();
         assert_eq!(mem.checkpoints().unwrap(), vec![before[1] + 1]);
         assert_eq!(mem.segments().unwrap(), before[1..].to_vec());
         // A checkpoint at the head leaves only itself and the tail.
-        journal.checkpoint_write(&checkpoint_at(6)).unwrap();
+        journal.checkpoint_write(6, &empty_fleet()).unwrap();
         assert_eq!(mem.checkpoints().unwrap(), vec![6]);
         assert_eq!(mem.segments().unwrap(), vec![*before.last().unwrap()]);
         // The journal still opens, recovers from the one document and
         // appends where it stopped.
         drop(journal);
         let reopened = Journal::open(Box::new(mem)).unwrap();
-        assert_eq!(reopened.latest_checkpoint().unwrap().offset, 6);
+        assert_eq!(reopened.latest_checkpoint().unwrap().0, 6);
         assert!(reopened.records_from(6).unwrap().is_empty());
         assert_eq!(reopened.append(&rec(6)).unwrap(), 6);
     }
@@ -898,7 +897,7 @@ mod tests {
             },
         )
         .unwrap();
-        journal.checkpoint_write(&checkpoint_at(0)).unwrap();
+        journal.checkpoint_write(0, &empty_fleet()).unwrap();
         for n in 0..3 {
             journal.append(&rec(n)).unwrap();
         }
@@ -912,14 +911,14 @@ mod tests {
                 .at(at + 2, FaultKind::Transient)
                 .at(at + 4, FaultKind::Transient),
         );
-        journal.checkpoint_write(&checkpoint_at(3)).unwrap();
+        journal.checkpoint_write(3, &empty_fleet()).unwrap();
         assert_eq!(fault.injected(), 3);
         assert!(!journal.is_quarantined());
         assert_eq!(mem.checkpoints().unwrap(), vec![3]);
         assert_eq!(mem.segments().unwrap().len(), 1, "only the tail is left");
         drop(journal);
         let reopened = Journal::open(Box::new(mem)).unwrap();
-        assert_eq!(reopened.latest_checkpoint().unwrap().offset, 3);
+        assert_eq!(reopened.latest_checkpoint().unwrap().0, 3);
     }
 
     /// A backend that counts `read_segment` calls.
@@ -974,7 +973,7 @@ mod tests {
         for n in 4..9 {
             journal.append(&rec(n)).unwrap();
         }
-        journal.checkpoint_write(&checkpoint_at(6)).unwrap();
+        journal.checkpoint_write(6, &empty_fleet()).unwrap();
         let opened = reads.load(Ordering::SeqCst);
         let stats = journal.stats_json();
         assert_eq!(reads.load(Ordering::SeqCst), opened, "stats read a segment");
@@ -1095,8 +1094,7 @@ mod tests {
             .at(1, FaultKind::ShortWrite)
             .at(2, FaultKind::Permanent);
         // The heal checkpoint replaces the one the journal opened with.
-        mem.write_checkpoint(0, &checkpoint_at(0).to_text())
-            .unwrap();
+        mem.write_checkpoint(0, &empty_fleet().to_text()).unwrap();
         let fault = FaultBackend::with_plan(mem.clone(), plan);
         let journal = Journal::open_with(Box::new(fault.clone()), fast_config()).unwrap();
         journal.append(&rec(0)).unwrap();
@@ -1168,7 +1166,7 @@ mod tests {
             .contains("quarantined"));
         // A checkpoint write refuses too: heal instead.
         assert!(journal
-            .checkpoint_write(&checkpoint_at(0))
+            .checkpoint_write(0, &empty_fleet())
             .unwrap_err()
             .to_string()
             .contains("heal"));

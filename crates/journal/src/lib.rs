@@ -13,12 +13,13 @@
 //!   whole batch). Records are framed with per-record CRC-32 checksums
 //!   ([`frame`]); segments rotate by size; opening a journal verifies
 //!   every frame and **truncates a torn tail** instead of panicking.
-//! * **[`Checkpoint`]** — the fleet's ground truth as of a journal
-//!   offset: a whole [`hg_persist::FleetSnapshot`]. Writing one
-//!   ([`Journal::checkpoint_write`]) removes every older checkpoint and
-//!   every segment but the tail that it covers, so the journal holds one
-//!   image plus the records since, and recovery reads one document
-//!   ([`Journal::latest_checkpoint`]).
+//! * **Checkpoints** — the fleet's ground truth as of a journal offset:
+//!   the [`hg_persist::FleetSnapshot`] document `GET /snapshot` returns,
+//!   stored under the offset it covers, which only the backend key
+//!   records. Writing one ([`Journal::checkpoint_write`]) removes every
+//!   older checkpoint and every segment but the tail that it covers, so
+//!   the journal holds one image plus the records since, and recovery
+//!   reads one document ([`Journal::latest_checkpoint`]).
 //! * **[`JournalBackend`]** — pluggable storage: [`MemBackend`] (tests,
 //!   benches, crash forks) and [`DirBackend`] (a directory of
 //!   `seg-*.wal` / `ckpt-*.json` files).
@@ -47,7 +48,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod checkpoint;
 pub mod fault;
 pub mod frame;
 #[allow(clippy::module_inception)]
@@ -56,7 +56,6 @@ pub mod record;
 pub mod scheduler;
 
 pub use backend::{BackendError, DirBackend, JournalBackend, MemBackend};
-pub use checkpoint::Checkpoint;
 pub use fault::{FaultBackend, FaultKind, FaultPlan};
 pub use journal::{CheckpointStats, Journal, JournalConfig, JournalState};
 pub use record::{journal_context, journal_err, JournalRecord};

@@ -16,8 +16,9 @@
 //!   so a restarted store answers unchanged-source ingests from cache),
 //!   every home and the registry routing parameters, produced and
 //!   consumed by `hg_service::Fleet::{snapshot, restore}`. It is the only
-//!   whole-fleet image: `hg-journal`'s checkpoints embed its payload
-//!   ([`FleetSnapshot::write_payload`]).
+//!   whole-fleet document: an `hg-journal` checkpoint is exactly this
+//!   text ([`FleetSnapshot::to_text`]), stored under the journal offset it
+//!   covers.
 //!
 //! ## What is (deliberately) not serialized
 //!
@@ -37,7 +38,7 @@
 //! (and one store app) at a time, never built as one tree of the fleet, so
 //! encoding needs about the text's size in extra heap. Every
 //! document carries `{"version": N, "kind": "home"|"fleet"}`;
-//! readers refuse an unknown version or kind — and any corrupt or garbage
+//! readers refuse an unknown kind or version — and any corrupt or garbage
 //! input — with a typed [`HgError::Snapshot`](homeguard_core::HgError),
 //! never a panic and never a half-applied restore.
 //!

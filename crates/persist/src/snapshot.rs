@@ -3,9 +3,9 @@
 //!
 //! Every envelope carries the schema version
 //! ([`hg_rules::json::SCHEMA_VERSION`]) and a `kind` tag. Readers refuse a
-//! wrong version or kind with a typed [`HgError::Snapshot`] — a snapshot
-//! written by a future schema generation fails loudly instead of being
-//! half-misread into a live fleet.
+//! wrong kind, then a wrong version, with a typed [`HgError::Snapshot`] —
+//! a snapshot written by a future schema generation fails loudly instead
+//! of being half-misread into a live fleet.
 
 use crate::codec;
 use hg_rules::json::{Json, SCHEMA_VERSION};
@@ -28,19 +28,12 @@ fn envelope(kind: &'static str, write_payload: impl FnOnce(&mut String)) -> Stri
     out
 }
 
-/// Parses an envelope, checks its version and kind, and moves its
-/// payload out of the parsed document (no second copy of the tree).
+/// Parses an envelope, checks its kind and then its version, and moves
+/// its payload out of the parsed document (no second copy of the tree).
+/// A document of another kind is refused by its kind, whatever version
+/// it carries.
 fn open_envelope(text: &str, kind: &str) -> Result<Json, HgError> {
     let doc = Json::parse(text).map_err(|e| codec::snap_err(e.to_string()))?;
-    match doc.get("version").and_then(Json::as_num) {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => {
-            return Err(codec::snap_err(format!(
-                "schema version {v} (this build reads {SCHEMA_VERSION})"
-            )))
-        }
-        None => return Err(codec::snap_err("missing schema version")),
-    }
     match doc.get("kind").and_then(Json::as_str) {
         Some(k) if k == kind => {}
         Some(k) => {
@@ -49,6 +42,15 @@ fn open_envelope(text: &str, kind: &str) -> Result<Json, HgError> {
             )))
         }
         None => return Err(codec::snap_err("missing snapshot kind")),
+    }
+    match doc.get("version").and_then(Json::as_num) {
+        Some(v) if v == SCHEMA_VERSION => {}
+        Some(v) => {
+            return Err(codec::snap_err(format!(
+                "schema version {v} (this build reads {SCHEMA_VERSION})"
+            )))
+        }
+        None => return Err(codec::snap_err("missing schema version")),
     }
     match doc {
         Json::Obj(mut fields) => fields.remove("payload"),
@@ -76,8 +78,9 @@ pub fn home_from_text(text: &str) -> Result<HomeState, HgError> {
 /// A whole-fleet snapshot: the shared store, every registered home's
 /// session state, and the registry's routing parameters. Produced by
 /// `Fleet::snapshot()`, consumed by `Fleet::restore()`; [`to_text`] /
-/// [`from_text`] are the durable byte form in between. It is also the
-/// journal's whole-fleet image: every checkpoint holds one.
+/// [`from_text`] are the durable byte form in between. A journal
+/// checkpoint is this same document, stored under the journal offset it
+/// covers.
 ///
 /// A snapshot holds ground truth only, never telemetry: metrics counters
 /// reset when a fleet is restored, as Prometheus counters do on restart.
@@ -102,44 +105,32 @@ pub struct FleetSnapshot {
 
 impl FleetSnapshot {
     /// Serializes the snapshot to its durable text form: the `fleet`
-    /// envelope around [`write_payload`](FleetSnapshot::write_payload).
+    /// envelope around the homes, next id, shard count and store, written
+    /// one home and one store app at a time, so encoding holds about one
+    /// home's document beside the text.
     pub fn to_text(&self) -> String {
-        envelope("fleet", |out| self.write_payload(out))
+        envelope("fleet", |out| {
+            out.push_str("{\"homes\":");
+            codec::write_homes(&self.homes, out);
+            let _ = write!(
+                out,
+                ",\"nextId\":{},\"shards\":{},\"store\":",
+                self.next_id as i64, self.shards as i64
+            );
+            codec::write_store(&self.store, out);
+            out.push('}');
+        })
     }
 
     /// Parses a fleet snapshot back.
     ///
     /// # Errors
     ///
-    /// [`HgError::Snapshot`] on corrupt bytes, a wrong schema version or
-    /// kind, a structurally invalid document, or duplicate home ids.
+    /// [`HgError::Snapshot`] on corrupt bytes, a wrong kind or schema
+    /// version, a structurally invalid document, a shard count above
+    /// [`MAX_SHARDS`], or duplicate home ids.
     pub fn from_text(text: &str) -> Result<FleetSnapshot, HgError> {
-        FleetSnapshot::from_json(&open_envelope(text, "fleet")?)
-    }
-
-    /// Appends the snapshot's payload — homes, next id, shard count and
-    /// store — to `out` without the envelope, one home and one store app
-    /// at a time, so encoding holds about one home's document beside the
-    /// text. A full journal checkpoint embeds this same object.
-    pub fn write_payload(&self, out: &mut String) {
-        out.push_str("{\"homes\":");
-        codec::write_homes(&self.homes, out);
-        let _ = write!(
-            out,
-            ",\"nextId\":{},\"shards\":{},\"store\":",
-            self.next_id as i64, self.shards as i64
-        );
-        codec::write_store(&self.store, out);
-        out.push('}');
-    }
-
-    /// Decodes a [`write_payload`](FleetSnapshot::write_payload) object.
-    ///
-    /// # Errors
-    ///
-    /// As [`from_text`](FleetSnapshot::from_text), minus the envelope
-    /// checks.
-    pub fn from_json(payload: &Json) -> Result<FleetSnapshot, HgError> {
+        let payload = open_envelope(text, "fleet")?;
         let shards = payload
             .get("shards")
             .and_then(Json::as_num)
@@ -152,7 +143,7 @@ impl FleetSnapshot {
         }
         Ok(FleetSnapshot {
             shards: shards as usize,
-            next_id: codec::nonneg_field(payload, "nextId")? as u64,
+            next_id: codec::nonneg_field(&payload, "nextId")? as u64,
             store: codec::store_state_from_json(
                 payload
                     .get("store")

@@ -203,6 +203,15 @@ fn negative_numeric_fields_are_refused_not_bitcast() {
         }
     }
 
+    // A home listed twice would restore over itself; the document is
+    // refused instead.
+    let mut twice = fleet.snapshot().unwrap();
+    twice.homes.push(twice.homes[0].clone());
+    match FleetSnapshot::from_text(&twice.to_text()) {
+        Err(HgError::Snapshot(detail)) => assert!(detail.contains("duplicate home id"), "{detail}"),
+        other => panic!("a home listed twice must be refused, got {other:?}"),
+    }
+
     // Handling-table windows decode through the same guard.
     let home = fleet.export_home(fleet.home_ids()[0]).unwrap();
     let home_text = home_to_text(&home);
@@ -277,6 +286,22 @@ fn wrong_version_and_kind_are_refused() {
     // A fleet document is not a home document, even though both parse.
     match home_from_text(&text) {
         Err(HgError::Snapshot(detail)) => assert!(detail.contains("fleet"), "{detail}"),
+        other => panic!("expected Snapshot error, got {other:?}"),
+    }
+
+    // An older build's journal checkpoint held the same payload under a
+    // `fleet` key, at its own format version 3. It is refused by its kind.
+    let payload = text
+        .strip_prefix("{\"kind\":\"fleet\",\"payload\":")
+        .and_then(|rest| rest.strip_suffix(",\"version\":1}"))
+        .unwrap();
+    let old = format!(
+        "{{\"fleet\":{payload},\"kind\":\"journal-checkpoint\",\"offset\":0,\"version\":3}}"
+    );
+    match FleetSnapshot::from_text(&old) {
+        Err(HgError::Snapshot(detail)) => {
+            assert!(detail.contains("kind `journal-checkpoint`"), "{detail}")
+        }
         other => panic!("expected Snapshot error, got {other:?}"),
     }
 }

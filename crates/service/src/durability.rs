@@ -7,15 +7,21 @@
 //! replay**:
 //!
 //! * [`Fleet::recover`] — revives the journal's newest checkpoint, a
-//!   [`FleetSnapshot`](hg_persist::FleetSnapshot), with
+//!   [`FleetSnapshot`](hg_persist::FleetSnapshot) document, with
 //!   [`Fleet::restore`] (the warm-restart path `POST /restore` takes too),
-//!   then replays every record past its offset through the same public
-//!   lifecycle methods live traffic uses. The result is bit-identical to
-//!   the crashed fleet (the property `tests/journal_fuzz.rs` proves at
-//!   every record boundary).
-//! * [`Fleet::checkpoint`] — writes the fleet's own [`Fleet::snapshot`]
-//!   under the gate's exclusive side, so the cut is consistent, and the
-//!   journal drops the checkpoints and segments it replaces.
+//!   then replays every record past the offset it is stored under
+//!   through the same public lifecycle methods live traffic uses. The
+//!   result is bit-identical to the crashed fleet (the property
+//!   `tests/journal_fuzz.rs` proves at every record boundary).
+//! * [`Fleet::checkpoint`] — stores the text of the fleet's own
+//!   [`Fleet::snapshot`], taken under the gate's exclusive side so the
+//!   cut is consistent, under the journal offset it covers; the journal
+//!   drops the checkpoints and segments it replaces. A checkpoint is
+//!   byte for byte what `GET /snapshot` returns at that cut, so a
+//!   snapshot body stored as the only checkpoint of an empty journal
+//!   (`ckpt-00000000000000000000.json` in a
+//!   [`DirBackend`](hg_journal::DirBackend) directory) recovers like any
+//!   other.
 //! * [`start_checkpointer`] — wires a fleet into the journal's background
 //!   [`CheckpointScheduler`].
 
@@ -23,8 +29,7 @@ use crate::fleet::Fleet;
 use hg_config::ConfigInfo;
 use hg_detector::DetectStats;
 use hg_journal::{
-    journal_context, journal_err, Checkpoint, CheckpointScheduler, CheckpointStats, Journal,
-    JournalRecord,
+    journal_context, journal_err, CheckpointScheduler, CheckpointStats, Journal, JournalRecord,
 };
 use homeguard_core::{HgError, HomeId, InstallReport};
 use std::sync::Arc;
@@ -42,12 +47,13 @@ impl Fleet {
     /// # Errors
     ///
     /// [`HgError::Journal`] when no checkpoint is stored, the newest one
-    /// is corrupt or of another format version (named in the message; a
-    /// version-2 document from an older build is one), or a record cannot
-    /// be replayed (the offending offset is named); [`HgError::Snapshot`]
+    /// is corrupt or not a fleet snapshot this build reads (its offset and
+    /// its kind or version are named in the message; an older build's
+    /// checkpoint document is refused by its kind), or a record cannot be
+    /// replayed (the offending offset is named); [`HgError::Snapshot`]
     /// when the image is inconsistent.
     pub fn recover(journal: Arc<Journal>) -> Result<Fleet, HgError> {
-        let Checkpoint { offset, fleet } = journal.latest_checkpoint()?;
+        let (offset, fleet) = journal.latest_checkpoint()?;
         let fleet = Fleet::restore(fleet)?;
         let records = journal.records_from(offset)?;
         let started = Instant::now();
@@ -159,10 +165,7 @@ impl Fleet {
                 micros: 0,
             });
         }
-        journal.checkpoint_write(&Checkpoint {
-            offset,
-            fleet: self.snapshot()?,
-        })
+        journal.checkpoint_write(offset, &self.snapshot()?)
     }
 
     /// Re-arms a quarantined journal over the **live** fleet state: takes
@@ -206,7 +209,7 @@ pub fn start_checkpointer(fleet: Arc<Fleet>, interval: Duration) -> CheckpointSc
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hg_journal::{JournalBackend, JournalConfig, MemBackend};
+    use hg_journal::{DirBackend, JournalBackend, JournalConfig, MemBackend};
     use homeguard_core::RuleStore;
 
     const ON_APP: &str = r#"
@@ -348,27 +351,69 @@ def h(evt) { lamp.off() }
         assert_eq!(backend.checkpoints().unwrap().len(), 1);
     }
 
+    /// A checkpoint is the `GET /snapshot` document at its cut, byte for
+    /// byte: the attach baseline and a later checkpoint alike.
     #[test]
-    fn recover_refuses_a_version_2_checkpoint() {
+    fn checkpoint_stores_the_snapshot_document() {
+        let (fleet, backend) = journaled_fleet();
+        assert_eq!(backend.read_checkpoint(0).unwrap(), fleet_text(&fleet));
+        let a = fleet.create_home().unwrap();
+        fleet.install_app(a, ON_APP, "OnApp", None).unwrap();
+        let stats = fleet.checkpoint().unwrap();
+        assert_eq!(
+            backend.read_checkpoint(stats.offset).unwrap(),
+            fleet_text(&fleet)
+        );
+    }
+
+    /// The upgrade path that skips `POST /restore`: a `GET /snapshot` body
+    /// written as the only file of an empty journal directory recovers,
+    /// re-exports unchanged and journals onward from offset 0.
+    #[test]
+    fn a_snapshot_body_stored_as_the_only_checkpoint_recovers() {
+        const FLEET_V1: &str = include_str!("../../persist/tests/fleet_snapshot_v1.json");
+        let dir = std::env::temp_dir().join(format!("hg-upgrade-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("ckpt-00000000000000000000.json"), FLEET_V1).unwrap();
+        let open = || Arc::new(Journal::open(Box::new(DirBackend::new(&dir).unwrap())).unwrap());
+        let recovered = Fleet::recover(open()).unwrap();
+        assert_eq!(fleet_text(&recovered), FLEET_V1);
+        recovered.create_home().unwrap();
+        assert_eq!(recovered.journal().unwrap().next_offset(), 1);
+        assert_eq!(
+            fleet_text(&Fleet::recover(open()).unwrap()),
+            fleet_text(&recovered)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An older build stored the snapshot's payload under a `fleet` key
+    /// beside its offset, at checkpoint format version 3. That document
+    /// is refused by its kind, naming the offset it is stored under.
+    #[test]
+    fn recover_refuses_an_older_builds_checkpoint_by_its_kind() {
         let (fleet, backend) = journaled_fleet();
         fleet.create_home().unwrap();
-        fleet.checkpoint().unwrap();
-        // What an older build wrote: the same image at format version 2,
-        // with its `full` flag.
-        let offset = backend.checkpoints().unwrap()[0];
-        let v2 = backend
-            .read_checkpoint(offset)
-            .unwrap()
-            .replacen(",\"kind\"", ",\"full\":true,\"kind\"", 1)
-            .replacen("\"version\":3", "\"version\":2", 1);
-        backend.write_checkpoint(offset, &v2).unwrap();
+        let offset = fleet.checkpoint().unwrap().offset;
+        let text = backend.read_checkpoint(offset).unwrap();
+        let payload = text
+            .strip_prefix("{\"kind\":\"fleet\",\"payload\":")
+            .and_then(|rest| rest.strip_suffix(",\"version\":1}"))
+            .unwrap();
+        let old = format!(
+            "{{\"fleet\":{payload},\"kind\":\"journal-checkpoint\",\"offset\":{offset},\"version\":3}}"
+        );
+        backend.write_checkpoint(offset, &old).unwrap();
         let journal = Arc::new(Journal::open(Box::new(backend.clone())).unwrap());
         match Fleet::recover(journal) {
-            Err(HgError::Journal(detail)) => {
-                assert!(detail.contains("checkpoint version 2"), "{detail}")
-            }
+            Err(HgError::Journal(detail)) => assert!(
+                detail.contains(&format!("checkpoint at offset {offset}"))
+                    && detail.contains("kind `journal-checkpoint`"),
+                "{detail}"
+            ),
             Err(other) => panic!("expected a typed journal error, got {other:?}"),
-            Ok(_) => panic!("a version-2 checkpoint must be refused"),
+            Ok(_) => panic!("an older build's checkpoint must be refused"),
         }
     }
 

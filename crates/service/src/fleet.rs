@@ -39,7 +39,7 @@
 
 use hg_config::ConfigInfo;
 use hg_detector::DetectStats;
-use hg_journal::{journal_err, Checkpoint, Journal, JournalRecord};
+use hg_journal::{journal_err, Journal, JournalRecord};
 use hg_persist::FleetSnapshot;
 use hg_telemetry::{Sweep, TelemetryBus, TelemetryEvent, ThreatCount};
 use homeguard_core::{
@@ -524,10 +524,7 @@ impl Fleet {
         let timeline = {
             let _cut = journal.gate_exclusive();
             if journal.last_checkpoint_offset().is_none() {
-                journal.checkpoint_write(&Checkpoint {
-                    offset: journal.next_offset(),
-                    fleet: self.snapshot()?,
-                })?;
+                journal.checkpoint_write(journal.next_offset(), &self.snapshot()?)?;
             }
             journal.timeline()
         };

@@ -1,14 +1,13 @@
 //! The bounded fleet event bus and the registry it folds into.
 //!
 //! [`TelemetryBus`] is the single pipe the fleet, its journal and its
-//! executor publish into. One mutex guards one ring: a publish takes it once per
-//! batch and, for each event, stamps the next sequence number, folds the
-//! event into the bus's [`MetricsRegistry`] and appends it to the ring.
-//! Because stamping, folding and retention share that critical section,
-//! the registry is **exact by construction** — when
-//! [`TelemetryBus::publish_batch`] returns, every counter already
-//! includes the batch — and the ring always holds a gap-free run of
-//! sequence numbers ending at the newest event.
+//! executor publish into. One mutex guards one ring: a publish takes it
+//! once, stamps the next sequence number, folds the event into the bus's
+//! [`MetricsRegistry`] and appends it to the ring. Because stamping,
+//! folding and retention share that critical section, the registry is
+//! **exact by construction** — when [`TelemetryBus::publish`] returns,
+//! every counter already includes the event — and the ring always holds
+//! a gap-free run of sequence numbers ending at the newest event.
 //!
 //! The ring is the lossy part, kept for `/events/stream` readers. A full
 //! ring **drops its oldest event** (counted in
@@ -96,31 +95,20 @@ impl TelemetryBus {
         self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Publishes one event. Never blocks beyond one short critical
-    /// section: a full ring sheds its oldest event instead of waiting.
+    /// Publishes one event, folded into [`TelemetryBus::registry`] before
+    /// this returns. Never blocks beyond one short critical section: a
+    /// full ring sheds its oldest event instead of waiting.
     pub fn publish(&self, event: TelemetryEvent) {
-        self.publish_batch(std::iter::once(event));
-    }
-
-    /// Publishes a group of related events under **one lock** and one
-    /// bell ring: the group costs one lock acquisition instead of one per
-    /// event, a parked stream reader is woken once, and the group
-    /// occupies a contiguous sequence range. Each event is folded into
-    /// [`TelemetryBus::registry`] before this returns.
-    pub fn publish_batch(&self, events: impl IntoIterator<Item = TelemetryEvent>) {
         {
             let mut ring = self.ring();
-            let mut registry = self.registry.lock();
-            for event in events {
-                registry.fold(&event);
-                if ring.events.len() >= self.capacity {
-                    ring.events.pop_front();
-                    ring.dropped += 1;
-                }
-                let seq = ring.next_seq;
-                ring.events.push_back((seq, event));
-                ring.next_seq += 1;
+            self.registry.lock().fold(&event);
+            if ring.events.len() >= self.capacity {
+                ring.events.pop_front();
+                ring.dropped += 1;
             }
+            let seq = ring.next_seq;
+            ring.events.push_back((seq, event));
+            ring.next_seq += 1;
         }
         // The ring lock is released before the bell: a parked reader
         // woken here re-locks the ring without lock-order inversion.
@@ -255,25 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_publish_stamps_a_contiguous_range_and_mixes_with_singles() {
-        let bus = TelemetryBus::with_capacity(64);
-        bus.publish(probe(0));
-        bus.publish_batch((1..=5).map(probe).collect::<Vec<_>>());
-        bus.publish_batch(Vec::<TelemetryEvent>::new());
-        bus.publish(probe(6));
-        let mut out = Vec::new();
-        let cursor = bus.drain_since(0, &mut out);
-        assert_eq!(cursor, 7, "an empty batch reserves no sequence numbers");
-        let seqs: Vec<u64> = out.iter().map(|(s, _)| *s).collect();
-        assert_eq!(seqs, (0..7).collect::<Vec<_>>());
-        assert_eq!(
-            out[3],
-            (3, probe(3)),
-            "the batch occupies a contiguous range"
-        );
-    }
-
-    #[test]
     fn wait_for_events_wakes_on_publish_and_times_out_idle() {
         let bus = Arc::new(TelemetryBus::new());
         // Idle bus: the wait times out empty-handed.
@@ -354,9 +323,11 @@ mod tests {
                     std::thread::spawn(move || {
                         start.wait();
                         for n in 0..BATCHES {
-                            // A single and a batch of three per round.
+                            // A creation and three probes per round.
                             bus.publish(TelemetryEvent::HomesCreated { homes: vec![p] });
-                            bus.publish_batch([probe(n), probe(n + 1), probe(n + 2)]);
+                            bus.publish(probe(n));
+                            bus.publish(probe(n + 1));
+                            bus.publish(probe(n + 2));
                         }
                     })
                 })

@@ -14,7 +14,6 @@
 //!   fingerprints, no dangling `Priority` ranks.
 
 use hg_bench::fleet_gen::{populate, FleetSpec};
-use hg_journal::Checkpoint;
 use hg_persist::FleetSnapshot;
 use hg_rules::json::Json;
 use hg_rules::rule::{ActionSubject, Rule, RuleId, Trigger};
@@ -485,10 +484,10 @@ fn restored_fleet_is_behaviorally_identical_to_the_live_one() {
     );
 }
 
-/// The streamed encoders over a generated population with device rebinds
+/// The streamed encoder over a generated population with device rebinds
 /// and relay-ladder homes (confirmed threats with witnesses, chains): the
-/// fleet snapshot and the checkpoint document embedding it are canonical
-/// JSON and fixed points of decoding and re-encoding.
+/// fleet snapshot, which is also the journal's checkpoint document, is
+/// canonical JSON and a fixed point of decoding and re-encoding.
 #[test]
 fn streamed_fleet_documents_are_canonical() {
     let spec = FleetSpec {
@@ -509,13 +508,4 @@ fn streamed_fleet_documents_are_canonical() {
     assert_canonical(&text);
     let again = FleetSnapshot::from_text(&text).unwrap().to_text();
     assert!(again == text, "snapshot re-encodes differently");
-
-    let text = Checkpoint {
-        offset: 40,
-        fleet: snapshot,
-    }
-    .to_text();
-    assert_canonical(&text);
-    let again = Checkpoint::from_text(&text).unwrap().to_text();
-    assert!(again == text, "checkpoint re-encodes differently");
 }
