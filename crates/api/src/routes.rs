@@ -23,7 +23,7 @@
 //! | `POST /journal/heal` | token | re-arm a quarantined journal (fresh checkpoint) |
 //! | `GET /stats` | — | fleet + queue + session gauges |
 //! | `GET /journal/stats` | — | journal offsets, segment and checkpoint counts |
-//! | `GET /metrics` | — | metrics registry (JSON; `?format=prometheus`) |
+//! | `GET /metrics` | — | metrics registry and journal counters (JSON; `?format=prometheus`) |
 //! | `GET /analytics/interference` | — | per-app interference-rate table |
 //! | `GET /analytics/hot-pairs` | — | verdict-cache hot-pair leaderboard |
 //! | `GET /analytics/latency` | — | install-write latency histogram |
@@ -231,13 +231,25 @@ fn query_num(req: &Request, name: &str) -> Result<Option<u64>, ApiError> {
     }
 }
 
-/// `GET /metrics`: samples the pull-style gauges of the live executor,
-/// then renders them with the registry as JSON (default) or Prometheus
-/// text (`?format=prometheus`).
+/// `GET /metrics`: reads the journal's counters and samples the
+/// pull-style gauges of the live executor, then renders them with the
+/// registry as JSON (default) or Prometheus text (`?format=prometheus`).
 fn metrics_route(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
     let hub = need_hub(state)?;
     let exec = state.exec();
     let registry = hub.registry();
+    // The journal is its counts' only home; they render as counters.
+    let read = state.journal().map_or_else(Vec::new, |journal| {
+        let counters = journal.counters();
+        vec![
+            ("journal_appends_total", counters.appends),
+            ("journal_bytes_total", counters.append_bytes),
+            ("journal_syncs_total", counters.syncs),
+            ("journal_sync_micros_total", counters.sync_micros),
+            ("io_retries_total", counters.io_retries),
+            ("journal_healed_total", counters.heals),
+        ]
+    });
     let mut gauges = BTreeMap::new();
     for (index, depth) in exec.shard_depths().into_iter().enumerate() {
         gauges.insert(format!("shard_{index}_queue_depth"), depth as i64);
@@ -260,10 +272,10 @@ fn metrics_route(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
                 "content-type".to_string(),
                 "text/plain; version=0.0.4".to_string(),
             )],
-            body: registry.render_prometheus(&gauges).into_bytes(),
+            body: registry.render_prometheus(&read, &gauges).into_bytes(),
         }
         .into()),
-        None | Some("json") => Ok(Response::json(200, &registry.to_json(&gauges)).into()),
+        None | Some("json") => Ok(Response::json(200, &registry.to_json(&read, &gauges)).into()),
         Some(other) => Err(ApiError::bad_request(format!(
             "unknown metrics format `{other}` (expected `json` or `prometheus`)"
         ))),
@@ -415,10 +427,7 @@ fn dispatch(state: &AppState, req: &Request) -> Result<Reply, ApiError> {
             let hub = need_hub(state)?;
             Ok(Response::json(
                 200,
-                &Json::obj([(
-                    "histograms",
-                    hub.registry().histograms_json(&["install_micros"]),
-                )]),
+                &Json::obj([("histograms", hub.registry().latency_json())]),
             )
             .into())
         }

@@ -8,7 +8,10 @@ mod common;
 use common::{app_body, send, OFF_APP, ON_APP};
 use hg_api::{ApiServer, ExecConfig, Limits, ServerConfig, TelemetryEvent};
 use hg_rules::json::Json;
-use hg_service::{Fleet, HgError, HomeId, Journal, MemBackend, RuleStore};
+use hg_service::{
+    FaultBackend, FaultKind, FaultPlan, Fleet, HgError, HomeId, Journal, JournalConfig, MemBackend,
+    RuleStore,
+};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -474,21 +477,46 @@ fn restoring_a_snapshot_over_the_body_limit_needs_a_raised_limit() {
     raised.shutdown();
 }
 
+/// The journal's appends, after checking that `/metrics` carries each of
+/// the journal's counters at its `/journal/stats` value.
+fn journal_appends(server: &ApiServer) -> i64 {
+    let metrics = send(server.addr(), "GET", "/metrics", None, None).json();
+    let stats = send(server.addr(), "GET", "/journal/stats", None, None).json();
+    let stats = stats.get("journal").expect("journaled");
+    for (counter, field) in [
+        ("journal_appends_total", "appendsSession"),
+        ("journal_bytes_total", "appendBytesSession"),
+        ("journal_syncs_total", "syncsSession"),
+        ("journal_sync_micros_total", "syncMicrosSession"),
+        ("io_retries_total", "ioRetriesSession"),
+        ("journal_healed_total", "healsSession"),
+    ] {
+        let scraped = metrics.get("counters").and_then(|c| c.get(counter));
+        assert_eq!(scraped, Some(stats.get(field).expect(field)), "{counter}");
+    }
+    stats.get("appendsSession").and_then(Json::as_num).unwrap()
+}
+
 /// `POST /restore` starts a new journal timeline. The replaced fleet stays
 /// reachable through any executor handle taken before the swap (an HTTP
 /// worker mid-request, a job queued on the old executor), but its writes
 /// are refused before they touch state or the journal, so recovery
-/// reproduces exactly the restored fleet.
+/// reproduces exactly the restored fleet. The journal's counters describe
+/// the journal, not the fleet: the restore keeps them, so the
+/// `journal_appends_total` a scraper reads never runs backwards.
 #[test]
 fn restore_refuses_late_writes_from_the_replaced_fleet() {
     let mem = MemBackend::new();
     let journal = Arc::new(Journal::open(Box::new(mem.clone())).expect("open journal"));
     let fleet = Arc::new(Fleet::builder(RuleStore::shared()).shards(2).build());
     let server = ApiServer::start_journaled(fleet, ServerConfig::default(), journal).expect("bind");
+    assert_eq!(journal_appends(&server), 0, "present from attach on");
     let token = session(&server);
     for _ in 0..3 {
         create_home(&server, &token);
     }
+    server.state().journal().unwrap().sync().unwrap();
+    assert_eq!(journal_appends(&server), 3);
     let single = Fleet::new(RuleStore::shared());
     single.create_home().unwrap();
     let old = server.state().exec();
@@ -498,6 +526,7 @@ fn restore_refuses_late_writes_from_the_replaced_fleet() {
         single.snapshot().unwrap().to_text().as_bytes(),
     );
     assert_eq!(restored.status, 200);
+    assert_eq!(journal_appends(&server), 3, "the restore kept the counts");
 
     assert!(matches!(
         old.fleet().create_home(),
@@ -509,10 +538,60 @@ fn restore_refuses_late_writes_from_the_replaced_fleet() {
     ));
     // The restored fleet journals as usual.
     create_home(&server, &token);
+    assert_eq!(journal_appends(&server), 4);
     let live = server.state().exec().fleet().snapshot().unwrap().to_text();
     let recovered = Fleet::recover(Arc::new(Journal::open(Box::new(mem.fork())).unwrap())).unwrap();
     assert_eq!(recovered.snapshot().unwrap().to_text(), live);
     assert_eq!(recovered.len(), 2);
+    server.shutdown();
+}
+
+/// Each journal counter `GET /metrics` renders is the journal's own, under
+/// its own name: a transient append fault and a transient sync fault (a
+/// retry each), a permanent fault healed over `POST /journal/heal`, three
+/// syncs and five appends drive the six counters to distinct non-zero
+/// values, so a counter rendered under another's name fails.
+#[test]
+fn metrics_reads_each_journal_counter_through_faults_and_a_heal() {
+    let fault = FaultBackend::new(MemBackend::new());
+    let journal = Arc::new(
+        Journal::open_with(
+            Box::new(fault.clone()),
+            JournalConfig {
+                backoff_micros: 5_000,
+                ..JournalConfig::default()
+            },
+        )
+        .expect("open journal"),
+    );
+    let fleet = Arc::new(Fleet::builder(RuleStore::shared()).shards(2).build());
+    let server =
+        ApiServer::start_journaled(fleet, ServerConfig::default(), journal.clone()).expect("bind");
+    let token = session(&server);
+    let fail_next = |kind| fault.arm(FaultPlan::new().at(fault.ops(), kind));
+    fail_next(FaultKind::Transient);
+    create_home(&server, &token);
+    fail_next(FaultKind::Transient);
+    journal.sync().expect("the retry succeeds");
+    fail_next(FaultKind::Permanent);
+    let lapsed = send(server.addr(), "POST", "/homes", Some(&token), None);
+    assert_eq!(lapsed.status, 500);
+    fault.disarm();
+    let healed = send(server.addr(), "POST", "/journal/heal", Some(&token), None);
+    assert_eq!(healed.status, 200);
+    for _ in 0..4 {
+        create_home(&server, &token);
+    }
+    journal.sync().unwrap();
+    journal.sync().unwrap();
+    assert_eq!(journal_appends(&server), 5);
+    let c = journal.counters();
+    assert_eq!((c.heals, c.io_retries, c.syncs, c.appends), (1, 2, 3, 5));
+    // The retried sync slept 5 ms, more than the five records' bytes.
+    assert!(
+        c.appends < c.append_bytes && c.append_bytes < c.sync_micros,
+        "six distinct counts: {c:?}"
+    );
     server.shutdown();
 }
 
@@ -718,6 +797,8 @@ fn metrics_and_analytics_reconcile_exactly_with_observed_traffic() {
     assert_eq!(counter("installs_clean_total"), 2);
     assert_eq!(counter("installs_dirty_total"), 1);
     assert_eq!(counter("threats_total"), threat_count);
+    // No journal, no journal counters.
+    assert!(!body.to_text().contains("journal_"));
     assert_eq!(
         body.get("gauges")
             .and_then(|g| g.get("fleet_homes"))

@@ -90,6 +90,32 @@ impl Default for JournalConfig {
     }
 }
 
+/// What a [`Journal`] has done since it was opened, from
+/// [`Journal::counters`]. The journal is these counts' only home:
+/// `/journal/stats` and `/metrics` both read them, and a
+/// [`reset`](Journal::reset) keeps them. Not persisted.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct JournalCounters {
+    /// Records appended.
+    pub appends: u64,
+    /// Framed bytes of those records.
+    pub append_bytes: u64,
+    /// Backend append attempts that failed, retried or not.
+    pub append_failures: u64,
+    /// Retries of transient backend failures, by any operation.
+    pub io_retries: u64,
+    /// Writes refused while quarantined.
+    pub refused: u64,
+    /// Quarantines healed.
+    pub heals: u64,
+    /// Torn-tail bytes truncated away when the journal was opened.
+    pub truncated_on_open: u64,
+    /// Successful [`Journal::sync`] calls.
+    pub syncs: u64,
+    /// Their summed wall-clock time.
+    pub sync_micros: u64,
+}
+
 #[derive(Default)]
 struct JournalInner {
     /// Global offset of the next record to append.
@@ -108,14 +134,7 @@ struct JournalInner {
     quarantined: Option<(u64, String)>,
     /// `next_offset` as of the last successful sync.
     synced_offset: u64,
-    /// Session counters (not persisted).
-    appends: u64,
-    append_bytes: u64,
-    append_failures: u64,
-    truncated_on_open: u64,
-    io_retries: u64,
-    refused: u64,
-    heals: u64,
+    counters: JournalCounters,
 }
 
 impl JournalInner {
@@ -207,7 +226,7 @@ impl Journal {
             let bytes = backend.read_segment(start).map_err(berr)?;
             let scan = scan_frames(&bytes);
             if !scan.is_clean() {
-                inner.truncated_on_open += (bytes.len() - scan.clean_len) as u64;
+                inner.counters.truncated_on_open += (bytes.len() - scan.clean_len) as u64;
                 backend
                     .truncate_segment(start, scan.clean_len as u64)
                     .map_err(berr)?;
@@ -297,7 +316,7 @@ impl Journal {
         let e = HgError::Degraded(format!(
             "journal quarantined at durable offset {durable} ({reason}); writes refused"
         ));
-        inner.refused += 1;
+        inner.counters.refused += 1;
         Err(e)
     }
 
@@ -348,7 +367,7 @@ impl Journal {
         let mut inner = self.lock();
         if let Some((durable, reason)) = &inner.quarantined {
             let msg = format!("journal quarantined at durable offset {durable}: {reason}");
-            inner.refused += 1;
+            inner.counters.refused += 1;
             return Err(journal_err(msg));
         }
         let mut good_len = inner.tail_bytes();
@@ -363,13 +382,13 @@ impl Journal {
             match self.backend.append_segment(start, &frame) {
                 Ok(()) => break None,
                 Err(e) => {
-                    inner.append_failures += 1;
+                    inner.counters.append_failures += 1;
                     // A failed append may have left a partial frame on
                     // the tail; repair before retrying or giving up.
                     match self.repair_tail(start, good_len) {
                         Ok(()) if e.transient && retries + 1 < self.config.max_io_attempts => {
                             retries += 1;
-                            inner.io_retries += 1;
+                            inner.counters.io_retries += 1;
                             self.backoff(retries);
                         }
                         Ok(()) => break Some(format!("append at offset {offset}: {e}")),
@@ -386,30 +405,13 @@ impl Journal {
             None => {
                 *inner.segments.entry(start).or_insert(0) += len;
                 inner.next_offset += 1;
-                inner.appends += 1;
-                inner.append_bytes += len;
-                drop(inner);
-                if retries > 0 {
-                    self.publish(TelemetryEvent::IoRetry {
-                        op: "append".into(),
-                        attempts: retries as u64,
-                    });
-                }
-                self.publish(TelemetryEvent::JournalAppended {
-                    records: 1,
-                    bytes: len,
-                });
+                inner.counters.appends += 1;
+                inner.counters.append_bytes += len;
                 Ok(offset)
             }
             Some(reason) => {
                 inner.quarantined = Some((offset, reason.clone()));
                 drop(inner);
-                if retries > 0 {
-                    self.publish(TelemetryEvent::IoRetry {
-                        op: "append".into(),
-                        attempts: retries as u64,
-                    });
-                }
                 self.publish(TelemetryEvent::JournalDegraded {
                     offset,
                     reason: reason.clone(),
@@ -441,15 +443,13 @@ impl Journal {
             }
             inner.next_offset
         };
-        let outcome = self.retrying("sync", || self.backend.sync());
+        let outcome = self.retrying(|| self.backend.sync());
         let mut inner = self.lock();
         match outcome {
             Ok(()) => {
                 inner.synced_offset = inner.synced_offset.max(covered);
-                drop(inner);
-                self.publish(TelemetryEvent::JournalSynced {
-                    micros: started.elapsed().as_micros() as u64,
-                });
+                inner.counters.syncs += 1;
+                inner.counters.sync_micros += started.elapsed().as_micros() as u64;
                 Ok(())
             }
             Err(e) => {
@@ -517,7 +517,7 @@ impl Journal {
         let mut inner = self.lock();
         inner.quarantined = None;
         inner.synced_offset = inner.next_offset;
-        inner.heals += 1;
+        inner.counters.heals += 1;
         drop(inner);
         let stats = CheckpointStats::of(offset, &fleet, started);
         self.publish(TelemetryEvent::JournalHealed {
@@ -527,31 +527,23 @@ impl Journal {
     }
 
     /// Runs one backend write under the transient-retry policy (no
-    /// quarantine: the callers decide what a failure means), counting and
-    /// publishing the retries as `op`.
+    /// quarantine: the callers decide what a failure means), counting the
+    /// retries.
     fn retrying(
         &self,
-        op: &str,
         mut write: impl FnMut() -> Result<(), BackendError>,
     ) -> Result<(), BackendError> {
         let mut retries = 0u32;
-        let outcome = loop {
+        loop {
             match write() {
                 Err(e) if e.transient && retries + 1 < self.config.max_io_attempts => {
                     retries += 1;
+                    self.lock().counters.io_retries += 1;
                     self.backoff(retries);
                 }
-                outcome => break outcome,
+                outcome => return outcome,
             }
-        };
-        if retries > 0 {
-            self.lock().io_retries += retries as u64;
-            self.publish(TelemetryEvent::IoRetry {
-                op: op.into(),
-                attempts: retries as u64,
-            });
         }
-        outcome
     }
 
     /// Stores `fleet` as the journal's one checkpoint: writes its snapshot
@@ -562,9 +554,7 @@ impl Journal {
     /// which the next checkpoint removes.
     fn store_checkpoint(&self, offset: u64, fleet: &FleetSnapshot) -> Result<(), BackendError> {
         let text = fleet.to_text();
-        self.retrying("checkpoint", || {
-            self.backend.write_checkpoint(offset, &text)
-        })?;
+        self.retrying(|| self.backend.write_checkpoint(offset, &text))?;
         drop(text);
         let (stale, covered) = {
             let mut inner = self.lock();
@@ -591,11 +581,11 @@ impl Journal {
             (stale, covered)
         };
         for at in stale {
-            self.retrying("checkpoint", || self.backend.remove_checkpoint(at))?;
+            self.retrying(|| self.backend.remove_checkpoint(at))?;
             self.lock().checkpoints.retain(|&kept| kept != at);
         }
         for start in covered {
-            self.retrying("checkpoint", || self.backend.remove_segment(start))?;
+            self.retrying(|| self.backend.remove_segment(start))?;
             self.lock().segments.remove(&start);
         }
         Ok(())
@@ -697,7 +687,8 @@ impl Journal {
     /// `POST /restore`): the old history describes a fleet that no longer
     /// exists, and that fleet's late writes are refused from here on. A
     /// quarantine is cleared with the timeline, provided the backend
-    /// accepts the wipe.
+    /// accepts the wipe. The [`counters`](Journal::counters) keep counting:
+    /// they describe this journal, not the fleet.
     ///
     /// # Errors
     ///
@@ -711,7 +702,10 @@ impl Journal {
         for offset in self.backend.checkpoints().map_err(berr)? {
             self.backend.remove_checkpoint(offset).map_err(berr)?;
         }
-        *inner = JournalInner::default();
+        *inner = JournalInner {
+            counters: inner.counters,
+            ..JournalInner::default()
+        };
         self.timeline.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -721,11 +715,17 @@ impl Journal {
         self.publish(TelemetryEvent::JournalReplayed { records, micros });
     }
 
+    /// What the journal has done since it was opened.
+    pub fn counters(&self) -> JournalCounters {
+        self.lock().counters
+    }
+
     /// Live stats as a JSON document (the `/journal/stats` surface),
     /// read from memory without touching the backend.
     pub fn stats_json(&self) -> hg_rules::json::Json {
         use hg_rules::json::Json;
         let inner = self.lock();
+        let counters = inner.counters;
         let (state, quarantined_at, quarantine_reason) = match &inner.quarantined {
             None => ("active", Json::Null, Json::Null),
             Some((durable, reason)) => (
@@ -754,16 +754,24 @@ impl Journal {
             ("quarantinedAt", quarantined_at),
             ("quarantineReason", quarantine_reason),
             ("syncedOffset", Json::Num(inner.synced_offset as i64)),
-            ("appendsSession", Json::Num(inner.appends as i64)),
-            ("appendBytesSession", Json::Num(inner.append_bytes as i64)),
+            ("appendsSession", Json::Num(counters.appends as i64)),
+            (
+                "appendBytesSession",
+                Json::Num(counters.append_bytes as i64),
+            ),
             (
                 "appendFailuresSession",
-                Json::Num(inner.append_failures as i64),
+                Json::Num(counters.append_failures as i64),
             ),
-            ("ioRetriesSession", Json::Num(inner.io_retries as i64)),
-            ("refusedSession", Json::Num(inner.refused as i64)),
-            ("healsSession", Json::Num(inner.heals as i64)),
-            ("truncatedOnOpen", Json::Num(inner.truncated_on_open as i64)),
+            ("ioRetriesSession", Json::Num(counters.io_retries as i64)),
+            ("refusedSession", Json::Num(counters.refused as i64)),
+            ("healsSession", Json::Num(counters.heals as i64)),
+            ("syncsSession", Json::Num(counters.syncs as i64)),
+            ("syncMicrosSession", Json::Num(counters.sync_micros as i64)),
+            (
+                "truncatedOnOpen",
+                Json::Num(counters.truncated_on_open as i64),
+            ),
         ])
     }
 }
@@ -988,14 +996,19 @@ mod tests {
         assert_eq!(num("segmentBytes"), Some(bytes as i64));
         assert_eq!(num("checkpoints"), Some(1));
         assert_eq!(num("records"), Some(9));
-        // Reset empties them, as it empties the backend.
+        journal.sync().unwrap();
+        let counters = journal.counters();
+        assert_eq!((counters.appends, counters.syncs), (5, 1));
+        // Reset empties the positions, as it empties the backend, and
+        // keeps the counters.
         journal.reset().unwrap();
         let stats = journal.stats_json();
+        let num = |key: &str| stats.get(key).and_then(hg_rules::json::Json::as_num);
+        assert_eq!((num("segmentBytes"), num("records")), (Some(0), Some(0)));
+        assert_eq!(journal.counters(), counters);
         assert_eq!(
-            stats
-                .get("segmentBytes")
-                .and_then(hg_rules::json::Json::as_num),
-            Some(0)
+            (num("appendsSession"), num("syncsSession")),
+            (Some(5), Some(1))
         );
         assert_eq!(reads.load(Ordering::SeqCst), opened);
     }
@@ -1077,6 +1090,7 @@ mod tests {
             .stats_json()
             .to_text()
             .contains("\"refusedSession\":1"));
+        assert_eq!(journal.counters().refused, 1);
         // A reset clears the quarantine and starts a new timeline.
         fault.disarm();
         let before = journal.timeline();

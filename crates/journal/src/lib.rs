@@ -57,6 +57,6 @@ pub mod scheduler;
 
 pub use backend::{BackendError, DirBackend, JournalBackend, MemBackend};
 pub use fault::{FaultBackend, FaultKind, FaultPlan};
-pub use journal::{CheckpointStats, Journal, JournalConfig, JournalState};
+pub use journal::{CheckpointStats, Journal, JournalConfig, JournalCounters, JournalState};
 pub use record::{journal_context, journal_err, JournalRecord};
 pub use scheduler::CheckpointScheduler;

@@ -469,9 +469,11 @@ impl Fleet {
 
     /// Attaches the fleet event bus: from now on every lifecycle write
     /// publishes its one event into it (see the [module docs](self)), and
-    /// the attached journal its journal events. Homes hold no bus, so
-    /// attaching touches no shard. At most one bus per fleet — a second
-    /// call is ignored and returns `false`.
+    /// the attached journal its checkpoint, replay, quarantine and heal
+    /// transitions (its appends, syncs and retries it only counts, in
+    /// [`Journal::counters`]). Homes hold no bus, so attaching touches no
+    /// shard. At most one bus per fleet — a second call is ignored and
+    /// returns `false`.
     ///
     /// Telemetry is a pure observer: reports, sweeps and snapshots are
     /// bit-identical with or without an attached bus (proven in
@@ -1875,24 +1877,42 @@ def h(evt) { lamp.off() }
 
     #[test]
     fn attached_bus_sees_fleet_lifecycle_and_sweeps() {
+        // Once without a journal and once with one: the journal appends a
+        // record for each write but publishes nothing for it.
+        for journaled in [false, true] {
+            bus_sees_fleet_lifecycle_and_sweeps(journaled);
+        }
+    }
+
+    fn bus_sees_fleet_lifecycle_and_sweeps(journaled: bool) {
         let fleet = Fleet::builder(RuleStore::shared()).shards(2).build();
+        if journaled {
+            let journal = Journal::open(Box::new(hg_journal::MemBackend::new())).unwrap();
+            assert!(fleet.attach_journal(Arc::new(journal)).unwrap());
+        }
         let early = fleet.create_home().unwrap();
         let bus = Arc::new(TelemetryBus::new());
         assert!(fleet.attach_telemetry(bus.clone()));
         assert!(!fleet.attach_telemetry(bus.clone()), "one bus per fleet");
         let late = fleet.create_home().unwrap();
         let batch = fleet.create_homes(3).unwrap();
+        assert_eq!(bus.published(), 2, "one event per creation write");
 
         // The fleet publishes, not the homes: the pre-attach home's
         // install is seen like the new one's.
         fleet.install_app(early, ON_APP, "OnApp", None).unwrap();
         fleet.install_app(late, ON_APP, "OnApp", None).unwrap();
+        assert_eq!(bus.published(), 4, "one event per install");
         let v2 = ON_APP.replace("lamp.on()", "lamp.toggle()");
-        let before = bus.published();
         let rollout = fleet.propagate_upgrade(&v2, "OnApp").unwrap();
         assert_eq!(rollout.upgraded.len(), 2);
-        assert_eq!(bus.published() - before, 2, "one event per shard unit");
+        assert_eq!(bus.published(), 6, "one event per shard unit");
         fleet.snapshot().unwrap();
+        assert_eq!(bus.published(), 7);
+        if let Some(journal) = fleet.journal() {
+            // Three creations, two ingests, two installs, two shard units.
+            assert_eq!(journal.counters().appends, 9);
+        }
 
         let mut events = Vec::new();
         bus.drain_since(0, &mut events);

@@ -1,7 +1,9 @@
 //! The bounded fleet event bus and the registry it folds into.
 //!
-//! [`TelemetryBus`] is the single pipe the fleet, its journal and its
-//! executor publish into. One mutex guards one ring: a publish takes it
+//! [`TelemetryBus`] is the single pipe the fleet (one event per write),
+//! its journal (its checkpoint, replay, quarantine and heal transitions;
+//! appends, syncs and retries publish nothing) and its executor (a
+//! refused job) publish into. One mutex guards one ring: a publish takes it
 //! once, stamps the next sequence number, folds the event into the bus's
 //! [`MetricsRegistry`] and appends it to the ring. Because stamping,
 //! folding and retention share that critical section, the registry is
@@ -194,7 +196,11 @@ mod tests {
     use std::sync::{Arc, Barrier};
 
     fn probe(n: u64) -> TelemetryEvent {
-        TelemetryEvent::JournalSynced { micros: n }
+        TelemetryEvent::QueueSaturated {
+            queue: "shard",
+            shard: 0,
+            depth: n,
+        }
     }
 
     #[test]
@@ -239,7 +245,7 @@ mod tests {
         assert_eq!(bus.drain_since(8, &mut out), 10);
         assert_eq!(out, vec![(8, probe(8)), (9, probe(9))]);
         // Shed events still reached the registry.
-        assert_eq!(bus.registry().counter("journal_syncs_total"), 10);
+        assert_eq!(bus.registry().counter("queue_saturated_total"), 10);
     }
 
     #[test]
@@ -309,7 +315,7 @@ mod tests {
                     loop {
                         let homes = bus.registry().counter("homes_created_total");
                         assert!(homes <= bus.published(), "a fold never runs ahead");
-                        bus.registry().render_prometheus(&BTreeMap::new());
+                        bus.registry().render_prometheus(&[], &BTreeMap::new());
                         scrapes += 1;
                         if done.load(Ordering::Acquire) {
                             return scrapes;
@@ -343,12 +349,12 @@ mod tests {
             let registry = bus.registry();
             assert_eq!(bus.published(), total);
             assert_eq!(
-                registry.counter("homes_created_total") + registry.counter("journal_syncs_total"),
+                registry.counter("homes_created_total") + registry.counter("queue_saturated_total"),
                 bus.published(),
                 "every published event is folded, dropped from the ring or not"
             );
             assert_eq!(
-                registry.counter("journal_syncs_total"),
+                registry.counter("queue_saturated_total"),
                 PUBLISHERS * BATCHES * 3
             );
             let mut out = Vec::new();
@@ -413,9 +419,9 @@ mod tests {
                 let gauges = BTreeMap::new();
                 let (mut bodies, mut torn) = (0u64, Vec::new());
                 loop {
-                    let json = installs_json(&bus.registry().to_json(&gauges));
+                    let json = installs_json(&bus.registry().to_json(&[], &gauges));
                     let prometheus =
-                        installs_prometheus(&bus.registry().render_prometheus(&gauges));
+                        installs_prometheus(&bus.registry().render_prometheus(&[], &gauges));
                     for (format, (total, rows)) in [("json", json), ("prometheus", prometheus)] {
                         if total != rows {
                             torn.push(format!("{format}: installs_total {total}, rows {rows}"));
@@ -465,7 +471,7 @@ mod tests {
             "{} of {bodies} bodies torn: {torn:?}",
             torn.len()
         );
-        let last = bus.registry().to_json(&BTreeMap::new());
+        let last = bus.registry().to_json(&[], &BTreeMap::new());
         let installs = (PUBLISHERS * INSTALLS) as i64;
         assert_eq!(installs_json(&last), (installs, installs));
     }

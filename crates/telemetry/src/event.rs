@@ -1,11 +1,14 @@
 //! The typed fleet event vocabulary.
 //!
 //! Every observable moment in the fleet — a lifecycle write finishing, a
-//! journal append, a queue refusing work — is one [`TelemetryEvent`]
+//! journal checkpoint, a queue refusing work — is one [`TelemetryEvent`]
 //! published into the [`TelemetryBus`](crate::TelemetryBus). The fleet
 //! publishes one lifecycle event per write, whatever the number of homes
 //! it touched: a batch or sweep carries its homes and tallies in that one
-//! event. Events are plain owned data: cheap to clone, comparable in
+//! event. The journal publishes only its four transitions (checkpoint,
+//! replay, quarantine and heal); what it counts per append, sync and
+//! retry it keeps in its own counters, which `GET /metrics` reads at
+//! scrape. Events are plain owned data: cheap to clone, comparable in
 //! tests, and renderable as one NDJSON line each for `/events/stream`.
 
 use hg_rules::json::Json;
@@ -104,18 +107,6 @@ pub enum TelemetryEvent {
         /// Queue depth at refusal.
         depth: u64,
     },
-    /// Records were appended durably to the write-ahead journal.
-    JournalAppended {
-        /// Records appended.
-        records: u64,
-        /// Framed bytes written.
-        bytes: u64,
-    },
-    /// The journal flushed its backend to stable storage.
-    JournalSynced {
-        /// Wall-clock flush time.
-        micros: u64,
-    },
     /// A journal checkpoint document was written.
     JournalCheckpoint {
         /// Journal offset the checkpoint covers.
@@ -133,13 +124,6 @@ pub enum TelemetryEvent {
         /// Wall-clock replay time.
         micros: u64,
     },
-    /// A journal backend write was retried after transient I/O failures.
-    IoRetry {
-        /// Which operation retried: `append`, `sync` or `checkpoint`.
-        op: String,
-        /// Retry attempts this operation consumed (beyond the first try).
-        attempts: u64,
-    },
     /// The journal exhausted its I/O retries (or hit a permanent error)
     /// and quarantined itself; the service is serving degraded.
     JournalDegraded {
@@ -149,7 +133,8 @@ pub enum TelemetryEvent {
         reason: String,
     },
     /// A quarantined journal healed: a fresh checkpoint re-armed it
-    /// on a recovered backend.
+    /// on a recovered backend. It folds into no counter: the journal
+    /// counts its heals itself.
     JournalHealed {
         /// The offset the healing checkpoint covers.
         offset: u64,
@@ -165,11 +150,8 @@ impl TelemetryEvent {
             TelemetryEvent::UninstallCompleted { .. } => "uninstall_completed",
             TelemetryEvent::SnapshotTaken { .. } => "snapshot_taken",
             TelemetryEvent::QueueSaturated { .. } => "queue_saturated",
-            TelemetryEvent::JournalAppended { .. } => "journal_appended",
-            TelemetryEvent::JournalSynced { .. } => "journal_synced",
             TelemetryEvent::JournalCheckpoint { .. } => "journal_checkpoint",
             TelemetryEvent::JournalReplayed { .. } => "journal_replayed",
-            TelemetryEvent::IoRetry { .. } => "io_retry",
             TelemetryEvent::JournalDegraded { .. } => "journal_degraded",
             TelemetryEvent::JournalHealed { .. } => "journal_healed",
         }
@@ -264,15 +246,6 @@ impl TelemetryEvent {
                     ("depth".to_string(), Json::Num(*depth as i64)),
                 ]);
             }
-            TelemetryEvent::JournalAppended { records, bytes } => {
-                fields.extend([
-                    ("records".to_string(), Json::Num(*records as i64)),
-                    ("bytes".to_string(), Json::Num(*bytes as i64)),
-                ]);
-            }
-            TelemetryEvent::JournalSynced { micros } => {
-                fields.push(("micros".to_string(), Json::Num(*micros as i64)));
-            }
             TelemetryEvent::JournalCheckpoint {
                 offset,
                 homes,
@@ -288,12 +261,6 @@ impl TelemetryEvent {
                 fields.extend([
                     ("records".to_string(), Json::Num(*records as i64)),
                     ("micros".to_string(), Json::Num(*micros as i64)),
-                ]);
-            }
-            TelemetryEvent::IoRetry { op, attempts } => {
-                fields.extend([
-                    ("op".to_string(), Json::str(op)),
-                    ("attempts".to_string(), Json::Num(*attempts as i64)),
                 ]);
             }
             TelemetryEvent::JournalDegraded { offset, reason } => {
@@ -373,11 +340,6 @@ mod tests {
                 shard: 2,
                 depth: 64,
             },
-            TelemetryEvent::JournalAppended {
-                records: 1,
-                bytes: 180,
-            },
-            TelemetryEvent::JournalSynced { micros: 45 },
             TelemetryEvent::JournalCheckpoint {
                 offset: 96,
                 homes: 12,
@@ -386,10 +348,6 @@ mod tests {
             TelemetryEvent::JournalReplayed {
                 records: 34,
                 micros: 5100,
-            },
-            TelemetryEvent::IoRetry {
-                op: "append".into(),
-                attempts: 2,
             },
             TelemetryEvent::JournalDegraded {
                 offset: 41,

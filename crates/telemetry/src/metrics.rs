@@ -1,5 +1,5 @@
-//! The metrics registry: bus events folded into counters, fixed-bucket
-//! histograms and the paper's fleet-scale analytics.
+//! The metrics registry: bus events folded into counters, a fixed-bucket
+//! install latency histogram and the paper's fleet-scale analytics.
 //!
 //! Every [`TelemetryBus`](crate::TelemetryBus) owns one
 //! [`MetricsRegistry`] and folds each event into it while publishing,
@@ -11,11 +11,15 @@
 //! counters count homes, not events. Counters live in memory only and
 //! reset when the process restarts, as Prometheus counters do.
 //!
-//! A scrape copies the aggregates under one lock acquisition, so every
-//! rendered body is one consistent cut, and sorts and formats after
-//! releasing the lock publishers need. Pull-style gauges (queue depths,
-//! fleet size) are sampled by the scraper and passed into the render
-//! calls; the registry stores none.
+//! A scrape copies the aggregates under one lock acquisition, so the
+//! registry's part of every rendered body is one consistent cut, and
+//! sorts and formats after releasing the lock publishers need. Counts
+//! another component already keeps are not folded twice: the scraper
+//! reads them from their owner and passes them in, as the journal's
+//! counters are, and they render as counters among the registry's own.
+//! Each such owner is a cut of its own. Pull-style gauges (queue depths,
+//! fleet size) are sampled by the scraper and passed in the same way;
+//! the registry stores none.
 //!
 //! The per-app interference table answers the paper's fleet question
 //! directly: it is Fig. 8 at fleet scale (which store apps interfere, and
@@ -26,16 +30,13 @@ use hg_rules::json::Json;
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Bucket upper bounds (inclusive) per histogram name. The last implicit
-/// bucket is `+Inf`.
-fn bounds_for(name: &str) -> &'static [u64] {
-    match name {
-        "install_micros" => &[
-            50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
-        ],
-        _ => &[1, 10, 100, 1_000, 10_000, 100_000],
-    }
-}
+/// The name the install-write latency histogram renders under.
+const INSTALL_MICROS: &str = "install_micros";
+
+/// Its inclusive bucket upper bounds; the last implicit bucket is `+Inf`.
+const INSTALL_MICROS_BOUNDS: &[u64] = &[
+    50, 100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000,
+];
 
 /// A fixed-bucket histogram: per-bucket counts (last bucket is `+Inf`),
 /// observation count and value sum.
@@ -142,20 +143,14 @@ pub(crate) struct Inner {
     counters: BTreeMap<&'static str, u64>,
     /// Threats by kind acronym.
     threat_kinds: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    /// Install-write latency, created on its first observation.
+    install_micros: Option<Histogram>,
     interference: BTreeMap<String, AppInterference>,
 }
 
 impl Inner {
     fn bump(&mut self, name: &'static str, by: u64) {
         *self.counters.entry(name).or_insert(0) += by;
-    }
-
-    fn observe(&mut self, name: &'static str, value: u64) {
-        self.histograms
-            .entry(name)
-            .or_insert_with(|| Histogram::new(bounds_for(name)))
-            .observe(value);
     }
 
     /// Applies `charge` to the app's interference row: one lookup when
@@ -230,7 +225,9 @@ impl Inner {
                         self.charge(&threat.target_app, |row| row.threats += threat.count);
                     }
                 }
-                self.observe("install_micros", *micros);
+                self.install_micros
+                    .get_or_insert_with(|| Histogram::new(INSTALL_MICROS_BOUNDS))
+                    .observe(*micros);
                 self.sweep(sweep);
             }
             TelemetryEvent::UninstallCompleted {
@@ -252,15 +249,6 @@ impl Inner {
                 self.bump("snapshot_micros_total", *micros);
             }
             TelemetryEvent::QueueSaturated { .. } => self.bump("queue_saturated_total", 1),
-            TelemetryEvent::JournalAppended { records, bytes } => {
-                self.bump("journal_appends_total", 1);
-                self.bump("journal_records_total", *records);
-                self.bump("journal_bytes_total", *bytes);
-            }
-            TelemetryEvent::JournalSynced { micros } => {
-                self.bump("journal_syncs_total", 1);
-                self.bump("journal_sync_micros_total", *micros);
-            }
             TelemetryEvent::JournalCheckpoint { homes, micros, .. } => {
                 self.bump("journal_checkpoints_total", 1);
                 self.bump("journal_checkpoint_homes_total", *homes);
@@ -271,12 +259,10 @@ impl Inner {
                 self.bump("journal_replayed_records_total", *records);
                 self.bump("journal_replay_micros_total", *micros);
             }
-            TelemetryEvent::IoRetry { attempts, .. } => {
-                self.bump("io_retry_events_total", 1);
-                self.bump("io_retries_total", *attempts);
-            }
             TelemetryEvent::JournalDegraded { .. } => self.bump("journal_degraded_total", 1),
-            TelemetryEvent::JournalHealed { .. } => self.bump("journal_healed_total", 1),
+            // The journal counts its own heals (`journal_healed_total` is
+            // read from it at scrape).
+            TelemetryEvent::JournalHealed { .. } => {}
         }
     }
 }
@@ -308,9 +294,10 @@ impl MetricsRegistry {
         self.lock().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// One histogram's current shape.
-    pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.lock().histograms.get(name).cloned()
+    /// The install-write latency histogram's current shape (`None` until
+    /// its first observation).
+    pub fn install_micros(&self) -> Option<Histogram> {
+        self.lock().install_micros.clone()
     }
 
     /// The interference table, highest rate first (rate ties break toward
@@ -333,27 +320,25 @@ impl MetricsRegistry {
         )
     }
 
-    /// The named histograms as a JSON object (the `/analytics/latency`
-    /// body); names with no observations yet are omitted.
-    pub fn histograms_json(&self, names: &[&str]) -> Json {
-        let inner = self.lock();
-        Json::Obj(
-            names
-                .iter()
-                .filter_map(|name| {
-                    inner
-                        .histograms
-                        .get_key_value(*name)
-                        .map(|(key, h)| ((*key).to_string(), histogram_json(h)))
-                })
-                .collect(),
-        )
+    /// The `histograms` object of the `/analytics/latency` body:
+    /// `install_micros` once observed, else empty.
+    pub fn latency_json(&self) -> Json {
+        histograms_json(self.install_micros().as_ref())
+    }
+
+    /// A copy of the aggregates with the scraper's `read` counters
+    /// inserted among the registry's own, in name order.
+    fn scrape(&self, read: &[(&'static str, u64)]) -> Inner {
+        let mut inner = self.lock().clone();
+        inner.counters.extend(read.iter().copied());
+        inner
     }
 
     /// The full registry as flat JSON (the `GET /metrics` body), with the
-    /// scraper's sampled `gauges`.
-    pub fn to_json(&self, gauges: &BTreeMap<String, i64>) -> Json {
-        let inner = self.lock().clone();
+    /// counters the scraper `read` from their owners and its sampled
+    /// `gauges`.
+    pub fn to_json(&self, read: &[(&'static str, u64)], gauges: &BTreeMap<String, i64>) -> Json {
+        let inner = self.scrape(read);
         let counters = Json::Obj(
             inner
                 .counters
@@ -374,13 +359,7 @@ impl MetricsRegistry {
                 .map(|(k, v)| ((*k).to_string(), Json::Num(*v as i64)))
                 .collect(),
         );
-        let histograms = Json::Obj(
-            inner
-                .histograms
-                .iter()
-                .map(|(name, h)| ((*name).to_string(), histogram_json(h)))
-                .collect(),
-        );
+        let histograms = histograms_json(inner.install_micros.as_ref());
         let interference = Json::Arr(
             leaderboard(inner.interference)
                 .into_iter()
@@ -397,11 +376,15 @@ impl MetricsRegistry {
     }
 
     /// A Prometheus-style text rendering (`GET /metrics?format=prometheus`):
-    /// `hg_`-prefixed counters and the scraper's sampled `gauges`,
-    /// cumulative `_bucket{le=…}` histogram series, and the interference
-    /// table as labeled gauges.
-    pub fn render_prometheus(&self, gauges: &BTreeMap<String, i64>) -> String {
-        let inner = self.lock().clone();
+    /// `hg_`-prefixed counters (the scraper's `read` ones among them) and
+    /// the scraper's sampled `gauges`, cumulative `_bucket{le=…}`
+    /// histogram series, and the interference table as labeled gauges.
+    pub fn render_prometheus(
+        &self,
+        read: &[(&'static str, u64)],
+        gauges: &BTreeMap<String, i64>,
+    ) -> String {
+        let inner = self.scrape(read);
         let mut out = String::new();
         for (name, value) in &inner.counters {
             out.push_str(&format!("# TYPE hg_{name} counter\nhg_{name} {value}\n"));
@@ -414,7 +397,8 @@ impl MetricsRegistry {
         for (name, value) in gauges {
             out.push_str(&format!("# TYPE hg_{name} gauge\nhg_{name} {value}\n"));
         }
-        for (name, h) in &inner.histograms {
+        if let Some(h) = &inner.install_micros {
+            let name = INSTALL_MICROS;
             out.push_str(&format!("# TYPE hg_{name} histogram\n"));
             let mut cumulative = 0u64;
             for (bound, count) in h.bounds.iter().zip(&h.counts) {
@@ -453,6 +437,16 @@ fn leaderboard(rows: BTreeMap<String, AppInterference>) -> Vec<(String, AppInter
             .then(app_a.cmp(app_b))
     });
     rows
+}
+
+/// The `histograms` object: `install_micros` once observed, else empty.
+fn histograms_json(install_micros: Option<&Histogram>) -> Json {
+    Json::Obj(
+        install_micros
+            .map(|h| (INSTALL_MICROS.to_string(), histogram_json(h)))
+            .into_iter()
+            .collect(),
+    )
 }
 
 fn histogram_json(h: &Histogram) -> Json {
@@ -525,6 +519,14 @@ mod tests {
     #[test]
     fn counters_and_interference_aggregate() {
         let reg = MetricsRegistry::new();
+        let none = BTreeMap::new();
+        // Nothing observed yet: the histogram is omitted from every body.
+        assert_eq!(reg.latency_json().to_text(), "{}");
+        assert_eq!(
+            reg.to_json(&[], &none).to_text(),
+            r#"{"counters":{},"gauges":{},"histograms":{},"interference":[],"threats_by_kind":{}}"#
+        );
+        assert_eq!(reg.render_prometheus(&[], &none), "");
         // A two-home write of A (one dirty, racing B) and a one-home B.
         let race = ThreatCount {
             kind: "AR",
@@ -538,32 +540,40 @@ mod tests {
         assert_eq!(reg.counter("installs_dirty_total"), 1);
         assert_eq!(reg.counter("cache_hits_total"), 4, "summed per write");
         assert_eq!(reg.counter("threats_total"), 1);
-        assert_eq!(reg.histogram("install_micros").unwrap().count, 2);
+        assert_eq!(reg.install_micros().unwrap().count, 2);
         // A write whose homes produced no report counts as a write only.
         reg.lock().fold(&install("C", 0, 0, Vec::new()));
         assert_eq!(reg.counter("installs_total"), 3);
-        assert_eq!(reg.histogram("install_micros").unwrap().count, 3);
+        assert_eq!(reg.install_micros().unwrap().count, 3);
         let table = reg.interference_table();
         assert_eq!(table.len(), 2, "no row for an app no home reported on");
         assert_eq!(table[0].0, "A", "A has the higher interference rate");
         assert!((table[0].1.rate() - 0.5).abs() < 1e-9);
         assert_eq!(table[0].1.threats, 1);
         assert_eq!(table[1].1.threats, 1, "both pair members are charged");
-        // Renders in both formats without panicking, with the data and
-        // the scraper's gauges present.
+        // Every body, whole, with the scraper's gauges, as pinned.
         let gauges = BTreeMap::from([("fleet_homes".to_string(), 2)]);
-        let json = reg.to_json(&gauges);
-        assert!(json.get("counters").is_some());
+        let json = include_str!("../tests/metrics_body.json").trim_end();
+        let prometheus = include_str!("../tests/metrics_body.prom");
+        let latency = include_str!("../tests/latency_body.json").trim_end();
+        assert_eq!(reg.latency_json().to_text(), latency);
+        assert_eq!(reg.to_json(&[], &gauges).to_text(), json);
+        assert_eq!(reg.render_prometheus(&[], &gauges), prometheus);
+        // A counter the scraper read renders among the registry's own, in
+        // name order, and is not kept.
+        let read = [("journal_appends_total", 5)];
+        let at = r#""installs_total":3,"#;
         assert_eq!(
-            json.get("gauges")
-                .and_then(|g| g.get("fleet_homes"))
-                .and_then(Json::as_num),
-            Some(2)
+            reg.to_json(&read, &gauges).to_text(),
+            json.replace(at, &format!(r#"{at}"journal_appends_total":5,"#))
         );
-        let prom = reg.render_prometheus(&gauges);
-        assert!(prom.contains("hg_installs_total 3"));
-        assert!(prom.contains("# TYPE hg_fleet_homes gauge\nhg_fleet_homes 2\n"));
-        assert!(prom.contains("hg_app_interference_rate{app=\"A\"} 0.5"));
+        let at = "hg_installs_total 3\n";
+        let counter = "# TYPE hg_journal_appends_total counter\nhg_journal_appends_total 5\n";
+        assert_eq!(
+            reg.render_prometheus(&read, &gauges),
+            prometheus.replace(at, &format!("{at}{counter}"))
+        );
+        assert_eq!(reg.counter("journal_appends_total"), 0);
     }
 
     #[test]
@@ -576,7 +586,7 @@ mod tests {
             }
             reg.lock().fold(&event);
         }
-        let h = reg.histogram("install_micros").unwrap();
+        let h = reg.install_micros().unwrap();
         assert_eq!(h.count, 3);
         assert_eq!(h.counts[0], 2, "30 and 40µs land in the ≤50 bucket");
         assert_eq!(h.counts[7], 1, "9,000µs lands in the ≤10,000 bucket");
@@ -585,7 +595,7 @@ mod tests {
 
     #[test]
     fn percentiles_interpolate_within_buckets() {
-        let mut h = Histogram::new(bounds_for("install_micros"));
+        let mut h = Histogram::new(INSTALL_MICROS_BOUNDS);
         assert_eq!(h.percentile(50.0), 0.0, "empty histogram reports 0");
         // 100 observations in the ≤500µs bucket (lower edge 250): the
         // interpolated median sits mid-bucket.
@@ -593,7 +603,7 @@ mod tests {
         assert!((h.percentile(50.0) - 375.0).abs() < 1.0, "p50 ≈ 375");
         assert!((h.percentile(100.0) - 500.0).abs() < 1e-9);
         // Skewed tail: 90 fast (≤50 bucket), 10 slow (≤25,000 bucket).
-        let mut h = Histogram::new(bounds_for("install_micros"));
+        let mut h = Histogram::new(INSTALL_MICROS_BOUNDS);
         (0..90).for_each(|_| h.observe(40));
         (0..10).for_each(|_| h.observe(20_000));
         let p50 = h.percentile(50.0);
@@ -605,13 +615,13 @@ mod tests {
         );
         assert!(h.percentile(99.0) >= p95);
         // An observation past the last bound clamps to the last finite edge.
-        let mut h = Histogram::new(bounds_for("install_micros"));
+        let mut h = Histogram::new(INSTALL_MICROS_BOUNDS);
         (0..4).for_each(|_| h.observe(1_000_000));
         assert_eq!(h.percentile(50.0), 100_000.0);
         // Registry JSON carries the percentile fields.
         let reg = MetricsRegistry::new();
         reg.lock().fold(&install("A", 1, 0, Vec::new()));
-        let json = reg.histograms_json(&["install_micros"]);
+        let json = reg.latency_json();
         let h = json.get("install_micros").unwrap();
         assert!(h.get("p50").and_then(Json::as_num).is_some());
         assert!(h.get("p95").and_then(Json::as_num).is_some());
@@ -621,16 +631,6 @@ mod tests {
     #[test]
     fn journal_events_fold_into_counters() {
         let reg = MetricsRegistry::new();
-        reg.lock().fold(&TelemetryEvent::JournalAppended {
-            records: 1,
-            bytes: 200,
-        });
-        reg.lock().fold(&TelemetryEvent::JournalAppended {
-            records: 1,
-            bytes: 100,
-        });
-        reg.lock()
-            .fold(&TelemetryEvent::JournalSynced { micros: 40 });
         reg.lock().fold(&TelemetryEvent::JournalCheckpoint {
             offset: 2,
             homes: 5,
@@ -640,13 +640,13 @@ mod tests {
             records: 2,
             micros: 300,
         });
-        assert_eq!(reg.counter("journal_appends_total"), 2);
-        assert_eq!(reg.counter("journal_records_total"), 2);
-        assert_eq!(reg.counter("journal_bytes_total"), 300);
-        assert_eq!(reg.counter("journal_syncs_total"), 1);
+        // The journal counts its own heals: the event folds into nothing.
+        reg.lock()
+            .fold(&TelemetryEvent::JournalHealed { offset: 2 });
         assert_eq!(reg.counter("journal_checkpoints_total"), 1);
         assert_eq!(reg.counter("journal_checkpoint_homes_total"), 5);
         assert_eq!(reg.counter("journal_replays_total"), 1);
         assert_eq!(reg.counter("journal_replayed_records_total"), 2);
+        assert_eq!(reg.counter("journal_healed_total"), 0);
     }
 }

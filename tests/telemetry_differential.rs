@@ -149,7 +149,7 @@ fn attached_bus_changes_no_report_and_no_persisted_byte() {
     assert_eq!(registry.counter("installs_total"), installs);
     assert_eq!(registry.counter("threats_total"), threats);
     assert_eq!(
-        registry.histogram("install_micros").unwrap().count,
+        registry.install_micros().unwrap().count,
         install_writes,
         "one timing per install write"
     );
@@ -211,12 +211,13 @@ fn attached_bus_changes_no_report_and_no_persisted_byte() {
     assert_eq!(silent.mediation_stats().events, 0);
 }
 
-/// The fault-policy lifecycle publishes exactly what the registry
-/// counts: one scripted transient and one torn write surface as
-/// [`TelemetryEvent::IoRetry`] events whose `attempts` sum to
-/// `io_retries_total`; the permanent fault's quarantine and the
-/// subsequent heal appear once each. An exact reconciliation — not
-/// `>=` — so a double-published or swallowed event fails the build.
+/// The fault-policy lifecycle counts and publishes exactly once per
+/// transition: one scripted transient and one torn write each cost the
+/// journal one retry, which it counts and does not publish; the permanent
+/// fault's quarantine and the subsequent heal are one event each, the
+/// quarantine folds into `journal_degraded_total` and the journal counts
+/// the heal. Exact values — not `>=` — so a double-counted or swallowed
+/// transition fails the build.
 #[test]
 fn fault_policy_events_reconcile_exactly_with_registry_totals() {
     let mem = MemBackend::new();
@@ -262,34 +263,16 @@ fn fault_policy_events_reconcile_exactly_with_registry_totals() {
     hub.bus().drain_since(0, &mut events);
     let registry = hub.registry();
 
-    let retry_events = events
-        .iter()
-        .filter(|(_, e)| matches!(e, TelemetryEvent::IoRetry { .. }))
-        .count() as u64;
-    let retries: u64 = events
-        .iter()
-        .map(|(_, e)| match e {
-            TelemetryEvent::IoRetry { attempts, .. } => *attempts,
-            _ => 0,
-        })
-        .sum();
-    let degraded = events
-        .iter()
-        .filter(|(_, e)| matches!(e, TelemetryEvent::JournalDegraded { .. }))
-        .count() as u64;
-    let healed = events
-        .iter()
-        .filter(|(_, e)| matches!(e, TelemetryEvent::JournalHealed { .. }))
-        .count() as u64;
-
-    assert!(retry_events >= 2, "transient + torn write both retried");
-    assert!(retries >= retry_events, "each event carries ≥1 attempt");
-    assert_eq!(degraded, 1, "exactly one quarantine transition");
-    assert_eq!(healed, 1, "exactly one heal transition");
-    assert_eq!(registry.counter("io_retry_events_total"), retry_events);
-    assert_eq!(registry.counter("io_retries_total"), retries);
-    assert_eq!(registry.counter("journal_degraded_total"), degraded);
-    assert_eq!(registry.counter("journal_healed_total"), healed);
+    let count = |tag| events.iter().filter(|(_, e)| e.tag() == tag).count();
+    let counters = journal.counters();
+    assert_eq!(
+        counters.io_retries, 2,
+        "transient + torn write, one retry each"
+    );
+    assert_eq!(counters.heals, 1);
+    assert_eq!(count("journal_degraded"), 1, "exactly one quarantine");
+    assert_eq!(count("journal_healed"), 1, "exactly one heal");
+    assert_eq!(registry.counter("journal_degraded_total"), 1);
 }
 
 /// Upgrades dispatched through the per-shard executor publish from
